@@ -19,7 +19,7 @@ FEASIBLE_VERTICES = 10 ** 6
 
 
 class InfeasibleInstanceError(ValueError):
-    """Raised when the brute-force enumeration would be too large."""
+    """Raised when an instance would be too large to build or enumerate."""
 
 
 def closed_form_bound(N: int, d: int, k: int) -> float:

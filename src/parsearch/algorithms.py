@@ -13,8 +13,11 @@ import numpy as np
 from .core import (
     Database,
     MarkedPredicate,
+    STREAM_COPY,
+    STREAM_PARTITION,
     QueryLedger,
     as_generator,
+    derive_stream,
     grover_iterate,
     init_uniform,
     measure,
@@ -25,9 +28,6 @@ CUTOFF_GROWTH = 6 / 5
 
 #: repetitions of the parallel algorithm before reporting failure
 MAX_REPETITIONS = 10
-
-# seed-path tag for the partition stream: copies use tags 0..d-1, the
-# partition of a repetition uses tag d, so the streams never collide.
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,13 @@ class Partition:
     def sizes(self) -> tuple:
         return tuple(int(c.size) for c in self.cells)
 
-    def cell_of(self, address: int) -> int:
-        for i, cell in enumerate(self.cells):
-            if address in cell:
-                return i
-        raise ValueError(f"address {address} not covered")
-
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Per-cell item cap t and repetition budget for one (k, d) regime."""
+    """Per-cell item cap t and the regime tag it was chosen by."""
 
     t: int
     regime: str
-    max_repetitions: int = MAX_REPETITIONS
 
 
 @dataclass
@@ -102,6 +95,21 @@ def optimal_iterations(M: int, j: int) -> int:
     return int(math.pi / (4 * theta))
 
 
+def _grover_attempt(pred: MarkedPredicate, r: int, rng, ledger, copy: int):
+    """One Grover attempt over ``pred.subdomain``: uniform start, r
+    iterations (charged to *copy* on *ledger*), one measurement and the
+    classical check of the measured address.
+
+    Returns the address if it holds a target, else None.  The check is not
+    charged here; each caller charges it by its own rule.
+    """
+    state = init_uniform(pred.size)
+    for _ in range(r):
+        state = grover_iterate(state, pred, ledger, copy)
+    addr = int(pred.subdomain[measure(state, rng)])
+    return addr if pred.marked(addr) else None
+
+
 def grover_search_known(
     db: Database,
     subdomain,
@@ -125,16 +133,10 @@ def grover_search_known(
     rng = as_generator(seed)
     pred = MarkedPredicate(db, frozenset(targets.items), S)
     r = optimal_iterations(M, j)
-    state = init_uniform(M)
-    for _ in range(r):
-        state = grover_iterate(state, pred, ledger, copy)
-    idx = measure(state, rng)
-    addr = int(S[idx])
+    addr = _grover_attempt(pred, r, rng, ledger, copy)
     if ledger is not None:
         ledger.record_verification(1)
-    if pred.marked(addr):
-        return addr, r
-    return None, r
+    return addr, r
 
 
 def bbht_search_unknown(
@@ -173,16 +175,12 @@ def bbht_search_unknown(
         if queries + cap + 1 > budget:
             return None, queries
         r = int(rng.integers(0, cap + 1))
-        state = init_uniform(M)
-        for _ in range(r):
-            state = grover_iterate(state, pred, ledger, copy)
-        idx = measure(state, rng)
-        addr = int(S[idx])
+        addr = _grover_attempt(pred, r, rng, ledger, copy)
         # classical membership test: one oracle query
         queries += r + 1
         if ledger is not None:
             ledger.record_oracle(copy)
-        if pred.marked(addr):
+        if addr is not None:
             return addr, queries
         stage += 1
 
@@ -278,7 +276,10 @@ def random_partition(N: int, d: int, seed) -> Partition:
 def choose_regime(N: int, d: int, k: int) -> RegimeParams:
     """Per-cell cap t for the four (k vs d) cases of the parallel algorithm.
 
-    lg means log base 2; non-integer cap expressions are rounded up.
+    With one copy there is one cell, and the algorithm is exactly the
+    multi-item search with cap t = k.  lg means log base 2; non-integer cap
+    expressions are rounded up.  Warns when d or k exceeds sqrt(N), where
+    the cost bounds no longer hold.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
@@ -288,6 +289,8 @@ def choose_regime(N: int, d: int, k: int) -> RegimeParams:
             "d, k <= sqrt(N)",
             stacklevel=2,
         )
+    if d == 1:
+        return RegimeParams(t=k, regime="d=1")
     lg_d = math.log2(d)
     if k <= math.sqrt(d):
         return RegimeParams(t=2, regime="k<=sqrt(d)")
@@ -339,118 +342,78 @@ def verify_locations(db: Database, outcome: SearchOutcome) -> bool:
     return all(db.lookup(addr) == item for item, addr in outcome.located.items())
 
 
-def _seed_path(seed) -> list:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def parallel_search(
     db: Database,
     d: int,
     targets: TargetSet,
     seed,
-    t_override: int | None = None,
-    max_repetitions: int = MAX_REPETITIONS,
+    t: int | None = None,
 ) -> SearchOutcome:
     """Locate all target items using d database copies searched in lockstep.
 
     Each repetition draws a fresh random equipartition of the address space,
     dedicates one copy to each cell, and runs the iterated multi-item search
-    with the regime cap t on every copy.  Copies run in lockstep, one
+    with the per-cell cap *t* (by default the regime cap of
+    :func:`choose_regime`) on every copy.  Copies run in lockstep, one
     parallel round per oracle query; as soon as every (still missing) item
     has been found and classically verified, all copies halt, so the
     repetition's round count is the find time of the last needed item.  A
     repetition that leaves items unlocated costs the longest copy program
     and triggers another repetition (fresh partition, already-located items
-    excluded) up to *max_repetitions*.
+    excluded) up to ``MAX_REPETITIONS``.  ``find_times`` count parallel
+    rounds from the start of the search, across repetitions.
 
-    The seed may be an int or a sequence of ints; per-repetition and
-    per-copy generators are derived from it by fixed path extension, so
-    results do not depend on scheduling.
+    The seed may be an int, a sequence of ints or a SeedSequence; each
+    repetition's partition and each copy's search get their own stream
+    from :func:`~parsearch.core.derive_stream`, so results do not depend on
+    scheduling.
     """
     N = db.size
-    k = targets.k
     if not 1 <= d <= N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
-    if t_override is not None:
-        t = t_override
-        regime = RegimeParams(t=t, regime="override", max_repetitions=max_repetitions)
-    elif d == 1:
-        # single cell: the algorithm is exactly the t=k multi-item search
-        t = k
-        regime = RegimeParams(t=k, regime="d=1", max_repetitions=max_repetitions)
-    else:
-        regime = choose_regime(N, d, k)
-        t = regime.t
+    if t is None:
+        t = choose_regime(N, d, targets.k).t
 
-    path = _seed_path(seed)
     present = set(int(v) for v in db.entries) & set(targets.items)
-    promise_ok = present == set(targets.items)
+    outcome = SearchOutcome(
+        targets=targets,
+        located={},
+        success=False,
+        ledger=QueryLedger(d),
+        repetitions=0,
+        promise_ok=present == set(targets.items),
+    )
+    ledger = outcome.ledger
 
-    ledger = QueryLedger(d)
-    located: dict = {}
-    find_times: dict = {}
-    repetitions = 0
-
-    for rep in range(max_repetitions):
-        repetitions += 1
-        missing = [y for y in targets.items if y not in located]
-        partition = random_partition(N, d, seed=path + [rep, d])
-        copy_outcomes = []
-        for c in range(d):
-            sub = QueryLedger(1)
-            out = multi_item_search(
-                db,
-                partition.cells[c],
-                TargetSet(missing),
-                t,
-                seed=path + [rep, c],
-                ledger=sub,
-                copy=0,
-            )
-            copy_outcomes.append((out, sub.oracle_counts[0], sub.verification_rounds))
-
-        found_now: dict = {}
-        for out, _, _ in copy_outcomes:
-            found_now.update(out.located)
-        all_found = set(found_now) == set(missing)
-        if all_found:
+    for rep in range(MAX_REPETITIONS):
+        outcome.repetitions += 1
+        closed = ledger.parallel_rounds
+        missing = [y for y in targets.items if y not in outcome.located]
+        partition = random_partition(
+            N, d, seed=derive_stream(seed, STREAM_PARTITION, rep)
+        )
+        copies = [
+            multi_item_search(db, cell, TargetSet(missing), t,
+                              seed=derive_stream(seed, STREAM_COPY, rep, c))
+            for c, cell in enumerate(partition.cells)
+        ]
+        if {y for out in copies for y in out.located} == set(missing):
             # lockstep halt: every copy stops at the round where the last
             # needed item was confirmed
-            stop = max((out.find_times[y] for out, _, _ in copy_outcomes
-                        for y in out.located), default=0)
+            stop = max((when for out in copies for when in out.find_times.values()),
+                       default=0)
         else:
-            stop = max(total for _, total, _ in copy_outcomes)
+            stop = max(out.ledger.oracle_counts[0] for out in copies)
 
-        for c, (out, total, ver) in enumerate(copy_outcomes):
-            ledger.record_oracle(c, min(total, stop))
-            ledger.record_verification(ver)
-            for y, addr in out.located.items():
-                located[y] = addr
-                find_times[y] = out.find_times[y]
+        for c, out in enumerate(copies):
+            ledger.record_oracle(c, min(out.ledger.oracle_counts[0], stop))
+            ledger.record_verification(out.ledger.verification_rounds)
+            outcome.located.update(out.located)
+            for y, when in out.find_times.items():
+                outcome.find_times[y] = closed + when
         ledger.end_repetition()
 
-        interim = SearchOutcome(
-            targets=targets, located=dict(located), success=False, ledger=ledger,
-        )
-        if verify_locations(db, interim):
-            return SearchOutcome(
-                targets=targets,
-                located=located,
-                success=True,
-                ledger=ledger,
-                find_times=find_times,
-                repetitions=repetitions,
-                promise_ok=promise_ok,
-            )
-
-    return SearchOutcome(
-        targets=targets,
-        located=located,
-        success=False,
-        ledger=ledger,
-        find_times=find_times,
-        repetitions=repetitions,
-        promise_ok=promise_ok,
-    )
+        outcome.success = verify_locations(db, outcome)
+        if outcome.success:
+            break
+    return outcome

@@ -27,6 +27,29 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: purpose words of derived streams: a search trial, its database
+#: placement, a repetition's partition and one copy's search in it
+STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY = range(4)
+
+
+def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
+    """Child stream of *seed* for one *purpose*, numbered by *indices*.
+
+    The child keeps the root entropy and extends the parent's spawn key by
+    ``(purpose, *indices)``.  It never appends words to the entropy: numpy
+    pads entropy with zeros, so ``[s, 0]`` and ``[s, 0, 0]`` seed the same
+    stream, while distinct spawn keys give distinct streams.  *seed* is an
+    int, a sequence of ints, or a SeedSequence from an earlier derivation.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        root, key = seed.entropy, seed.spawn_key
+    else:
+        root, key = seed, ()
+    return np.random.SeedSequence(
+        entropy=root, spawn_key=key + (purpose, *(int(i) for i in indices))
+    )
+
+
 @dataclass(frozen=True)
 class Database:
     """A lookup table of m-bit items stored at N = 2**n addresses."""

@@ -2,27 +2,33 @@
 bound comparison tables, and brute-force adversary verification.
 
 Every driver returns a plain dict ready for JSON serialization; all
-randomness flows from the given seed by fixed path extension, so records
+randomness flows from the given seed through derived streams, so records
 are byte-stable across runs.
 """
 from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adversary
 from .algorithms import (
+    RegimeParams,
     TargetSet,
     choose_regime,
     maxload_bound,
     parallel_search,
     theorem_envelope,
 )
-from .core import Database, as_generator
+from .core import (
+    STREAM_DATABASE,
+    STREAM_TRIAL,
+    Database,
+    as_generator,
+    derive_stream,
+)
 
 SPEC_VERSION = "1.0"
 
@@ -48,11 +54,19 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
         if not 1 <= self.k <= N:
             raise ValueError(f"need 1 <= k <= N={N}, got k={self.k}")
+        if self.t_override is not None and self.t_override < 0:
+            raise ValueError(f"need t >= 0, got t={self.t_override}")
 
     @property
     def item_bits(self) -> int:
         # wide enough for k targets plus N-k distinct non-target fillers
         return self.m if self.m is not None else self.n + 1
+
+
+#: largest n the explicit database is built for.  One search trial at
+#: (N, d, k) = (2^20, 1024, 32) peaks about 140 MB above the interpreter's
+#: 28 MB, about 105 bytes per address, so 2^24 addresses need about 1.8 GB.
+MAX_EXPLICIT_BITS = 24
 
 
 def build_database(
@@ -65,8 +79,13 @@ def build_database(
     """Database with targets 1..k at random distinct addresses.
 
     Non-target addresses hold distinct filler values by default, or the
-    all-zeros item when *zero_filler* is set.
+    all-zeros item when *zero_filler* is set.  Refuses n above
+    ``MAX_EXPLICIT_BITS`` before allocating anything.
     """
+    if n > MAX_EXPLICIT_BITS:
+        raise adversary.InfeasibleInstanceError(
+            f"n={n} exceeds the explicit database limit n <= {MAX_EXPLICIT_BITS}"
+        )
     N = 1 << n
     if k > N:
         raise ValueError("more targets than addresses")
@@ -87,29 +106,19 @@ def build_database(
 def run_search_experiment(cfg: ExperimentConfig) -> dict:
     """Run seeded trials of the parallel search and aggregate query counts."""
     N = 1 << cfg.n
-    if cfg.d > math.isqrt(N) or cfg.k > math.isqrt(N):
-        warnings.warn(
-            f"d={cfg.d} or k={cfg.k} exceeds sqrt(N)={math.isqrt(N)}",
-            stacklevel=2,
-        )
-    if cfg.d == 1:
-        regime = {"tag": "d=1", "t": cfg.k}
-    else:
-        params = choose_regime(N, cfg.d, cfg.k)
-        regime = {"tag": params.regime, "t": params.t}
     if cfg.t_override is not None:
-        regime = {"tag": "override", "t": cfg.t_override}
+        regime = RegimeParams(t=cfg.t_override, regime="override")
+    else:
+        regime = choose_regime(N, cfg.d, cfg.k)
 
     trials = []
     for trial in range(cfg.trials):
+        stream = derive_stream(cfg.seed, STREAM_TRIAL, trial)
         db, targets = build_database(
-            cfg.n, cfg.item_bits, cfg.k, seed=[cfg.seed, trial, 0],
+            cfg.n, cfg.item_bits, cfg.k, seed=derive_stream(stream, STREAM_DATABASE),
             zero_filler=cfg.zero_filler,
         )
-        outcome = parallel_search(
-            db, cfg.d, targets, seed=[cfg.seed, trial],
-            t_override=cfg.t_override,
-        )
+        outcome = parallel_search(db, cfg.d, targets, seed=stream, t=regime.t)
         trials.append({
             "trial": trial,
             "success": bool(outcome.success),
@@ -130,7 +139,7 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
             "trials": cfg.trials, "seed": cfg.seed,
             "t_override": cfg.t_override, "zero_filler": cfg.zero_filler,
         },
-        "regime": regime,
+        "regime": {"tag": regime.regime, "t": regime.t},
         "reference": {
             "lower_bound": adversary.closed_form_bound(N, cfg.d, cfg.k),
             "upper_envelope": theorem_envelope(N, cfg.d, cfg.k),

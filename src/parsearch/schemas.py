@@ -4,9 +4,6 @@ The schemas pin the documented field names; records are validated against
 them in the test suite and may be validated by downstream consumers.
 """
 
-_CONFIG_NUM = {"type": ["integer", "number", "null", "boolean", "string",
-                        "array"]}
-
 SEARCH_SCHEMA = {
     "type": "object",
     "required": ["spec_version", "command", "config", "regime", "reference",

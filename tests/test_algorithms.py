@@ -1,9 +1,12 @@
 """Tests for the search algorithms and partition machinery."""
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from parsearch import algorithms, experiments
 from parsearch.algorithms import (
     TargetSet,
     bbht_search_unknown,
@@ -16,8 +19,12 @@ from parsearch.algorithms import (
     theorem_envelope,
     verify_locations,
 )
-from parsearch.core import Database, QueryLedger
-from parsearch.experiments import build_database
+from parsearch.core import STREAM_COPY, Database, QueryLedger, derive_stream
+from parsearch.experiments import (
+    ExperimentConfig,
+    build_database,
+    run_search_experiment,
+)
 
 
 class TestTargetSet:
@@ -194,6 +201,10 @@ class TestChooseRegime:
         assert params.regime == "d<k<=d*lg(d)"
         assert params.t == math.ceil(5 * 40 * 4 / 16)
 
+    def test_single_copy(self):
+        params = choose_regime(2 ** 10, 1, 4)
+        assert params.regime == "d=1" and params.t == 4
+
     def test_standing_assumption_warns(self):
         with pytest.warns(UserWarning):
             choose_regime(16, 8, 1)
@@ -260,10 +271,22 @@ class TestParallelSearch:
             db, targets = build_database(8, 9, 3, seed=[41, s])
             par = parallel_search(db, 1, targets, seed=s)
             single = multi_item_search(
-                db, np.arange(256), targets, 3, seed=[s, 0, 0]
+                db, np.arange(256), targets, 3,
+                seed=derive_stream(s, STREAM_COPY, 0, 0),
             )
             assert par.located == single.located
             assert par.ledger.oracle_counts[0] == single.ledger.oracle_counts[0]
+
+    def test_find_times_are_absolute_rounds(self):
+        # k=4 items, d=2 cells of cap t=1: at least two repetitions
+        for s in range(20):
+            db, targets = build_database(8, 9, 4, seed=[53, s])
+            out = parallel_search(db, 2, targets, [54, s], 1)
+            assert out.repetitions >= 2
+            assert all(0 <= v <= out.parallel_rounds
+                       for v in out.find_times.values())
+            if out.success:
+                assert max(out.find_times.values()) == out.parallel_rounds
 
     def test_success_soundness(self):
         for s in range(30):
@@ -313,3 +336,39 @@ class TestParallelSearch:
                 rounds.append(out.parallel_rounds)
             ratio = np.mean(rounds) / theorem_envelope(1 << n, d, k)
             assert 1 / 8 <= ratio <= 4
+
+
+class TestStreamIndependence:
+    @staticmethod
+    def record_seeds(monkeypatch, module, name, seen):
+        fn = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            seed = inspect.signature(fn).bind(*args, **kwargs).arguments["seed"]
+            seen.append((name, seed))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_every_stream_of_a_run_is_distinct(self, d, monkeypatch):
+        # the database stream, each repetition's partition stream and each
+        # repetition's d copy streams, over two trials
+        seen = []
+        self.record_seeds(monkeypatch, experiments, "build_database", seen)
+        self.record_seeds(monkeypatch, algorithms, "random_partition", seen)
+        self.record_seeds(monkeypatch, algorithms, "multi_item_search", seen)
+        record = run_search_experiment(
+            ExperimentConfig(n=6, d=d, k=8, trials=2, seed=5, t_override=1)
+        )
+        assert all(t["repetitions"] >= 2 for t in record["trials"])
+        kinds = Counter(name for name, _ in seen)
+        assert kinds["build_database"] == 2
+        assert kinds["multi_item_search"] == d * kinds["random_partition"]
+        assert kinds["random_partition"] == sum(
+            t["repetitions"] for t in record["trials"])
+        states = [
+            tuple(np.random.default_rng(seed).bit_generator.state["state"].values())
+            for _, seed in seen
+        ]
+        assert len(set(states)) == len(states)

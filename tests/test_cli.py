@@ -61,6 +61,21 @@ def test_search_usage_error_exit_code(capsys):
     assert code == 1
 
 
+def test_search_negative_cap_is_usage_error(capsys):
+    code = main(["search", "--n", "6", "--d", "2", "--k", "2", "--t", "-1"])
+    capsys.readouterr()
+    assert code == 1
+
+
+@pytest.mark.parametrize("command", ["search", "bounds"])
+def test_explicit_size_limit_is_infeasible(command, capsys):
+    # refused before any N-sized array is allocated
+    code = main([command, "--n", "60", "--d", "2", "--k", "2", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "infeasible" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,0 +1,13 @@
+"""Every demo script runs to the end against the current API."""
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script, capsys):
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out
