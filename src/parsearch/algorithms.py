@@ -95,19 +95,22 @@ def optimal_iterations(M: int, j: int) -> int:
     return int(math.pi / (4 * theta))
 
 
-def _grover_attempt(pred: MarkedPredicate, r: int, rng, ledger, copy: int):
+def _grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
     """One Grover attempt over ``pred.subdomain``: uniform start, r
-    iterations (charged to *copy* on *ledger*), one measurement and the
-    classical check of the measured address.
+    iterations, one measurement and the classical check of the measured
+    address.  The attempt costs r + 1 oracle queries, all charged to the
+    one-copy *ledger* (see :class:`~parsearch.core.QueryLedger`).
 
-    Returns the address if it holds a target, else None.  The check is not
-    charged here; each caller charges it by its own rule.
+    Returns ``(address, r + 1)``, address None when it holds no target.
     """
     state = init_uniform(pred.size)
     for _ in range(r):
-        state = grover_iterate(state, pred, ledger, copy)
-    addr = int(pred.subdomain[measure(state, rng)])
-    return addr if pred.marked(addr) else None
+        state = grover_iterate(state, pred, ledger)
+    index = measure(state, rng)
+    if ledger is not None:
+        ledger.record_oracle()
+    addr = int(pred.subdomain[index]) if pred.mask[index] else None
+    return addr, r + 1
 
 
 def grover_search_known(
@@ -117,14 +120,12 @@ def grover_search_known(
     j: int,
     seed,
     ledger: QueryLedger | None = None,
-    copy: int = 0,
 ):
     """Grover search assuming exactly *j* marked addresses in the subdomain.
 
-    Runs the optimal iteration count for the assumed j, measures once, and
-    classically checks the measured address (the check is tallied as a
-    verification round, not an oracle query).  Returns ``(address, queries)``
-    with ``address`` None when the measurement missed.
+    One attempt with the optimal iteration count r for the assumed j.
+    Returns ``(address, queries)``: ``address`` is None when the measurement
+    missed, and ``queries`` = r + 1 is the charge to the one-copy *ledger*.
     """
     S = np.ascontiguousarray(subdomain, dtype=np.int64)
     M = int(S.size)
@@ -132,11 +133,7 @@ def grover_search_known(
         raise ValueError(f"assumed count j={j} outside [1, {M}]")
     rng = as_generator(seed)
     pred = MarkedPredicate(db, frozenset(targets.items), S)
-    r = optimal_iterations(M, j)
-    addr = _grover_attempt(pred, r, rng, ledger, copy)
-    if ledger is not None:
-        ledger.record_verification(1)
-    return addr, r
+    return _grover_attempt(pred, optimal_iterations(M, j), rng, ledger)
 
 
 def bbht_search_unknown(
@@ -145,17 +142,16 @@ def bbht_search_unknown(
     targets: TargetSet,
     seed,
     ledger: QueryLedger | None = None,
-    copy: int = 0,
 ):
     """Search without knowing the marked count, via growing random cutoffs.
 
     Stage s draws an iteration count uniformly from [0, min(lambda**s,
-    sqrt(M))], runs it from a fresh uniform state, measures, and checks the
-    result classically (the check costs one query).  Aborts once the
+    sqrt(M))] and makes one Grover attempt with it.  Aborts once the
     remaining budget cannot cover another stage; the budget is
     ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) total queries.
 
-    Returns ``(address, queries)``, address None when nothing was found.
+    Returns ``(address, queries)``: address None when nothing was found,
+    and ``queries`` the charge to the one-copy *ledger*.
     """
     S = np.ascontiguousarray(subdomain, dtype=np.int64)
     M = int(S.size)
@@ -175,11 +171,8 @@ def bbht_search_unknown(
         if queries + cap + 1 > budget:
             return None, queries
         r = int(rng.integers(0, cap + 1))
-        addr = _grover_attempt(pred, r, rng, ledger, copy)
-        # classical membership test: one oracle query
-        queries += r + 1
-        if ledger is not None:
-            ledger.record_oracle(copy)
+        addr, cost = _grover_attempt(pred, r, rng, ledger)
+        queries += cost
         if addr is not None:
             return addr, queries
         stage += 1
@@ -191,8 +184,6 @@ def multi_item_search(
     targets: TargetSet,
     t: int,
     seed,
-    ledger: QueryLedger | None = None,
-    copy: int = 0,
 ) -> SearchOutcome:
     """Iterated search for up to *t* of the target items in the subdomain.
 
@@ -203,16 +194,16 @@ def multi_item_search(
     finds nothing the subdomain is treated as exhausted.
 
     ``success`` means every target item actually present in the subdomain
-    was located.  ``find_times`` gives the cumulative oracle-query count at
-    which each item was confirmed.
+    was located.  All queries are charged to the outcome's one-copy
+    ledger; ``find_times`` gives the query count at which each item's check
+    confirmed it.
     """
     S = np.ascontiguousarray(subdomain, dtype=np.int64)
     rng = as_generator(seed)
-    if ledger is None:
-        ledger = QueryLedger(max(copy + 1, 1))
-    start = ledger.oracle_counts[copy]
+    ledger = QueryLedger()
 
-    present = set(int(v) for v in db.entries[S]) & set(targets.items)
+    items = np.array(targets.items, dtype=np.int64)
+    present = set(items[np.isin(items, db.entries[S])].tolist())
     remaining = list(targets.items)
     addresses = S.copy()
     located: dict = {}
@@ -222,7 +213,7 @@ def multi_item_search(
         nonlocal addresses, remaining
         y = db.lookup(addr)
         located[y] = addr
-        find_times[y] = ledger.oracle_counts[copy] - start
+        find_times[y] = ledger.oracle_counts[0]
         remaining.remove(y)
         addresses = addresses[addresses != addr]
 
@@ -232,14 +223,12 @@ def multi_item_search(
         assumed = min(t - i + 1, int(addresses.size))
         step_targets = TargetSet(remaining)
         addr, _ = grover_search_known(
-            db, addresses, step_targets, assumed, rng, ledger, copy
+            db, addresses, step_targets, assumed, rng, ledger
         )
         if addr is not None:
             note_find(addr)
             continue
-        addr, _ = bbht_search_unknown(
-            db, addresses, step_targets, rng, ledger, copy
-        )
+        addr, _ = bbht_search_unknown(db, addresses, step_targets, rng, ledger)
         if addr is None:
             break
         note_find(addr)
@@ -281,14 +270,20 @@ def choose_regime(N: int, d: int, k: int) -> RegimeParams:
     expressions are rounded up.  Warns when d or k exceeds sqrt(N), where
     the cost bounds no longer hold.
     """
-    if d < 1 or k < 1:
-        raise ValueError("need d >= 1 and k >= 1")
+    regime = _regime_case(d, k)
     if d > math.isqrt(N) or k > math.isqrt(N):
         warnings.warn(
             f"d={d}, k={k} exceed sqrt(N)={math.isqrt(N)}; cost bounds assume "
             "d, k <= sqrt(N)",
             stacklevel=2,
         )
+    return regime
+
+
+def _regime_case(d: int, k: int) -> RegimeParams:
+    """The (k vs d) case and its cap t, without the sqrt(N) warning."""
+    if d < 1 or k < 1:
+        raise ValueError("need d >= 1 and k >= 1")
     if d == 1:
         return RegimeParams(t=k, regime="d=1")
     lg_d = math.log2(d)
@@ -307,7 +302,7 @@ def theorem_envelope(N: int, d: int, k: int) -> float:
     Uses max(lg d, 1) so the d=1 case degenerates to the single-database
     sqrt(N*k) cost instead of zero.
     """
-    regime = choose_regime(N, d, k).regime
+    regime = _regime_case(d, k).regime
     lg_d = max(math.log2(d), 1.0)
     if regime == "k<=sqrt(d)":
         return math.sqrt(N / d)
@@ -355,13 +350,14 @@ def parallel_search(
     dedicates one copy to each cell, and runs the iterated multi-item search
     with the per-cell cap *t* (by default the regime cap of
     :func:`choose_regime`) on every copy.  Copies run in lockstep, one
-    parallel round per oracle query; as soon as every (still missing) item
-    has been found and classically verified, all copies halt, so the
-    repetition's round count is the find time of the last needed item.  A
-    repetition that leaves items unlocated costs the longest copy program
-    and triggers another repetition (fresh partition, already-located items
-    excluded) up to ``MAX_REPETITIONS``.  ``find_times`` count parallel
-    rounds from the start of the search, across repetitions.
+    parallel round per oracle query, charged by the rule of
+    :class:`~parsearch.core.QueryLedger`; as soon as the check of the last
+    still-missing item confirms it, all copies halt, so the repetition's
+    round count is the find time of that item.  A repetition that leaves
+    items unlocated costs the longest copy program and triggers another
+    repetition (fresh partition, already-located items excluded) up to
+    ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from the
+    start of the search, across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence; each
     repetition's partition and each copy's search get their own stream
@@ -374,14 +370,13 @@ def parallel_search(
     if t is None:
         t = choose_regime(N, d, targets.k).t
 
-    present = set(int(v) for v in db.entries) & set(targets.items)
     outcome = SearchOutcome(
         targets=targets,
         located={},
         success=False,
         ledger=QueryLedger(d),
         repetitions=0,
-        promise_ok=present == set(targets.items),
+        promise_ok=bool(np.isin(targets.items, db.entries).all()),
     )
     ledger = outcome.ledger
 
@@ -407,7 +402,6 @@ def parallel_search(
 
         for c, out in enumerate(copies):
             ledger.record_oracle(c, min(out.ledger.oracle_counts[0], stop))
-            ledger.record_verification(out.ledger.verification_rounds)
             outcome.located.update(out.located)
             for y, when in out.find_times.items():
                 outcome.find_times[y] = closed + when

@@ -109,9 +109,6 @@ class MarkedPredicate:
         """Boolean marked/unmarked flags, aligned with ``subdomain``."""
         return self._mask
 
-    def marked(self, address: int) -> bool:
-        return self.db.lookup(address) in self.targets
-
 
 class StateVector:
     """A normalized complex amplitude vector over M basis states."""
@@ -141,11 +138,19 @@ class StateVector:
 
 
 class QueryLedger:
-    """Per-copy oracle-query counts plus a separate verification count.
+    """Per-copy query counts under the one accounting rule of the package.
 
-    Copies run in lockstep against the d-fold oracle, so the parallel
-    round count of one repetition is the maximum per-copy count within it;
-    the total is summed across repetitions.
+    The database is reached only through queries, so both a Grover
+    iteration and the classical check of a measured address are one oracle
+    query on the copy that makes it.  A search on one copy charges its own
+    one-copy ledger.  Only :func:`~parsearch.algorithms.parallel_search`
+    holds a d-copy ledger: the copies run in lockstep, one parallel round
+    per query, and halt at the round where the last needed item is
+    confirmed, so each copy is charged its queries up to that stop and a
+    repetition's rounds are the largest such charge; the total sums the
+    repetitions.  Checking the k claimed locations at the end of a
+    repetition costs ceil(k/d) parallel queries, kept apart as
+    verification rounds.
     """
 
     def __init__(self, copies: int = 1):
@@ -199,11 +204,10 @@ def grover_iterate(
     state: StateVector,
     marked: MarkedPredicate,
     ledger: QueryLedger | None = None,
-    copy: int = 0,
 ) -> StateVector:
     """One Grover iteration: phase-flip marked addresses, reflect about mean.
 
-    Costs exactly one oracle query, recorded for *copy* on *ledger*.
+    Costs exactly one oracle query, recorded on the one-copy *ledger*.
     """
     if state.dim != marked.size:
         raise ValueError(
@@ -213,7 +217,7 @@ def grover_iterate(
     amps[marked.mask] *= -1.0
     amps = 2.0 * amps.mean() - amps
     if ledger is not None:
-        ledger.record_oracle(copy)
+        ledger.record_oracle()
     return StateVector(amps, _skip_check=True)
 
 

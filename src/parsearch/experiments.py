@@ -106,10 +106,10 @@ def build_database(
 def run_search_experiment(cfg: ExperimentConfig) -> dict:
     """Run seeded trials of the parallel search and aggregate query counts."""
     N = 1 << cfg.n
+    # decided even under --t: choose_regime gives the run's sqrt(N) warning
+    regime = choose_regime(N, cfg.d, cfg.k)
     if cfg.t_override is not None:
         regime = RegimeParams(t=cfg.t_override, regime="override")
-    else:
-        regime = choose_regime(N, cfg.d, cfg.k)
 
     trials = []
     for trial in range(cfg.trials):

@@ -1,10 +1,13 @@
 """Tests for the search algorithms and partition machinery."""
 import inspect
 import math
+import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parsearch import algorithms, experiments
 from parsearch.algorithms import (
@@ -14,6 +17,7 @@ from parsearch.algorithms import (
     grover_search_known,
     maxload_bound,
     multi_item_search,
+    optimal_iterations,
     parallel_search,
     random_partition,
     theorem_envelope,
@@ -25,6 +29,14 @@ from parsearch.experiments import (
     build_database,
     run_search_experiment,
 )
+
+
+@st.composite
+def instances(draw):
+    """(n, k, seed) of a database with k targets among 2**n <= 256 addresses."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(6, 1 << n)))
+    return n, k, draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestTargetSet:
@@ -44,7 +56,7 @@ class TestGroverSearchKnown:
             addr, queries = grover_search_known(
                 db, np.arange(4), targets, 1, seed=s
             )
-            assert queries == 1
+            assert queries == 2
             assert addr is not None and db.lookup(addr) == 1
 
     def test_all_marked_needs_no_iterations(self):
@@ -53,7 +65,7 @@ class TestGroverSearchKnown:
         addr, queries = grover_search_known(
             db, np.arange(8), TargetSet([1]), 8, seed=3
         )
-        assert queries == 0
+        assert queries == 1
         assert addr is not None
 
     def test_large_search_success_rate(self):
@@ -63,7 +75,7 @@ class TestGroverSearchKnown:
             addr, queries = grover_search_known(
                 db, np.arange(1024), targets, 1, seed=[5, s]
             )
-            assert queries == 25
+            assert queries == 26
             hits += addr is not None
         assert abs(hits / 10 ** 4 - 0.9995) < 0.002
 
@@ -135,8 +147,9 @@ class TestMultiItemSearch:
         for s in range(200):
             out = multi_item_search(db, np.arange(1024), targets, 1, seed=[9, s])
             totals.append(out.ledger.oracle_counts[0])
-        # 25 iterations on success; the occasional fallback adds more
-        assert np.median(totals) == 25
+        # 25 iterations plus the check on success; the occasional fallback
+        # adds more
+        assert np.median(totals) == 26
 
     def test_success_means_all_present_located(self):
         db, targets = build_database(6, 7, 4, seed=13)
@@ -149,6 +162,22 @@ class TestMultiItemSearch:
             assert set(out.located) == present
         for item, addr in out.located.items():
             assert db.lookup(addr) == item
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(0, 2))
+    def test_presence_matches_set_reference(self, instance, ghosts):
+        # targets absent from the database, and a subdomain holding only
+        # part of it, against per-element set membership
+        n, k, seed = instance
+        db, targets = build_database(n, n + 1, k, seed=seed)
+        targets = TargetSet(targets.items + tuple(range(db.size + 1,
+                                                        db.size + 1 + ghosts)))
+        sub = np.arange(max(1, db.size // 2))
+        out = multi_item_search(db, sub, targets, targets.k, seed)
+        present = {int(v) for v in db.entries[sub]} & set(targets.items)
+        assert out.success == (set(out.located) == present)
+        par = parallel_search(db, 1, targets, seed, 1)
+        assert par.promise_ok == (ghosts == 0)
 
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 9, 3, seed=15)
@@ -208,6 +237,14 @@ class TestChooseRegime:
     def test_standing_assumption_warns(self):
         with pytest.warns(UserWarning):
             choose_regime(16, 8, 1)
+
+    @pytest.mark.parametrize("t_override", [None, 1])
+    def test_one_warning_per_run(self, t_override):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_search_experiment(ExperimentConfig(
+                n=4, d=8, k=1, trials=1, seed=0, t_override=t_override))
+        assert [w.category for w in caught] == [UserWarning]
 
 
 class TestTheoremEnvelope:
@@ -372,3 +409,82 @@ class TestStreamIndependence:
             for _, seed in seen
         ]
         assert len(set(states)) == len(states)
+
+
+class RecordingLedger(QueryLedger):
+    """A ledger that keeps its per-copy counts at every repetition's end."""
+
+    def __init__(self, copies: int = 1):
+        super().__init__(copies)
+        self.closed = [list(self.oracle_counts)]
+
+    def end_repetition(self) -> int:
+        rounds = super().end_repetition()
+        self.closed.append(list(self.oracle_counts))
+        return rounds
+
+
+class TestLedgerRule:
+    """Properties of the accounting rule stated on ``QueryLedger``."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(1, 6))
+    def test_known_count_search_charges_its_queries(self, instance, j):
+        n, k, seed = instance
+        db, targets = build_database(n, n + 1, k, seed=seed)
+        j = min(j, db.size)
+        ledger = QueryLedger()
+        _, queries = grover_search_known(db, np.arange(db.size), targets, j,
+                                         seed, ledger)
+        assert queries == ledger.oracle_counts[0]
+        assert queries == optimal_iterations(db.size, j) + 1
+        assert ledger.verification_rounds == 0
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.booleans())
+    def test_unknown_count_search_charges_its_queries(self, instance, absent):
+        n, k, seed = instance
+        db, targets = build_database(n, n + 1, k, seed=seed)
+        if absent:
+            targets = TargetSet([db.size + 1])
+        ledger = QueryLedger()
+        _, queries = bbht_search_unknown(db, np.arange(db.size), targets,
+                                         seed, ledger)
+        assert queries == ledger.oracle_counts[0]
+        assert ledger.verification_rounds == 0
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(1, 8), st.integers(0, 3))
+    def test_parallel_search_combines_one_copy_charges(self, instance, d, t):
+        n, k, seed = instance
+        db, targets = build_database(n, n + 1, k, seed=seed)
+        d = min(d, db.size)
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(multi_item_search(*args, **kwargs))
+            return runs[-1]
+
+        with mock.patch.object(algorithms, "QueryLedger", RecordingLedger), \
+                mock.patch.object(algorithms, "multi_item_search", recording):
+            out = parallel_search(db, d, targets, seed, t)
+        ledger = out.ledger
+        reps = ledger.rounds_per_repetition
+        assert len(reps) == out.repetitions
+        assert out.parallel_rounds == sum(reps)
+        assert ledger.verification_rounds == out.repetitions * math.ceil(k / d)
+
+        closed = 0
+        for i, rounds in enumerate(reps):
+            copies = runs[i * d:(i + 1) * d]
+            charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
+            assert rounds == max(charges)
+            assert all(c <= own.ledger.oracle_counts[0]
+                       for c, own in zip(charges, copies))
+            # items found in this repetition: find times after every
+            # earlier repetition's, within this one's rounds
+            found = {y for own in copies for y in own.located}
+            assert all(closed < out.find_times[y] <= closed + rounds for y in found)
+            closed += rounds
+        if out.success:
+            assert max(out.find_times.values()) == out.parallel_rounds

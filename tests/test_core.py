@@ -100,11 +100,11 @@ class TestGroverIterate:
 
     def test_ledger_incremented_once_per_call(self):
         db = make_db(4, [7])
-        ledger = QueryLedger(copies=2)
+        ledger = QueryLedger()
         state = init_uniform(16)
         for _ in range(5):
-            state = grover_iterate(state, predicate(db), ledger, copy=1)
-        assert ledger.oracle_counts == [0, 5]
+            state = grover_iterate(state, predicate(db), ledger)
+        assert ledger.oracle_counts == [5]
 
     @pytest.mark.parametrize("n,marked", [(4, [3]), (6, [1, 2, 3]), (8, [0])])
     def test_normalization_preserved(self, n, marked):
