@@ -9,6 +9,7 @@ from .core import (
     grover_iterate,
     init_uniform,
     measure,
+    sample_after,
     success_probability,
 )
 from .algorithms import (

@@ -21,6 +21,7 @@ from .core import (
     grover_iterate,
     init_uniform,
     measure,
+    sample_after,
 )
 
 #: growth factor of the unknown-count search's iteration cutoff
@@ -98,11 +99,26 @@ def optimal_iterations(M: int, j: int) -> int:
 def _grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
     """One Grover attempt over ``pred.subdomain``: uniform start, r
     iterations, one measurement and the classical check of the measured
-    address.  The attempt costs r + 1 oracle queries, all charged to the
-    one-copy *ledger* (see :class:`~parsearch.core.QueryLedger`).
+    address.  The measurement is sampled from the closed form by
+    :func:`~parsearch.core.sample_after`; :func:`_dense_grover_attempt` is
+    the state-vector reference.  The attempt costs r + 1 oracle queries,
+    all charged to the one-copy *ledger* (see
+    :class:`~parsearch.core.QueryLedger`).
 
     Returns ``(address, r + 1)``, address None when it holds no target.
     """
+    marked = pred.marked_positions
+    pick = sample_after(pred.size, int(marked.size), r, rng)
+    if ledger is not None:
+        ledger.record_oracle(0, r + 1)
+    addr = None if pick is None else int(pred.subdomain[marked[pick]])
+    return addr, r + 1
+
+
+def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
+    """Reference for :func:`_grover_attempt` on the dense simulator: the
+    same attempt, charge and return, with r iterations of an M-entry state
+    vector and a measurement over all M positions."""
     state = init_uniform(pred.size)
     for _ in range(r):
         state = grover_iterate(state, pred, ledger)

@@ -1,10 +1,18 @@
-"""Exact state-vector simulation of phase-oracle Grover iterations.
+"""Exact simulation of phase-oracle Grover iterations.
 
-The simulator works on a dense, re-indexed amplitude vector over an
-arbitrary address subdomain.  The oracle is implemented as a phase flip on
-the addresses whose stored item belongs to the current target set (the
-standard phase-kickback form of the XOR oracle); each application costs one
-query, which is recorded on a :class:`QueryLedger`.
+A search starts from the uniform superposition over an address subdomain
+and applies a phase oracle, so its state never leaves the 2-d span of the
+uniform marked and the uniform unmarked states.  :func:`sample_after` uses
+that to measure the state after r iterations in O(1) from the closed form
+of :func:`success_probability`; the searches run on it.
+
+The dense simulator (:class:`StateVector`, :func:`init_uniform`,
+:func:`grover_iterate`, :func:`measure`) keeps a re-indexed amplitude
+vector over the subdomain and is the reference the closed form is checked
+against.  Its oracle is a phase flip on the addresses whose stored item
+belongs to the current target set (the standard phase-kickback form of the
+XOR oracle); each application costs one query, which is recorded on a
+:class:`QueryLedger`.
 """
 from __future__ import annotations
 
@@ -84,6 +92,8 @@ class MarkedPredicate:
 
     ``subdomain`` is the ordered list of addresses the current search runs
     over; the simulator's state vector is indexed by position within it.
+    The marked positions are found once, with the mask, so repeated
+    attempts over one predicate do not scan the subdomain again.
     """
 
     db: Database
@@ -99,6 +109,7 @@ class MarkedPredicate:
         mask = np.isin(self.db.entries[sub], np.fromiter(self.targets, dtype=np.int64,
                                                          count=len(self.targets)))
         object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_marked_positions", np.flatnonzero(mask))
 
     @property
     def size(self) -> int:
@@ -108,6 +119,11 @@ class MarkedPredicate:
     def mask(self) -> np.ndarray:
         """Boolean marked/unmarked flags, aligned with ``subdomain``."""
         return self._mask
+
+    @property
+    def marked_positions(self) -> np.ndarray:
+        """Ascending positions within ``subdomain`` of the marked addresses."""
+        return self._marked_positions
 
 
 class StateVector:
@@ -244,3 +260,24 @@ def success_probability(M: int, j: int, r: int) -> float:
         raise ValueError("iteration count must be non-negative")
     theta = math.asin(math.sqrt(j / M))
     return math.sin((2 * r + 1) * theta) ** 2
+
+
+def sample_after(M: int, j: int, r: int, rng) -> int | None:
+    """Measure the state of r Grover iterations over M positions, j marked.
+
+    The state stays in the span of the uniform marked and uniform unmarked
+    states, so the marked mass is the closed form of
+    :func:`success_probability` and each set is uniform within itself.  One
+    Bernoulli draw decides a hit; a hit then picks one of the j marked
+    positions uniformly.  Returns that pick's rank in ``range(j)``, or None
+    on a miss.  With j = 0 every draw misses and with j = M every draw hits.
+    """
+    if M < 1 or not 0 <= j <= M:
+        raise ValueError(f"need M >= 1 and 0 <= j <= M, got M={M}, j={j}")
+    if r < 0:
+        raise ValueError("iteration count must be non-negative")
+    rng = as_generator(rng)
+    p = success_probability(M, j, r) if 0 < j < M else j / M
+    if rng.random() >= p:
+        return None
+    return int(rng.integers(j))

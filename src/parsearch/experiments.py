@@ -32,6 +32,36 @@ from .core import (
 
 SPEC_VERSION = "1.0"
 
+#: largest n the max-load check samples: numpy's multivariate
+#: hypergeometric sampler (method "marginals") needs the N = 2**n colors to
+#: total below 10**9, a tighter limit than int64 cell sizes.
+MAX_MAXLOAD_BITS = 29
+
+#: largest trials * d, the int64 cell loads the max-load check samples at
+#: once.  At the limit, 2**20 trials of d = 64 cells, one check peaked at
+#: 0.56 GB and took 7 s on a 2-core host.
+MAX_MAXLOAD_LOADS = 1 << 26
+
+#: largest n the explicit database is built for.  One search trial at
+#: (N, d, k) = (2^20, 1024, 32) peaks about 140 MB above the interpreter's
+#: 28 MB, about 105 bytes per address, so 2^24 addresses need about 1.8 GB.
+MAX_EXPLICIT_BITS = 24
+
+
+def address_count(n: int, limit: int, what: str) -> int:
+    """N = 2**n addresses for *n* address bits.
+
+    Refuses a negative n as a usage error and n above *limit*, the largest
+    n that *what* handles, as infeasible, before computing 2**n.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0 address bits, got n={n}")
+    if n > limit:
+        raise adversary.InfeasibleInstanceError(
+            f"n={n} exceeds the {what} limit n <= {limit}"
+        )
+    return 1 << n
+
 
 @dataclass
 class ExperimentConfig:
@@ -49,7 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        N = 1 << self.n
+        N = address_count(self.n, MAX_EXPLICIT_BITS, "explicit database")
         if not 1 <= self.d <= N:
             raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
         if not 1 <= self.k <= N:
@@ -61,12 +91,6 @@ class ExperimentConfig:
     def item_bits(self) -> int:
         # wide enough for k targets plus N-k distinct non-target fillers
         return self.m if self.m is not None else self.n + 1
-
-
-#: largest n the explicit database is built for.  One search trial at
-#: (N, d, k) = (2^20, 1024, 32) peaks about 140 MB above the interpreter's
-#: 28 MB, about 105 bytes per address, so 2^24 addresses need about 1.8 GB.
-MAX_EXPLICIT_BITS = 24
 
 
 def build_database(
@@ -82,11 +106,7 @@ def build_database(
     all-zeros item when *zero_filler* is set.  Refuses n above
     ``MAX_EXPLICIT_BITS`` before allocating anything.
     """
-    if n > MAX_EXPLICIT_BITS:
-        raise adversary.InfeasibleInstanceError(
-            f"n={n} exceeds the explicit database limit n <= {MAX_EXPLICIT_BITS}"
-        )
-    N = 1 << n
+    N = address_count(n, MAX_EXPLICIT_BITS, "explicit database")
     if k > N:
         raise ValueError("more targets than addresses")
     fillers_needed = 0 if zero_filler else N - k
@@ -164,15 +184,21 @@ def run_maxload_check(
     Dropping k target addresses into a uniform random equipartition of [N]
     gives cell loads distributed multivariate-hypergeometrically with the
     cell sizes as color counts; the check samples that law directly, one
-    draw per partition.
+    draw per partition.  Refuses n above ``MAX_MAXLOAD_BITS`` and trials * d
+    above ``MAX_MAXLOAD_LOADS`` before sampling anything.
     """
     if trials < 1 or d < 1 or k < 0 or t < 0:
         raise ValueError("invalid max-load parameters")
     if n is None:
         n = max(12, max(d, k).bit_length())
-    N = 1 << n
+    N = address_count(n, MAX_MAXLOAD_BITS, "max-load sampler")
     if d > N or k > N:
         raise ValueError(f"need d, k <= N = {N}")
+    if trials * d > MAX_MAXLOAD_LOADS:
+        raise adversary.InfeasibleInstanceError(
+            f"trials * d = {trials * d} cell loads exceed the limit "
+            f"{MAX_MAXLOAD_LOADS}"
+        )
     base, extra = divmod(N, d)
     sizes = [base + 1] * extra + [base] * (d - extra)
     rng = as_generator(seed)
@@ -200,7 +226,7 @@ def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     for n in ns:
         for d in ds:
             for k in ks:
-                N = 1 << n
+                N = address_count(n, MAX_EXPLICIT_BITS, "explicit database")
                 if d > N or k > N:
                     continue
                 rec = run_search_experiment(

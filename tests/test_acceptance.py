@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report; the whole file takes a few minutes, dominated by the regime
-benchmarks.
+report; the whole file takes about half a minute on a 2-core host,
+dominated by the regime benchmarks.
 """
 import math
 

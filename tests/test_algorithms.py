@@ -375,6 +375,37 @@ class TestParallelSearch:
             assert 1 / 8 <= ratio <= 4
 
 
+def within_four_pooled_errors(a, b):
+    """|mean(a) - mean(b)| <= 4 pooled standard errors."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    pooled = (((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1))
+              / (a.size + b.size - 2))
+    stderr = math.sqrt(pooled * (1 / a.size + 1 / b.size))
+    return abs(a.mean() - b.mean()) <= 4 * stderr
+
+
+class TestDenseReference:
+    """The closed-form attempt against the dense state-vector attempt."""
+
+    @pytest.mark.parametrize("n,d,k", [(8, 4, 4), (10, 16, 16)])
+    def test_parallel_search_matches_dense_reference(self, n, d, k, monkeypatch):
+        def run():
+            rounds, wins = [], []
+            for s in range(200):
+                db, targets = build_database(n, n + 1, k, seed=[61, n, s])
+                out = parallel_search(db, d, targets, seed=[62, n, s])
+                rounds.append(out.parallel_rounds)
+                wins.append(out.success)
+            return rounds, wins
+
+        fast = run()
+        monkeypatch.setattr(algorithms, "_grover_attempt",
+                            algorithms._dense_grover_attempt)
+        dense = run()
+        assert within_four_pooled_errors(fast[0], dense[0])
+        assert within_four_pooled_errors(fast[1], dense[1])
+
+
 class TestStreamIndependence:
     @staticmethod
     def record_seeds(monkeypatch, module, name, seen):

@@ -6,6 +6,7 @@ import json
 import jsonschema
 import pytest
 
+from parsearch import experiments
 from parsearch.cli import main
 from parsearch.schemas import SCHEMAS
 
@@ -74,6 +75,39 @@ def test_explicit_size_limit_is_infeasible(command, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "100000000000"],  # 4 * 10^11 cell loads
+    ["--n", "30"],                 # 2^30 addresses: past the sampler's total
+    ["--n", "70"],
+])
+def test_maxload_oversized_is_infeasible(flags, capsys, monkeypatch):
+    # refused before the random stream that sampling needs is even made
+    def no_sampling(seed):
+        raise AssertionError("an oversized max-load check reached sampling")
+
+    monkeypatch.setattr(experiments, "as_generator", no_sampling)
+    code = main(["maxload", "--d", "4", "--k", "4", "--t", "2", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "infeasible" in err
+
+
+def test_maxload_largest_n_runs(capsys):
+    code = main(["maxload", "--n", str(experiments.MAX_MAXLOAD_BITS), "--d", "4",
+                 "--k", "4", "--t", "2", "--trials", "10"])
+    capsys.readouterr()
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["search", "bounds", "maxload"])
+def test_negative_address_bits_is_usage_error(command, capsys):
+    cap = ["--t", "2"] if command == "maxload" else []
+    code = main([command, "--n", "-1", "--d", "2", "--k", "2", "--trials", "1", *cap])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "n=-1" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

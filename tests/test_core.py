@@ -12,6 +12,7 @@ from parsearch.core import (
     grover_iterate,
     init_uniform,
     measure,
+    sample_after,
     success_probability,
 )
 
@@ -166,6 +167,76 @@ class TestSuccessProbability:
     def test_zero_marked_rejected(self):
         with pytest.raises(ValueError):
             success_probability(8, 0, 1)
+
+
+def scattered_predicate(M, j):
+    """Positions 0..M-1 of a 256-address database, j of them marked at
+    seeded random positions."""
+    entries = np.zeros(256, dtype=np.int64)
+    entries[np.random.default_rng([M, j]).choice(M, j, replace=False)] = 1
+    return predicate(Database(n=8, m=1, entries=entries), np.arange(M))
+
+
+class TestSampleAfter:
+    """The closed-form sampler against the dense reference simulator."""
+
+    def test_dense_law_is_the_sampler_law(self):
+        # sample_after hits with p = sin^2((2r+1) theta) (0 and 1 when no or
+        # every position is marked), then picks a marked position uniformly:
+        # p/j on each marked index, (1-p)/(M-j) on each unmarked one
+        worst = 0.0
+        for M in range(1, 257):
+            for j in range(0, min(4, M) + 1):
+                pred = scattered_predicate(M, j)
+                state = init_uniform(M)
+                for r in range(13):
+                    if r:
+                        state = grover_iterate(state, pred)
+                    p = success_probability(M, j, r) if 0 < j < M else j / M
+                    law = np.where(pred.mask, p / max(j, 1),
+                                   (1 - p) / max(M - j, 1))
+                    worst = max(worst, float(np.abs(state.probabilities() - law).max()))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("M,j,r", [(16, 1, 1), (64, 3, 2), (256, 4, 5),
+                                       (5, 2, 0), (200, 2, 12)])
+    def test_seeded_frequencies_match_dense(self, M, j, r):
+        draws = 20000
+        pred = scattered_predicate(M, j)
+        state = init_uniform(M)
+        for _ in range(r):
+            state = grover_iterate(state, pred)
+        rng = np.random.default_rng([31, M, j, r])
+        picks = [sample_after(M, j, r, rng) for _ in range(draws)]
+        hits = [q for q in picks if q is not None]
+        # |frequency - p| <= 0.015 is over 4 standard errors at any p
+        assert abs(len(hits) / draws - state.marked_mass(pred.mask)) <= 0.015
+        ranks = np.bincount(hits, minlength=j)
+        assert ranks.size == j
+        assert np.abs(ranks / len(hits) - 1 / j).max() <= 0.03
+
+    def test_nothing_marked_never_hits(self):
+        rng = np.random.default_rng(1)
+        for M in (1, 7, 256):
+            for r in (0, 3, 12):
+                assert all(sample_after(M, 0, r, rng) is None for _ in range(200))
+
+    def test_everything_marked_always_hits(self):
+        rng = np.random.default_rng(2)
+        for M in (1, 7, 256):
+            for r in (0, 3, 12):
+                picks = [sample_after(M, M, r, rng) for _ in range(200)]
+                assert all(q is not None and 0 <= q < M for q in picks)
+
+    def test_no_iterations_hit_with_marked_fraction(self):
+        rng = np.random.default_rng(3)
+        hits = sum(sample_after(10, 3, 0, rng) is not None for _ in range(20000))
+        assert abs(hits / 20000 - 3 / 10) <= 0.015
+
+    @pytest.mark.parametrize("M,j,r", [(0, 0, 0), (4, 5, 1), (4, -1, 1), (4, 1, -1)])
+    def test_rejects_bad_arguments(self, M, j, r):
+        with pytest.raises(ValueError):
+            sample_after(M, j, r, np.random.default_rng(0))
 
 
 class TestQueryLedger:
