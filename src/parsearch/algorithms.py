@@ -130,36 +130,32 @@ def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
 
 
 def grover_search_known(
-    db: Database,
-    subdomain,
-    targets: TargetSet,
+    pred: MarkedPredicate,
     j: int,
     seed,
     ledger: QueryLedger | None = None,
 ):
-    """Grover search assuming exactly *j* marked addresses in the subdomain.
+    """Grover search assuming exactly *j* marked addresses in the subdomain
+    of *pred*.
 
     One attempt with the optimal iteration count r for the assumed j.
     Returns ``(address, queries)``: ``address`` is None when the measurement
     missed, and ``queries`` = r + 1 is the charge to the one-copy *ledger*.
     """
-    S = np.ascontiguousarray(subdomain, dtype=np.int64)
-    M = int(S.size)
+    M = pred.size
     if j < 1 or j > M:
         raise ValueError(f"assumed count j={j} outside [1, {M}]")
-    rng = as_generator(seed)
-    pred = MarkedPredicate(db, frozenset(targets.items), S)
-    return _grover_attempt(pred, optimal_iterations(M, j), rng, ledger)
+    return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed),
+                           ledger)
 
 
 def bbht_search_unknown(
-    db: Database,
-    subdomain,
-    targets: TargetSet,
+    pred: MarkedPredicate,
     seed,
     ledger: QueryLedger | None = None,
 ):
-    """Search without knowing the marked count, via growing random cutoffs.
+    """Search the subdomain of *pred* without knowing the marked count, via
+    growing random cutoffs.
 
     Stage s draws an iteration count uniformly from [0, min(lambda**s,
     sqrt(M))] and makes one Grover attempt with it.  Aborts once the
@@ -169,12 +165,10 @@ def bbht_search_unknown(
     Returns ``(address, queries)``: address None when nothing was found,
     and ``queries`` the charge to the one-copy *ledger*.
     """
-    S = np.ascontiguousarray(subdomain, dtype=np.int64)
-    M = int(S.size)
+    M = pred.size
     if M == 0:
         raise ValueError("cannot search an empty subdomain")
     rng = as_generator(seed)
-    pred = MarkedPredicate(db, frozenset(targets.items), S)
     sqrt_m = math.sqrt(M)
     budget = math.ceil(9 / 4 * sqrt_m)
     if M > 1:
@@ -207,47 +201,35 @@ def multi_item_search(
     item is removed from the target set and its address from the search
     space.  A failed step falls back to the unknown-count search, since
     fewer than the assumed number may be present; when the fallback also
-    finds nothing the subdomain is treated as exhausted.
+    finds nothing the subdomain is treated as exhausted.  The subdomain is
+    scanned once, for the first predicate; each find then shrinks it with
+    :meth:`~parsearch.core.MarkedPredicate.without`.
 
     ``success`` means every target item actually present in the subdomain
     was located.  All queries are charged to the outcome's one-copy
     ledger; ``find_times`` gives the query count at which each item's check
     confirmed it.
     """
-    S = np.ascontiguousarray(subdomain, dtype=np.int64)
     rng = as_generator(seed)
     ledger = QueryLedger()
-
-    items = np.array(targets.items, dtype=np.int64)
-    present = set(items[np.isin(items, db.entries[S])].tolist())
-    remaining = list(targets.items)
-    addresses = S.copy()
+    pred = MarkedPredicate(db, frozenset(targets.items), subdomain)
+    present = set(db.entries[pred.subdomain[pred.marked_positions]].tolist())
     located: dict = {}
     find_times: dict = {}
 
-    def note_find(addr):
-        nonlocal addresses, remaining
+    for i in range(1, t + 1):
+        if not pred.targets or pred.size == 0:
+            break
+        assumed = min(t - i + 1, pred.size)
+        addr, _ = grover_search_known(pred, assumed, rng, ledger)
+        if addr is None:
+            addr, _ = bbht_search_unknown(pred, rng, ledger)
+            if addr is None:
+                break
         y = db.lookup(addr)
         located[y] = addr
         find_times[y] = ledger.oracle_counts[0]
-        remaining.remove(y)
-        addresses = addresses[addresses != addr]
-
-    for i in range(1, t + 1):
-        if not remaining or addresses.size == 0:
-            break
-        assumed = min(t - i + 1, int(addresses.size))
-        step_targets = TargetSet(remaining)
-        addr, _ = grover_search_known(
-            db, addresses, step_targets, assumed, rng, ledger
-        )
-        if addr is not None:
-            note_find(addr)
-            continue
-        addr, _ = bbht_search_unknown(db, addresses, step_targets, rng, ledger)
-        if addr is None:
-            break
-        note_find(addr)
+        pred = pred.without(addr)
 
     return SearchOutcome(
         targets=targets,

@@ -139,13 +139,19 @@ def render(record: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(record: dict, out, fmt: str) -> None:
+def _emit(record: dict, out, fmt: str) -> int:
     text = render(record, fmt)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"parsearch: error: cannot write --out {out}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -178,8 +184,7 @@ def main(argv=None) -> int:
         print(f"parsearch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(record, args.out, args.format)
-    return EXIT_OK
+    return _emit(record, args.out, args.format)
 
 
 if __name__ == "__main__":

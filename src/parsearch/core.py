@@ -92,8 +92,9 @@ class MarkedPredicate:
 
     ``subdomain`` is the ordered list of addresses the current search runs
     over; the simulator's state vector is indexed by position within it.
-    The marked positions are found once, with the mask, so repeated
-    attempts over one predicate do not scan the subdomain again.
+    The subdomain is scanned once, at construction, for the mask and the
+    marked positions; :meth:`without` derives the predicate left after a
+    find from those, so one copy's whole search scans its cell once.
     """
 
     db: Database
@@ -104,12 +105,16 @@ class MarkedPredicate:
         sub = np.ascontiguousarray(self.subdomain, dtype=np.int64)
         if sub.ndim != 1:
             raise ValueError("subdomain must be a 1-d address array")
-        object.__setattr__(self, "subdomain", sub)
-        object.__setattr__(self, "targets", frozenset(int(y) for y in self.targets))
-        mask = np.isin(self.db.entries[sub], np.fromiter(self.targets, dtype=np.int64,
-                                                         count=len(self.targets)))
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "_marked_positions", np.flatnonzero(mask))
+        targets = frozenset(int(y) for y in self.targets)
+        mask = np.isin(self.db.entries[sub],
+                       np.fromiter(targets, dtype=np.int64, count=len(targets)))
+        self._set(targets=targets, subdomain=sub, _mask=mask,
+                  _marked_positions=np.flatnonzero(mask))
+
+    def _set(self, **fields) -> "MarkedPredicate":
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def size(self) -> int:
@@ -124,6 +129,31 @@ class MarkedPredicate:
     def marked_positions(self) -> np.ndarray:
         """Ascending positions within ``subdomain`` of the marked addresses."""
         return self._marked_positions
+
+    def without(self, address: int) -> "MarkedPredicate":
+        """The predicate once the item at the marked *address* is located.
+
+        The address leaves the subdomain and its item leaves the targets, so
+        any other address holding that item is unmarked too.  Works on the
+        marked positions and one copy of the subdomain, without rescanning
+        it.  Raises ValueError when *address* is not marked.
+        """
+        marked = self._marked_positions
+        held = self.subdomain[marked]
+        at = np.flatnonzero(held == address)
+        if at.size == 0:
+            raise ValueError(f"address {address} is not marked")
+        pos = int(marked[at[0]])
+        item = self.db.lookup(address)
+        kept = marked[self.db.entries[held] != item]
+        kept -= kept > pos  # positions past the removed address move down one
+        sub = np.delete(self.subdomain, pos)
+        mask = np.zeros(sub.size, dtype=bool)
+        mask[kept] = True
+        return object.__new__(MarkedPredicate)._set(
+            db=self.db, targets=self.targets - {item}, subdomain=sub,
+            _mask=mask, _marked_positions=kept,
+        )
 
 
 class StateVector:

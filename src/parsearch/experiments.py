@@ -63,6 +63,12 @@ def address_count(n: int, limit: int, what: str) -> int:
     return 1 << n
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative integer seed as a usage error that names it."""
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
+
+
 @dataclass
 class ExperimentConfig:
     """Parameters of one seeded search experiment."""
@@ -79,6 +85,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        _check_seed(self.seed)
         N = address_count(self.n, MAX_EXPLICIT_BITS, "explicit database")
         if not 1 <= self.d <= N:
             raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
@@ -115,10 +122,15 @@ def build_database(
     rng = as_generator(seed)
     addresses = rng.choice(N, size=k, replace=False)
     targets = TargetSet(range(1, k + 1))
-    entries = np.zeros(N, dtype=np.int64)
-    if not zero_filler:
-        rest = np.setdiff1d(np.arange(N), addresses)
-        entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)  # distinct non-targets
+    if zero_filler:
+        entries = np.zeros(N, dtype=np.int64)
+    else:
+        # distinct non-targets: the i-th non-target address in ascending
+        # order holds k + 1 + i, i being its address less the targets below it
+        is_target = np.zeros(N, dtype=bool)
+        is_target[addresses] = True
+        entries = np.arange(k + 1, N + k + 1, dtype=np.int64)
+        entries -= np.cumsum(is_target)
     entries[addresses] = targets.items
     return Database(n=n, m=m, entries=entries), targets
 
@@ -189,6 +201,7 @@ def run_maxload_check(
     """
     if trials < 1 or d < 1 or k < 0 or t < 0:
         raise ValueError("invalid max-load parameters")
+    _check_seed(seed)
     if n is None:
         n = max(12, max(d, k).bit_length())
     N = address_count(n, MAX_MAXLOAD_BITS, "max-load sampler")
@@ -222,6 +235,7 @@ def run_maxload_check(
 
 def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     """Sweep (n, d, k) cells: measured mean rounds vs both bound formulas."""
+    _check_seed(seed)  # also when the sweep is empty
     rows = []
     for n in ns:
         for d in ds:

@@ -23,7 +23,13 @@ from parsearch.algorithms import (
     theorem_envelope,
     verify_locations,
 )
-from parsearch.core import STREAM_COPY, Database, QueryLedger, derive_stream
+from parsearch.core import (
+    STREAM_COPY,
+    Database,
+    MarkedPredicate,
+    QueryLedger,
+    derive_stream,
+)
 from parsearch.experiments import (
     ExperimentConfig,
     build_database,
@@ -49,12 +55,30 @@ class TestTargetSet:
             TargetSet([])
 
 
+class TestBuildDatabase:
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_fill_matches_setdiff_reference(self, n, data, seed, zero_filler):
+        N = 1 << n
+        k = data.draw(st.integers(1, min(N, 12)))
+        db, targets = build_database(n, n + 1, k, seed, zero_filler=zero_filler)
+        # the reference: the same address draw, then fillers k+1, k+2, ...
+        # over the ascending non-target addresses
+        addresses = np.random.default_rng(seed).choice(N, size=k, replace=False)
+        entries = np.zeros(N, dtype=np.int64)
+        if not zero_filler:
+            rest = np.setdiff1d(np.arange(N), addresses)
+            entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)
+        entries[addresses] = targets.items
+        np.testing.assert_array_equal(db.entries, entries)
+
+
 class TestGroverSearchKnown:
     def test_four_addresses_one_marked(self):
         db, targets = build_database(2, 3, 1, seed=0)
         for s in range(25):
             addr, queries = grover_search_known(
-                db, np.arange(4), targets, 1, seed=s
+                MarkedPredicate(db, targets.items, np.arange(4)), 1, seed=s
             )
             assert queries == 2
             assert addr is not None and db.lookup(addr) == 1
@@ -63,7 +87,7 @@ class TestGroverSearchKnown:
         entries = np.ones(8, dtype=np.int64)
         db = Database(n=3, m=1, entries=entries)
         addr, queries = grover_search_known(
-            db, np.arange(8), TargetSet([1]), 8, seed=3
+            MarkedPredicate(db, [1], np.arange(8)), 8, seed=3
         )
         assert queries == 1
         assert addr is not None
@@ -73,7 +97,7 @@ class TestGroverSearchKnown:
         hits = 0
         for s in range(10 ** 4):
             addr, queries = grover_search_known(
-                db, np.arange(1024), targets, 1, seed=[5, s]
+                MarkedPredicate(db, targets.items, np.arange(1024)), 1, seed=[5, s]
             )
             assert queries == 26
             hits += addr is not None
@@ -82,7 +106,8 @@ class TestGroverSearchKnown:
     def test_overlarge_assumed_count(self):
         db, targets = build_database(3, 4, 1, seed=0)
         with pytest.raises(ValueError):
-            grover_search_known(db, np.arange(8), targets, 9, seed=0)
+            grover_search_known(MarkedPredicate(db, targets.items, np.arange(8)),
+                                9, seed=0)
 
 
 class TestBbhtSearchUnknown:
@@ -90,7 +115,8 @@ class TestBbhtSearchUnknown:
         db, _ = build_database(8, 9, 1, seed=1)
         absent = TargetSet([500])
         cutoff = math.ceil(9 / 4 * 16) + 2 * math.ceil(math.log(16) / math.log(6 / 5))
-        addr, queries = bbht_search_unknown(db, np.arange(256), absent, seed=2)
+        addr, queries = bbht_search_unknown(
+            MarkedPredicate(db, absent.items, np.arange(256)), seed=2)
         assert addr is None
         assert queries <= cutoff
 
@@ -99,7 +125,7 @@ class TestBbhtSearchUnknown:
         totals, hits = [], 0
         for s in range(10 ** 4):
             addr, queries = bbht_search_unknown(
-                db, np.arange(256), targets, seed=[11, s]
+                MarkedPredicate(db, targets.items, np.arange(256)), seed=[11, s]
             )
             totals.append(queries)
             hits += addr is not None
@@ -112,7 +138,7 @@ class TestBbhtSearchUnknown:
         totals = []
         for s in range(2000):
             addr, queries = bbht_search_unknown(
-                db, np.arange(64), TargetSet([1]), seed=s
+                MarkedPredicate(db, [1], np.arange(64)), seed=s
             )
             assert addr is not None
             totals.append(queries)
@@ -121,7 +147,9 @@ class TestBbhtSearchUnknown:
     def test_empty_subdomain_rejected(self):
         db, targets = build_database(3, 4, 1, seed=0)
         with pytest.raises(ValueError):
-            bbht_search_unknown(db, np.array([], dtype=np.int64), targets, seed=0)
+            bbht_search_unknown(
+                MarkedPredicate(db, targets.items, np.array([], dtype=np.int64)),
+                seed=0)
 
 
 class TestMultiItemSearch:
@@ -465,8 +493,8 @@ class TestLedgerRule:
         db, targets = build_database(n, n + 1, k, seed=seed)
         j = min(j, db.size)
         ledger = QueryLedger()
-        _, queries = grover_search_known(db, np.arange(db.size), targets, j,
-                                         seed, ledger)
+        _, queries = grover_search_known(
+            MarkedPredicate(db, targets.items, np.arange(db.size)), j, seed, ledger)
         assert queries == ledger.oracle_counts[0]
         assert queries == optimal_iterations(db.size, j) + 1
         assert ledger.verification_rounds == 0
@@ -479,8 +507,8 @@ class TestLedgerRule:
         if absent:
             targets = TargetSet([db.size + 1])
         ledger = QueryLedger()
-        _, queries = bbht_search_unknown(db, np.arange(db.size), targets,
-                                         seed, ledger)
+        _, queries = bbht_search_unknown(
+            MarkedPredicate(db, targets.items, np.arange(db.size)), seed, ledger)
         assert queries == ledger.oracle_counts[0]
         assert ledger.verification_rounds == 0
 

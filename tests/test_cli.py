@@ -193,3 +193,31 @@ def test_adversary_infeasible_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "infeasible" in err
+
+
+SMALL_RUNS = {
+    "search": ["search", "--n", "4", "--trials", "1"],
+    "maxload": ["maxload", "--d", "2", "--k", "2", "--t", "1", "--trials", "10"],
+    "bounds": ["bounds", "--n", "4", "--d", "2", "--k", "2", "--trials", "1"],
+    "adversary": ["adversary", "--n", "2", "--m", "2", "--d", "2", "--k", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(SMALL_RUNS[command] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [SMALL_RUNS["search"], SMALL_RUNS["bounds"],
+                                  ["bounds", "--trials", "1"], SMALL_RUNS["maxload"]],
+                         ids=["search", "bounds", "empty-bounds", "maxload"])
+def test_negative_seed_is_usage_error(argv, capsys):
+    code = main(argv + ["--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "seed=-1" in err

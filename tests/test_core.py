@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parsearch.core import (
     Database,
@@ -43,6 +44,56 @@ class TestDatabase:
     def test_item_width_enforced(self):
         with pytest.raises(ValueError):
             Database(n=1, m=1, entries=np.array([0, 2]))
+
+
+@st.composite
+def shared_item_predicates(draw):
+    """A predicate over an unsorted part of a database whose items 0..3
+    repeat at several addresses, with ghost targets 5 and 6 stored nowhere."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
+    db = Database(n=n, m=3, entries=np.array(entries, dtype=np.int64))
+    sub = draw(st.permutations(range(db.size)))
+    sub = np.array(sub[:draw(st.integers(1, db.size))], dtype=np.int64)
+    targets = draw(st.sets(st.integers(0, 3), min_size=1)) | {5, 6}
+    return MarkedPredicate(db, frozenset(targets), sub)
+
+
+class TestMarkedPredicateWithout:
+    @settings(derandomize=True, deadline=None)
+    @given(shared_item_predicates(), st.data())
+    def test_matches_a_fresh_predicate(self, pred, data):
+        # locate marked addresses one after another until none is left
+        while pred.marked_positions.size:
+            pos = data.draw(st.sampled_from(pred.marked_positions.tolist()))
+            addr = int(pred.subdomain[pos])
+            shrunk = pred.without(addr)
+            fresh = MarkedPredicate(pred.db, pred.targets - {pred.db.lookup(addr)},
+                                    pred.subdomain[pred.subdomain != addr])
+            assert shrunk.targets == fresh.targets
+            np.testing.assert_array_equal(shrunk.subdomain, fresh.subdomain)
+            np.testing.assert_array_equal(shrunk.mask, fresh.mask)
+            np.testing.assert_array_equal(shrunk.marked_positions,
+                                          fresh.marked_positions)
+            pred = shrunk
+        assert pred.targets >= {5, 6}
+
+    def test_every_address_of_the_found_item_is_unmarked(self):
+        db = make_db(3, [1, 4, 6])
+        pred = MarkedPredicate(db, frozenset([1]), np.array([6, 0, 4, 1]))
+        shrunk = pred.without(4)
+        np.testing.assert_array_equal(shrunk.subdomain, [6, 0, 1])
+        assert not shrunk.mask.any() and shrunk.marked_positions.size == 0
+        assert shrunk.targets == frozenset()
+        # the original predicate is left as it was
+        np.testing.assert_array_equal(pred.marked_positions, [0, 2, 3])
+
+    @pytest.mark.parametrize("address", [0, 2, 5])
+    def test_unmarked_address_rejected(self, address):
+        # 0 is unmarked and in the subdomain, 2 and 5 are outside it
+        pred = predicate(make_db(3, [1, 5]), [0, 1, 3])
+        with pytest.raises(ValueError):
+            pred.without(address)
 
 
 class TestStateVector:
