@@ -16,7 +16,7 @@ from parsearch import (
 n, d, k = 12, 16, 8
 N = 1 << n
 
-db, targets = build_database(n, m=n + 1, k=k, seed=2024)
+db, targets = build_database(n, k=k, seed=2024)
 params = choose_regime(N, d, k)
 print(f"N={N}, d={d} copies, k={k} targets")
 print(f"regime: {params.regime}, per-cell cap t={params.t}")
@@ -36,6 +36,6 @@ import numpy as np
 
 rounds = []
 for s in range(50):
-    db, targets = build_database(n, m=n + 1, k=k, seed=[7, s])
+    db, targets = build_database(n, k=k, seed=[7, s])
     rounds.append(parallel_search(db, d, targets, seed=[8, s]).parallel_rounds)
 print(f"mean parallel rounds over 50 seeds  = {np.mean(rounds):.1f}")

@@ -13,7 +13,6 @@ from .core import (
     success_probability,
 )
 from .algorithms import (
-    Partition,
     RegimeParams,
     SearchOutcome,
     TargetSet,

@@ -51,21 +51,6 @@ class TargetSet:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint near-equal address cells covering [N]."""
-
-    cells: tuple
-
-    @property
-    def d(self) -> int:
-        return len(self.cells)
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(int(c.size) for c in self.cells)
-
-
-@dataclass(frozen=True)
 class RegimeParams:
     """Per-cell item cap t and the regime tag it was chosen by."""
 
@@ -96,64 +81,49 @@ def optimal_iterations(M: int, j: int) -> int:
     return int(math.pi / (4 * theta))
 
 
-def _grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
+def _grover_attempt(pred: MarkedPredicate, r: int, rng):
     """One Grover attempt over ``pred.subdomain``: uniform start, r
     iterations, one measurement and the classical check of the measured
     address.  The measurement is sampled from the closed form by
     :func:`~parsearch.core.sample_after`; :func:`_dense_grover_attempt` is
-    the state-vector reference.  The attempt costs r + 1 oracle queries,
-    all charged to the one-copy *ledger* (see
-    :class:`~parsearch.core.QueryLedger`).
+    the state-vector reference.  The attempt costs r + 1 oracle queries
+    (see :class:`~parsearch.core.QueryLedger`).
 
     Returns ``(address, r + 1)``, address None when it holds no target.
     """
     marked = pred.marked_positions
     pick = sample_after(pred.size, int(marked.size), r, rng)
-    if ledger is not None:
-        ledger.record_oracle(0, r + 1)
     addr = None if pick is None else int(pred.subdomain[marked[pick]])
     return addr, r + 1
 
 
-def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng, ledger):
+def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng):
     """Reference for :func:`_grover_attempt` on the dense simulator: the
-    same attempt, charge and return, with r iterations of an M-entry state
-    vector and a measurement over all M positions."""
+    same attempt and return, with r iterations of an M-entry state vector
+    and a measurement over all M positions."""
     state = init_uniform(pred.size)
     for _ in range(r):
-        state = grover_iterate(state, pred, ledger)
+        state = grover_iterate(state, pred)
     index = measure(state, rng)
-    if ledger is not None:
-        ledger.record_oracle()
     addr = int(pred.subdomain[index]) if pred.mask[index] else None
     return addr, r + 1
 
 
-def grover_search_known(
-    pred: MarkedPredicate,
-    j: int,
-    seed,
-    ledger: QueryLedger | None = None,
-):
+def grover_search_known(pred: MarkedPredicate, j: int, seed):
     """Grover search assuming exactly *j* marked addresses in the subdomain
     of *pred*.
 
     One attempt with the optimal iteration count r for the assumed j.
     Returns ``(address, queries)``: ``address`` is None when the measurement
-    missed, and ``queries`` = r + 1 is the charge to the one-copy *ledger*.
+    missed, and ``queries`` = r + 1 is the oracle queries it made.
     """
     M = pred.size
     if j < 1 or j > M:
         raise ValueError(f"assumed count j={j} outside [1, {M}]")
-    return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed),
-                           ledger)
+    return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed))
 
 
-def bbht_search_unknown(
-    pred: MarkedPredicate,
-    seed,
-    ledger: QueryLedger | None = None,
-):
+def bbht_search_unknown(pred: MarkedPredicate, seed):
     """Search the subdomain of *pred* without knowing the marked count, via
     growing random cutoffs.
 
@@ -163,7 +133,7 @@ def bbht_search_unknown(
     ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) total queries.
 
     Returns ``(address, queries)``: address None when nothing was found,
-    and ``queries`` the charge to the one-copy *ledger*.
+    and ``queries`` the oracle queries of all its stages.
     """
     M = pred.size
     if M == 0:
@@ -181,7 +151,7 @@ def bbht_search_unknown(
         if queries + cap + 1 > budget:
             return None, queries
         r = int(rng.integers(0, cap + 1))
-        addr, cost = _grover_attempt(pred, r, rng, ledger)
+        addr, cost = _grover_attempt(pred, r, rng)
         queries += cost
         if addr is not None:
             return addr, queries
@@ -206,8 +176,9 @@ def multi_item_search(
     :meth:`~parsearch.core.MarkedPredicate.without`.
 
     ``success`` means every target item actually present in the subdomain
-    was located.  All queries are charged to the outcome's one-copy
-    ledger; ``find_times`` gives the query count at which each item's check
+    was located.  The searches return their query counts and this is the
+    one place that charges them, to the outcome's one-copy ledger;
+    ``find_times`` gives the query count at which each item's check
     confirmed it.
     """
     rng = as_generator(seed)
@@ -221,9 +192,11 @@ def multi_item_search(
         if not pred.targets or pred.size == 0:
             break
         assumed = min(t - i + 1, pred.size)
-        addr, _ = grover_search_known(pred, assumed, rng, ledger)
+        addr, queries = grover_search_known(pred, assumed, rng)
+        ledger.record_oracle(0, queries)
         if addr is None:
-            addr, _ = bbht_search_unknown(pred, rng, ledger)
+            addr, queries = bbht_search_unknown(pred, rng)
+            ledger.record_oracle(0, queries)
             if addr is None:
                 break
         y = db.lookup(addr)
@@ -240,11 +213,12 @@ def multi_item_search(
     )
 
 
-def random_partition(N: int, d: int, seed) -> Partition:
+def random_partition(N: int, d: int, seed) -> tuple:
     """Uniformly random equipartition of [N] into d cells.
 
     A uniform permutation of [N] cut into d contiguous blocks whose sizes
-    differ by at most one; each cell is reported in sorted address order.
+    differ by at most one.  Returns the tuple of cells, each an array of
+    its addresses in sorted order.
     """
     if d < 1 or d > N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
@@ -257,7 +231,7 @@ def random_partition(N: int, d: int, seed) -> Partition:
         size = base + (1 if i < extra else 0)
         cells.append(np.sort(perm[pos:pos + size]))
         pos += size
-    return Partition(cells=tuple(cells))
+    return tuple(cells)
 
 
 def choose_regime(N: int, d: int, k: int) -> RegimeParams:
@@ -382,13 +356,13 @@ def parallel_search(
         outcome.repetitions += 1
         closed = ledger.parallel_rounds
         missing = [y for y in targets.items if y not in outcome.located]
-        partition = random_partition(
+        cells = random_partition(
             N, d, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
         copies = [
             multi_item_search(db, cell, TargetSet(missing), t,
                               seed=derive_stream(seed, STREAM_COPY, rep, c))
-            for c, cell in enumerate(partition.cells)
+            for c, cell in enumerate(cells)
         ]
         if {y for out in copies for y in out.located} == set(missing):
             # lockstep halt: every copy stops at the round where the last

@@ -8,9 +8,11 @@ instance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 from .adversary import InfeasibleInstanceError
@@ -50,12 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--n", type=int, required=True, help="address bits, N=2**n")
     search.add_argument("--d", type=int, default=1, help="database copies")
     search.add_argument("--k", type=int, default=1, help="target items")
-    search.add_argument("--m", type=int, default=None, help="item bits (default n+1)")
     search.add_argument("--t", type=int, default=None, help="override per-cell cap")
     search.add_argument("--trials", type=int, default=100)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--zero-filler", action="store_true",
-                        help="store 0 at non-target addresses")
     search.add_argument("--out", default=None)
     search.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -139,6 +138,24 @@ def render(record: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _out_error(out, exc: OSError) -> int:
+    print(f"parsearch: error: cannot write --out {out}: {exc.strerror}",
+          file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _open_out(out) -> bool:
+    """Check that *out* can be written, before any run: returns True when
+    this created the file, and raises OSError when it cannot be written.
+    An existing file is left as it is."""
+    try:
+        open(out, "x").close()
+        return True
+    except FileExistsError:
+        open(out, "a").close()
+        return False
+
+
 def _emit(record: dict, out, fmt: str) -> int:
     text = render(record, fmt)
     if not out:
@@ -148,9 +165,7 @@ def _emit(record: dict, out, fmt: str) -> int:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"parsearch: error: cannot write --out {out}: {exc.strerror}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _out_error(out, exc)
     return EXIT_OK
 
 
@@ -158,11 +173,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        created = bool(args.out) and _open_out(args.out)
+    except OSError as exc:
+        return _out_error(args.out, exc)
+    record = None
+    try:
         if args.command == "search":
             cfg = ExperimentConfig(
-                n=args.n, d=args.d, k=args.k, m=args.m, trials=args.trials,
+                n=args.n, d=args.d, k=args.k, trials=args.trials,
                 seed=args.seed, t_override=args.t,
-                zero_filler=args.zero_filler,
             )
             record = run_search_experiment(cfg)
         elif args.command == "maxload":
@@ -183,6 +202,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"parsearch: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if record is None and created:  # no empty --out left by a failed run
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
 
     return _emit(record, args.out, args.format)
 

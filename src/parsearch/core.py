@@ -188,15 +188,16 @@ class QueryLedger:
 
     The database is reached only through queries, so both a Grover
     iteration and the classical check of a measured address are one oracle
-    query on the copy that makes it.  A search on one copy charges its own
-    one-copy ledger.  Only :func:`~parsearch.algorithms.parallel_search`
-    holds a d-copy ledger: the copies run in lockstep, one parallel round
-    per query, and halt at the round where the last needed item is
-    confirmed, so each copy is charged its queries up to that stop and a
-    repetition's rounds are the largest such charge; the total sums the
-    repetitions.  Checking the k claimed locations at the end of a
-    repetition costs ceil(k/d) parallel queries, kept apart as
-    verification rounds.
+    query on the copy that makes it.  The searches return the queries they
+    make, and :func:`~parsearch.algorithms.multi_item_search` alone charges
+    them to its copy's one-copy ledger.  Only
+    :func:`~parsearch.algorithms.parallel_search` holds a d-copy ledger:
+    the copies run in lockstep, one parallel round per query, and halt at
+    the round where the last needed item is confirmed, so each copy is
+    charged its queries up to that stop and a repetition's rounds are the
+    largest such charge; the total sums the repetitions.  Checking the k
+    claimed locations at the end of a repetition costs ceil(k/d) parallel
+    queries, kept apart as verification rounds.
     """
 
     def __init__(self, copies: int = 1):

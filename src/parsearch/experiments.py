@@ -30,7 +30,7 @@ from .core import (
     derive_stream,
 )
 
-SPEC_VERSION = "1.0"
+SPEC_VERSION = "2.0"
 
 #: largest n the max-load check samples: numpy's multivariate
 #: hypergeometric sampler (method "marginals") needs the N = 2**n colors to
@@ -78,9 +78,7 @@ class ExperimentConfig:
     k: int
     trials: int
     seed: int
-    m: int | None = None
     t_override: int | None = None
-    zero_filler: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
@@ -94,45 +92,29 @@ class ExperimentConfig:
         if self.t_override is not None and self.t_override < 0:
             raise ValueError(f"need t >= 0, got t={self.t_override}")
 
-    @property
-    def item_bits(self) -> int:
-        # wide enough for k targets plus N-k distinct non-target fillers
-        return self.m if self.m is not None else self.n + 1
 
+def build_database(n: int, k: int, seed) -> tuple:
+    """Database of (n + 1)-bit items with targets 1..k at random distinct
+    addresses.
 
-def build_database(
-    n: int,
-    m: int,
-    k: int,
-    seed,
-    zero_filler: bool = False,
-) -> tuple:
-    """Database with targets 1..k at random distinct addresses.
-
-    Non-target addresses hold distinct filler values by default, or the
-    all-zeros item when *zero_filler* is set.  Refuses n above
-    ``MAX_EXPLICIT_BITS`` before allocating anything.
+    Non-target addresses hold distinct fillers k + 1, ..., N, which fit in
+    n + 1 bits.  Refuses n above ``MAX_EXPLICIT_BITS`` before allocating
+    anything.
     """
     N = address_count(n, MAX_EXPLICIT_BITS, "explicit database")
     if k > N:
         raise ValueError("more targets than addresses")
-    fillers_needed = 0 if zero_filler else N - k
-    if k + fillers_needed > (1 << m) - 1:
-        raise ValueError(f"item width m={m} too small for N={N}, k={k}")
     rng = as_generator(seed)
     addresses = rng.choice(N, size=k, replace=False)
     targets = TargetSet(range(1, k + 1))
-    if zero_filler:
-        entries = np.zeros(N, dtype=np.int64)
-    else:
-        # distinct non-targets: the i-th non-target address in ascending
-        # order holds k + 1 + i, i being its address less the targets below it
-        is_target = np.zeros(N, dtype=bool)
-        is_target[addresses] = True
-        entries = np.arange(k + 1, N + k + 1, dtype=np.int64)
-        entries -= np.cumsum(is_target)
+    # the i-th non-target address in ascending order holds k + 1 + i, i
+    # being its address less the targets below it
+    is_target = np.zeros(N, dtype=bool)
+    is_target[addresses] = True
+    entries = np.arange(k + 1, N + k + 1, dtype=np.int64)
+    entries -= np.cumsum(is_target)
     entries[addresses] = targets.items
-    return Database(n=n, m=m, entries=entries), targets
+    return Database(n=n, m=n + 1, entries=entries), targets
 
 
 def run_search_experiment(cfg: ExperimentConfig) -> dict:
@@ -147,9 +129,7 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
     for trial in range(cfg.trials):
         stream = derive_stream(cfg.seed, STREAM_TRIAL, trial)
         db, targets = build_database(
-            cfg.n, cfg.item_bits, cfg.k, seed=derive_stream(stream, STREAM_DATABASE),
-            zero_filler=cfg.zero_filler,
-        )
+            cfg.n, cfg.k, seed=derive_stream(stream, STREAM_DATABASE))
         outcome = parallel_search(db, cfg.d, targets, seed=stream, t=regime.t)
         trials.append({
             "trial": trial,
@@ -167,9 +147,8 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
         "spec_version": SPEC_VERSION,
         "command": "search",
         "config": {
-            "n": cfg.n, "d": cfg.d, "k": cfg.k, "m": cfg.item_bits,
-            "trials": cfg.trials, "seed": cfg.seed,
-            "t_override": cfg.t_override, "zero_filler": cfg.zero_filler,
+            "n": cfg.n, "d": cfg.d, "k": cfg.k, "trials": cfg.trials,
+            "seed": cfg.seed, "t_override": cfg.t_override,
         },
         "regime": {"tag": regime.regime, "t": regime.t},
         "reference": {

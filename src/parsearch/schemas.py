@@ -13,7 +13,7 @@ SEARCH_SCHEMA = {
         "command": {"const": "search"},
         "config": {
             "type": "object",
-            "required": ["n", "d", "k", "m", "trials", "seed"],
+            "required": ["n", "d", "k", "trials", "seed"],
         },
         "regime": {
             "type": "object",

@@ -84,7 +84,7 @@ def test_criterion_3_single_database_scaling():
         N = 1 << n
         totals, successes = [], 0
         for s in range(trials):
-            db, targets = build_database(n, n + 1, k, seed=[301, n, s])
+            db, targets = build_database(n, k, seed=[301, n, s])
             out = multi_item_search(db, np.arange(N), targets, t,
                                     seed=[302, n, s])
             totals.append(out.ledger.oracle_counts[0])
@@ -108,7 +108,7 @@ def regime_benchmarks():
         N = 1 << n
         rounds, successes = [], 0
         for s in range(trials):
-            db, targets = build_database(n, n + 1, k, seed=[401, n, d, s])
+            db, targets = build_database(n, k, seed=[401, n, d, s])
             out = parallel_search(db, d, targets, seed=[402, n, d, s])
             rounds.append(out.parallel_rounds)
             successes += out.success

@@ -57,25 +57,24 @@ class TestTargetSet:
 
 class TestBuildDatabase:
     @settings(derandomize=True, deadline=None)
-    @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_fill_matches_setdiff_reference(self, n, data, seed, zero_filler):
+    @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_fill_matches_setdiff_reference(self, n, data, seed):
         N = 1 << n
         k = data.draw(st.integers(1, min(N, 12)))
-        db, targets = build_database(n, n + 1, k, seed, zero_filler=zero_filler)
+        db, targets = build_database(n, k, seed)
         # the reference: the same address draw, then fillers k+1, k+2, ...
         # over the ascending non-target addresses
         addresses = np.random.default_rng(seed).choice(N, size=k, replace=False)
         entries = np.zeros(N, dtype=np.int64)
-        if not zero_filler:
-            rest = np.setdiff1d(np.arange(N), addresses)
-            entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)
+        rest = np.setdiff1d(np.arange(N), addresses)
+        entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)
         entries[addresses] = targets.items
         np.testing.assert_array_equal(db.entries, entries)
 
 
 class TestGroverSearchKnown:
     def test_four_addresses_one_marked(self):
-        db, targets = build_database(2, 3, 1, seed=0)
+        db, targets = build_database(2, 1, seed=0)
         for s in range(25):
             addr, queries = grover_search_known(
                 MarkedPredicate(db, targets.items, np.arange(4)), 1, seed=s
@@ -93,7 +92,7 @@ class TestGroverSearchKnown:
         assert addr is not None
 
     def test_large_search_success_rate(self):
-        db, targets = build_database(10, 11, 1, seed=5)
+        db, targets = build_database(10, 1, seed=5)
         hits = 0
         for s in range(10 ** 4):
             addr, queries = grover_search_known(
@@ -104,7 +103,7 @@ class TestGroverSearchKnown:
         assert abs(hits / 10 ** 4 - 0.9995) < 0.002
 
     def test_overlarge_assumed_count(self):
-        db, targets = build_database(3, 4, 1, seed=0)
+        db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
             grover_search_known(MarkedPredicate(db, targets.items, np.arange(8)),
                                 9, seed=0)
@@ -112,7 +111,7 @@ class TestGroverSearchKnown:
 
 class TestBbhtSearchUnknown:
     def test_nothing_to_find(self):
-        db, _ = build_database(8, 9, 1, seed=1)
+        db, _ = build_database(8, 1, seed=1)
         absent = TargetSet([500])
         cutoff = math.ceil(9 / 4 * 16) + 2 * math.ceil(math.log(16) / math.log(6 / 5))
         addr, queries = bbht_search_unknown(
@@ -121,7 +120,7 @@ class TestBbhtSearchUnknown:
         assert queries <= cutoff
 
     def test_mean_queries_within_envelope(self):
-        db, targets = build_database(8, 9, 4, seed=11)
+        db, targets = build_database(8, 4, seed=11)
         totals, hits = [], 0
         for s in range(10 ** 4):
             addr, queries = bbht_search_unknown(
@@ -145,7 +144,7 @@ class TestBbhtSearchUnknown:
         assert np.mean(totals) <= 3
 
     def test_empty_subdomain_rejected(self):
-        db, targets = build_database(3, 4, 1, seed=0)
+        db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
             bbht_search_unknown(
                 MarkedPredicate(db, targets.items, np.array([], dtype=np.int64)),
@@ -154,7 +153,7 @@ class TestBbhtSearchUnknown:
 
 class TestMultiItemSearch:
     def test_zero_cap_is_empty(self):
-        db, targets = build_database(4, 5, 2, seed=3)
+        db, targets = build_database(4, 2, seed=3)
         out = multi_item_search(db, np.arange(16), targets, 0, seed=0)
         assert out.located == {}
         assert out.ledger.oracle_counts[0] == 0
@@ -162,7 +161,7 @@ class TestMultiItemSearch:
     def test_two_of_sixteen(self):
         successes, totals = 0, []
         for s in range(10 ** 4):
-            db, targets = build_database(4, 5, 2, seed=[7, s])
+            db, targets = build_database(4, 2, seed=[7, s])
             out = multi_item_search(db, np.arange(16), targets, 2, seed=[8, s])
             successes += out.success
             totals.append(out.ledger.oracle_counts[0])
@@ -170,7 +169,7 @@ class TestMultiItemSearch:
         assert np.mean(totals) <= 4 * math.sqrt(16 * 2)
 
     def test_single_item_reduces_to_plain_grover(self):
-        db, targets = build_database(10, 11, 1, seed=9)
+        db, targets = build_database(10, 1, seed=9)
         totals = []
         for s in range(200):
             out = multi_item_search(db, np.arange(1024), targets, 1, seed=[9, s])
@@ -180,7 +179,7 @@ class TestMultiItemSearch:
         assert np.median(totals) == 26
 
     def test_success_means_all_present_located(self):
-        db, targets = build_database(6, 7, 4, seed=13)
+        db, targets = build_database(6, 4, seed=13)
         # search only half the address space: success must track what is
         # actually present there, not all of k
         sub = np.arange(32)
@@ -197,7 +196,7 @@ class TestMultiItemSearch:
         # targets absent from the database, and a subdomain holding only
         # part of it, against per-element set membership
         n, k, seed = instance
-        db, targets = build_database(n, n + 1, k, seed=seed)
+        db, targets = build_database(n, k, seed=seed)
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         sub = np.arange(max(1, db.size // 2))
@@ -208,7 +207,7 @@ class TestMultiItemSearch:
         assert par.promise_ok == (ghosts == 0)
 
     def test_find_times_are_increasing_and_bounded(self):
-        db, targets = build_database(8, 9, 3, seed=15)
+        db, targets = build_database(8, 3, seed=15)
         out = multi_item_search(db, np.arange(256), targets, 3, seed=16)
         times = sorted(out.find_times.values())
         assert times == sorted(set(times))
@@ -217,23 +216,24 @@ class TestMultiItemSearch:
 
 class TestRandomPartition:
     def test_single_cell(self):
-        part = random_partition(8, 1, seed=0)
-        assert part.d == 1
-        np.testing.assert_array_equal(part.cells[0], np.arange(8))
+        cells = random_partition(8, 1, seed=0)
+        assert len(cells) == 1
+        np.testing.assert_array_equal(cells[0], np.arange(8))
 
     def test_eight_into_four(self):
-        part = random_partition(8, 4, seed=1)
-        assert part.sizes == (2, 2, 2, 2)
-        combined = np.concatenate(part.cells)
+        cells = random_partition(8, 4, seed=1)
+        assert [c.size for c in cells] == [2, 2, 2, 2]
+        combined = np.concatenate(cells)
         assert sorted(combined.tolist()) == list(range(8))
 
     @pytest.mark.parametrize("N,d", [(10, 3), (1024, 16), (100, 7)])
     def test_soundness_over_seeds(self, N, d):
         for s in range(20):
-            part = random_partition(N, d, seed=s)
-            combined = np.concatenate(part.cells)
+            cells = random_partition(N, d, seed=s)
+            combined = np.concatenate(cells)
             assert sorted(combined.tolist()) == list(range(N))
-            assert max(part.sizes) - min(part.sizes) <= 1
+            sizes = [c.size for c in cells]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_too_many_cells(self):
         with pytest.raises(ValueError):
@@ -306,12 +306,12 @@ class TestVerifyLocations:
         )
 
     def test_empty_claim_fails(self):
-        db, targets = build_database(4, 5, 2, seed=0)
+        db, targets = build_database(4, 2, seed=0)
         out = self._outcome(db, targets, {})
         assert verify_locations(db, out) is False
 
     def test_correct_map_passes_and_counts_rounds(self):
-        db, targets = build_database(4, 5, 3, seed=1)
+        db, targets = build_database(4, 3, seed=1)
         located = {int(v): int(a) for a, v in enumerate(db.entries)
                    if v in targets.items}
         out = self._outcome(db, targets, located, d=2)
@@ -319,7 +319,7 @@ class TestVerifyLocations:
         assert out.ledger.verification_rounds == math.ceil(3 / 2)
 
     def test_one_wrong_address_fails(self):
-        db, targets = build_database(4, 5, 2, seed=2)
+        db, targets = build_database(4, 2, seed=2)
         located = {int(v): int(a) for a, v in enumerate(db.entries)
                    if v in targets.items}
         first = next(iter(located))
@@ -333,7 +333,7 @@ class TestParallelSearch:
         # same seed stream => identical oracle-query decisions as the
         # single-database multi-item search with cap k
         for s in range(15):
-            db, targets = build_database(8, 9, 3, seed=[41, s])
+            db, targets = build_database(8, 3, seed=[41, s])
             par = parallel_search(db, 1, targets, seed=s)
             single = multi_item_search(
                 db, np.arange(256), targets, 3,
@@ -345,7 +345,7 @@ class TestParallelSearch:
     def test_find_times_are_absolute_rounds(self):
         # k=4 items, d=2 cells of cap t=1: at least two repetitions
         for s in range(20):
-            db, targets = build_database(8, 9, 4, seed=[53, s])
+            db, targets = build_database(8, 4, seed=[53, s])
             out = parallel_search(db, 2, targets, [54, s], 1)
             assert out.repetitions >= 2
             assert all(0 <= v <= out.parallel_rounds
@@ -355,7 +355,7 @@ class TestParallelSearch:
 
     def test_success_soundness(self):
         for s in range(30):
-            db, targets = build_database(8, 9, 4, seed=[43, s])
+            db, targets = build_database(8, 4, seed=[43, s])
             out = parallel_search(db, 4, targets, seed=[44, s])
             if out.success:
                 assert set(out.located) == set(targets.items)
@@ -363,28 +363,28 @@ class TestParallelSearch:
                     assert db.lookup(addr) == item
 
     def test_ledger_rounds_consistency(self):
-        db, targets = build_database(10, 11, 4, seed=45)
+        db, targets = build_database(10, 4, seed=45)
         out = parallel_search(db, 8, targets, seed=46)
         assert out.parallel_rounds == sum(out.ledger.rounds_per_repetition)
         assert len(out.ledger.rounds_per_repetition) == out.repetitions
         assert max(out.ledger.oracle_counts) <= out.parallel_rounds
 
     def test_promise_violation_flagged(self):
-        db, _ = build_database(6, 8, 2, seed=47)
+        db, _ = build_database(6, 2, seed=47)
         ghost = TargetSet([200, 201])  # not in the database
         out = parallel_search(db, 2, ghost, seed=48)
         assert out.promise_ok is False
         assert out.success is False
 
     def test_invalid_copy_count(self):
-        db, targets = build_database(3, 4, 1, seed=0)
+        db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
             parallel_search(db, 100, targets, seed=0)
 
     def test_basic_parallel_run(self):
         hits = 0
         for s in range(30):
-            db, targets = build_database(10, 11, 2, seed=[49, s])
+            db, targets = build_database(10, 2, seed=[49, s])
             out = parallel_search(db, 4, targets, seed=[50, s])
             hits += out.success
         assert hits / 30 >= 3 / 4
@@ -396,7 +396,7 @@ class TestParallelSearch:
         for n in (8, 10, 12):
             rounds = []
             for s in range(30):
-                db, targets = build_database(n, n + 1, k, seed=[51, n, s])
+                db, targets = build_database(n, k, seed=[51, n, s])
                 out = parallel_search(db, d, targets, seed=[52, n, s])
                 rounds.append(out.parallel_rounds)
             ratio = np.mean(rounds) / theorem_envelope(1 << n, d, k)
@@ -420,7 +420,7 @@ class TestDenseReference:
         def run():
             rounds, wins = [], []
             for s in range(200):
-                db, targets = build_database(n, n + 1, k, seed=[61, n, s])
+                db, targets = build_database(n, k, seed=[61, n, s])
                 out = parallel_search(db, d, targets, seed=[62, n, s])
                 rounds.append(out.parallel_rounds)
                 wins.append(out.success)
@@ -488,35 +488,64 @@ class TestLedgerRule:
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 6))
-    def test_known_count_search_charges_its_queries(self, instance, j):
+    def test_known_count_search_returns_its_queries(self, instance, j):
         n, k, seed = instance
-        db, targets = build_database(n, n + 1, k, seed=seed)
+        db, targets = build_database(n, k, seed=seed)
         j = min(j, db.size)
-        ledger = QueryLedger()
-        _, queries = grover_search_known(
-            MarkedPredicate(db, targets.items, np.arange(db.size)), j, seed, ledger)
-        assert queries == ledger.oracle_counts[0]
+        addr, queries = grover_search_known(
+            MarkedPredicate(db, targets.items, np.arange(db.size)), j, seed)
         assert queries == optimal_iterations(db.size, j) + 1
-        assert ledger.verification_rounds == 0
+        assert addr is None or db.lookup(addr) in targets.items
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.booleans())
-    def test_unknown_count_search_charges_its_queries(self, instance, absent):
+    def test_unknown_count_search_returns_its_queries(self, instance, absent):
         n, k, seed = instance
-        db, targets = build_database(n, n + 1, k, seed=seed)
+        db, targets = build_database(n, k, seed=seed)
         if absent:
             targets = TargetSet([db.size + 1])
-        ledger = QueryLedger()
-        _, queries = bbht_search_unknown(
-            MarkedPredicate(db, targets.items, np.arange(db.size)), seed, ledger)
-        assert queries == ledger.oracle_counts[0]
-        assert ledger.verification_rounds == 0
+        addr, queries = bbht_search_unknown(
+            MarkedPredicate(db, targets.items, np.arange(db.size)), seed)
+        sqrt_m = math.sqrt(db.size)
+        budget = math.ceil(9 / 4 * sqrt_m)
+        if db.size > 1:
+            budget += 2 * math.ceil(math.log(sqrt_m) / math.log(6 / 5))
+        assert 0 <= queries <= budget
+        if absent:
+            assert addr is None
+        assert addr is None or db.lookup(addr) in targets.items
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(0, 6))
+    def test_multi_item_search_charges_what_the_searches_return(self, instance, t):
+        n, k, seed = instance
+        db, targets = build_database(n, k, seed=seed)
+        returned = []
+
+        def recording(search):
+            def run(*args, **kwargs):
+                returned.append(search(*args, **kwargs))
+                return returned[-1]
+            return run
+
+        with mock.patch.object(algorithms, "grover_search_known",
+                               recording(grover_search_known)), \
+                mock.patch.object(algorithms, "bbht_search_unknown",
+                                  recording(bbht_search_unknown)):
+            out = multi_item_search(db, np.arange(db.size), targets, t, seed)
+        assert out.ledger.oracle_counts == [sum(q for _, q in returned)]
+        running, finds = 0, {}
+        for addr, queries in returned:
+            running += queries
+            if addr is not None:
+                finds[db.lookup(addr)] = running
+        assert out.find_times == finds
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(0, 3))
     def test_parallel_search_combines_one_copy_charges(self, instance, d, t):
         n, k, seed = instance
-        db, targets = build_database(n, n + 1, k, seed=seed)
+        db, targets = build_database(n, k, seed=seed)
         d = min(d, db.size)
         runs = []
 

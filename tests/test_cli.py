@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from parsearch import experiments
+from parsearch import cli, experiments
 from parsearch.cli import main
 from parsearch.schemas import SCHEMAS
 
@@ -26,7 +26,7 @@ def test_search_json_schema(capsys):
     assert code == 0
     record = json.loads(out)
     jsonschema.validate(record, SCHEMAS["search"])
-    assert record["spec_version"] == "1.0"
+    assert record["spec_version"] == "2.0"
 
 
 def test_search_aggregates_recomputable(capsys):
@@ -60,6 +60,14 @@ def test_search_usage_error_exit_code(capsys):
     code = main(["search", "--n", "2", "--d", "100", "--k", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("flags", [["--m", "5"], ["--zero-filler"]])
+def test_search_removed_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "4", "--trials", "1", *flags])
+    assert exc.value.code == 1
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_search_negative_cap_is_usage_error(capsys):
@@ -211,6 +219,33 @@ def test_unwritable_out_is_usage_error(command, tmp_path, capsys):
     assert code == 1
     assert str(out) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["search", "bounds"])
+def test_unwritable_out_fails_before_the_run(command, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_search_experiment", no_run)
+    monkeypatch.setattr(cli, "run_bound_table", no_run)
+    out = tmp_path / "missing" / "x.json"
+    code = main(SMALL_RUNS[command] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"cannot write --out {out}" in err
+
+
+def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):
+    # d exceeds N: a usage error from the run itself
+    failing = ["search", "--n", "2", "--d", "100", "--out"]
+    new = tmp_path / "new.json"
+    assert main(failing + [str(new)]) == 1
+    assert not new.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier record\n")
+    assert main(failing + [str(kept)]) == 1
+    assert kept.read_text() == "earlier record\n"
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [SMALL_RUNS["search"], SMALL_RUNS["bounds"],

@@ -15,26 +15,25 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "8750c8e74d879e75d90e096b9343af7d3d5e33c990551ccbb50e08dc9b1ff4c1"),
+     "7ad1b4165ead2316c9deffc8587051dc11ef7b9cd7ce2341c95043399c3a0cd9"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "e9de88eeb87701ffc43cd050638d6fb5e0fdafe89620b268100cd3a00f6566e0"),
+     "2bc44fcbf097d6b8376b3671e62aeec9198744f232762e6a72028843e11c9748"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "3057eef7ed7e313fad054ebecb2a4a75639d5957a7c15bf2604a61dceec3681a"),
-    (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14",
-      "--zero-filler"],
-     "2bcdb5a3fe04cde711116331f2849e5b7b52299fa6534eb08c1eb5d76001293c"),
+     "a6d64fa2556b766e56a95749cd2213ef3b39c7e32958f3a6dde4072f4d57b55c"),
+    (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
+     "58eb0b5e0090811ee4c412b7c92c4975dc7c798486982f58cc296f50d2b8604a"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "6cb0d182e5e4b0562494fd603fddbf1827a7659f42c2c0e648466aa2c9d3ff10"),
+     "6e48f48b5ef3aa09ead9cff75feb7cf31ab9b31ffffd8d4bb1f4c750afaf063b"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
-     "5659ac426eb89bb910f2130d435d49c81abce8e3c6ce777a92005734bdef02cf"),
+     "279cbeb6980686ddb5dab36bd2bb7fc91e7288b4e928e606dafb5de861f5a877"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "81204f0a22c7a988917061fb2b6af16abead8d64fbcdfdc778ede72d614d818e"),
+     "13573c0c695c147e2b73d633c362072a4ec057fd63d327ba1f7ec1bedb90429e"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4", "--trials", "2000", "--seed", "18"],
-     "2768cf61fbda259efde2637ff38ee9d24687c3f9147b416e6411424492154b59"),
+     "cca7e393a329d1da1268a9917dc104f385071cd2c1f8febebc3a1e3979a09d80"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
-     "9f7cbd71c571b9a51b7436cec21b32effa025e911adf20d5276c607c0b398962"),
+     "1442cf459dd9aea46e0310bf3b1c7b386eb54a69d0e9e71f80fcf46ba2c6edaa"),
 ]
 
 
