@@ -68,7 +68,6 @@ class SearchOutcome:
     ledger: QueryLedger
     find_times: dict = field(default_factory=dict)  # item -> oracle round of find
     repetitions: int = 1
-    promise_ok: bool = True
 
     @property
     def parallel_rounds(self) -> int:
@@ -176,15 +175,14 @@ def multi_item_search(
     :meth:`~parsearch.core.MarkedPredicate.without`.
 
     ``success`` means every target item actually present in the subdomain
-    was located.  The searches return their query counts and this is the
-    one place that charges them, to the outcome's one-copy ledger;
-    ``find_times`` gives the query count at which each item's check
-    confirmed it.
+    was located, that is, no marked position is left.  The searches return
+    their query counts and this is the one place that charges them, to the
+    outcome's one-copy ledger; ``find_times`` gives the query count at
+    which each item's check confirmed it.
     """
     rng = as_generator(seed)
     ledger = QueryLedger()
     pred = MarkedPredicate(db, frozenset(targets.items), subdomain)
-    present = set(db.entries[pred.subdomain[pred.marked_positions]].tolist())
     located: dict = {}
     find_times: dict = {}
 
@@ -207,7 +205,7 @@ def multi_item_search(
     return SearchOutcome(
         targets=targets,
         located=located,
-        success=set(located) == present,
+        success=pred.marked_positions.size == 0,
         ledger=ledger,
         find_times=find_times,
     )
@@ -348,23 +346,22 @@ def parallel_search(
         success=False,
         ledger=QueryLedger(d),
         repetitions=0,
-        promise_ok=bool(np.isin(targets.items, db.entries).all()),
     )
     ledger = outcome.ledger
 
     for rep in range(MAX_REPETITIONS):
         outcome.repetitions += 1
         closed = ledger.parallel_rounds
-        missing = [y for y in targets.items if y not in outcome.located]
+        missing = TargetSet([y for y in targets.items if y not in outcome.located])
         cells = random_partition(
             N, d, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
         copies = [
-            multi_item_search(db, cell, TargetSet(missing), t,
+            multi_item_search(db, cell, missing, t,
                               seed=derive_stream(seed, STREAM_COPY, rep, c))
             for c, cell in enumerate(cells)
         ]
-        if {y for out in copies for y in out.located} == set(missing):
+        if {y for out in copies for y in out.located} == set(missing.items):
             # lockstep halt: every copy stops at the round where the last
             # needed item was confirmed
             stop = max((when for out in copies for when in out.find_times.values()),

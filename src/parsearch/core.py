@@ -11,8 +11,8 @@ The dense simulator (:class:`StateVector`, :func:`init_uniform`,
 vector over the subdomain and is the reference the closed form is checked
 against.  Its oracle is a phase flip on the addresses whose stored item
 belongs to the current target set (the standard phase-kickback form of the
-XOR oracle); each application costs one query, which is recorded on a
-:class:`QueryLedger`.
+XOR oracle); each application is one query, which its caller counts by the
+rule of :class:`QueryLedger`.
 """
 from __future__ import annotations
 
@@ -92,9 +92,9 @@ class MarkedPredicate:
 
     ``subdomain`` is the ordered list of addresses the current search runs
     over; the simulator's state vector is indexed by position within it.
-    The subdomain is scanned once, at construction, for the mask and the
-    marked positions; :meth:`without` derives the predicate left after a
-    find from those, so one copy's whole search scans its cell once.
+    The subdomain is scanned once, at construction, for the marked
+    positions; :meth:`without` derives the predicate left after a find from
+    those, so one copy's whole search scans its cell once.
     """
 
     db: Database
@@ -108,7 +108,7 @@ class MarkedPredicate:
         targets = frozenset(int(y) for y in self.targets)
         mask = np.isin(self.db.entries[sub],
                        np.fromiter(targets, dtype=np.int64, count=len(targets)))
-        self._set(targets=targets, subdomain=sub, _mask=mask,
+        self._set(targets=targets, subdomain=sub,
                   _marked_positions=np.flatnonzero(mask))
 
     def _set(self, **fields) -> "MarkedPredicate":
@@ -122,8 +122,14 @@ class MarkedPredicate:
 
     @property
     def mask(self) -> np.ndarray:
-        """Boolean marked/unmarked flags, aligned with ``subdomain``."""
-        return self._mask
+        """Boolean marked/unmarked flags, aligned with ``subdomain``.
+
+        Built from the marked positions on each read, for the dense
+        reference; the searches read only :attr:`marked_positions`.
+        """
+        mask = np.zeros(self.size, dtype=bool)
+        mask[self._marked_positions] = True
+        return mask
 
     @property
     def marked_positions(self) -> np.ndarray:
@@ -147,12 +153,9 @@ class MarkedPredicate:
         item = self.db.lookup(address)
         kept = marked[self.db.entries[held] != item]
         kept -= kept > pos  # positions past the removed address move down one
-        sub = np.delete(self.subdomain, pos)
-        mask = np.zeros(sub.size, dtype=bool)
-        mask[kept] = True
         return object.__new__(MarkedPredicate)._set(
-            db=self.db, targets=self.targets - {item}, subdomain=sub,
-            _mask=mask, _marked_positions=kept,
+            db=self.db, targets=self.targets - {item},
+            subdomain=np.delete(self.subdomain, pos), _marked_positions=kept,
         )
 
 
@@ -209,12 +212,12 @@ class QueryLedger:
         self._rep_rounds: list[int] = []
         self._snapshot = [0] * copies
 
-    def record_oracle(self, copy: int = 0, amount: int = 1) -> None:
+    def record_oracle(self, copy: int, amount: int) -> None:
         if amount < 0:
             raise ValueError("counts only increase")
         self.oracle_counts[copy] += amount
 
-    def record_verification(self, rounds: int = 1) -> None:
+    def record_verification(self, rounds: int) -> None:
         if rounds < 0:
             raise ValueError("counts only increase")
         self.verification_rounds += rounds
@@ -247,14 +250,11 @@ def init_uniform(M: int) -> StateVector:
     return StateVector(amps, _skip_check=True)
 
 
-def grover_iterate(
-    state: StateVector,
-    marked: MarkedPredicate,
-    ledger: QueryLedger | None = None,
-) -> StateVector:
+def grover_iterate(state: StateVector, marked: MarkedPredicate) -> StateVector:
     """One Grover iteration: phase-flip marked addresses, reflect about mean.
 
-    Costs exactly one oracle query, recorded on the one-copy *ledger*.
+    It is one oracle query, which its caller counts (see
+    :class:`QueryLedger`).
     """
     if state.dim != marked.size:
         raise ValueError(
@@ -263,8 +263,6 @@ def grover_iterate(
     amps = state.amplitudes.copy()
     amps[marked.mask] *= -1.0
     amps = 2.0 * amps.mean() - amps
-    if ledger is not None:
-        ledger.record_oracle()
     return StateVector(amps, _skip_check=True)
 
 
@@ -293,7 +291,7 @@ def success_probability(M: int, j: int, r: int) -> float:
     return math.sin((2 * r + 1) * theta) ** 2
 
 
-def sample_after(M: int, j: int, r: int, rng) -> int | None:
+def sample_after(M: int, j: int, r: int, rng: np.random.Generator) -> int | None:
     """Measure the state of r Grover iterations over M positions, j marked.
 
     The state stays in the span of the uniform marked and uniform unmarked
@@ -307,7 +305,6 @@ def sample_after(M: int, j: int, r: int, rng) -> int | None:
         raise ValueError(f"need M >= 1 and 0 <= j <= M, got M={M}, j={j}")
     if r < 0:
         raise ValueError("iteration count must be non-negative")
-    rng = as_generator(rng)
     p = success_probability(M, j, r) if 0 < j < M else j / M
     if rng.random() >= p:
         return None

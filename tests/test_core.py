@@ -150,14 +150,6 @@ class TestGroverIterate:
         with pytest.raises(ValueError):
             grover_iterate(init_uniform(4), predicate(db))
 
-    def test_ledger_incremented_once_per_call(self):
-        db = make_db(4, [7])
-        ledger = QueryLedger()
-        state = init_uniform(16)
-        for _ in range(5):
-            state = grover_iterate(state, predicate(db), ledger)
-        assert ledger.oracle_counts == [5]
-
     @pytest.mark.parametrize("n,marked", [(4, [3]), (6, [1, 2, 3]), (8, [0])])
     def test_normalization_preserved(self, n, marked):
         db = make_db(n, marked)
