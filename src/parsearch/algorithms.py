@@ -81,7 +81,7 @@ def optimal_iterations(M: int, j: int) -> int:
 
 
 def _grover_attempt(pred: MarkedPredicate, r: int, rng):
-    """One Grover attempt over ``pred.subdomain``: uniform start, r
+    """One Grover attempt over the subdomain of *pred*: uniform start, r
     iterations, one measurement and the classical check of the measured
     address.  The measurement is sampled from the closed form by
     :func:`~parsearch.core.sample_after`; :func:`_dense_grover_attempt` is
@@ -90,21 +90,22 @@ def _grover_attempt(pred: MarkedPredicate, r: int, rng):
 
     Returns ``(address, r + 1)``, address None when it holds no target.
     """
-    marked = pred.marked_positions
+    marked = pred.marked
     pick = sample_after(pred.size, int(marked.size), r, rng)
-    addr = None if pick is None else int(pred.subdomain[marked[pick]])
+    addr = None if pick is None else int(marked[pick])
     return addr, r + 1
 
 
 def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng):
     """Reference for :func:`_grover_attempt` on the dense simulator: the
     same attempt and return, with r iterations of an M-entry state vector
-    and a measurement over all M positions."""
+    and a measurement over all M positions, of which the first j stand for
+    the marked addresses (see :attr:`~parsearch.core.MarkedPredicate.mask`)."""
     state = init_uniform(pred.size)
     for _ in range(r):
         state = grover_iterate(state, pred)
     index = measure(state, rng)
-    addr = int(pred.subdomain[index]) if pred.mask[index] else None
+    addr = int(pred.marked[index]) if index < pred.marked.size else None
     return addr, r + 1
 
 
@@ -175,7 +176,7 @@ def multi_item_search(
     :meth:`~parsearch.core.MarkedPredicate.without`.
 
     ``success`` means every target item actually present in the subdomain
-    was located, that is, no marked position is left.  The searches return
+    was located, that is, no marked address is left.  The searches return
     their query counts and this is the one place that charges them, to the
     outcome's one-copy ledger; ``find_times`` gives the query count at
     which each item's check confirmed it.
@@ -205,7 +206,7 @@ def multi_item_search(
     return SearchOutcome(
         targets=targets,
         located=located,
-        success=pred.marked_positions.size == 0,
+        success=pred.marked.size == 0,
         ledger=ledger,
         find_times=find_times,
     )
@@ -215,21 +216,12 @@ def random_partition(N: int, d: int, seed) -> tuple:
     """Uniformly random equipartition of [N] into d cells.
 
     A uniform permutation of [N] cut into d contiguous blocks whose sizes
-    differ by at most one.  Returns the tuple of cells, each an array of
-    its addresses in sorted order.
+    differ by at most one, the larger blocks first.  Returns the tuple of
+    cells, each an array of its addresses in permutation order.
     """
     if d < 1 or d > N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
-    rng = as_generator(seed)
-    perm = rng.permutation(N)
-    base, extra = divmod(N, d)
-    cells = []
-    pos = 0
-    for i in range(d):
-        size = base + (1 if i < extra else 0)
-        cells.append(np.sort(perm[pos:pos + size]))
-        pos += size
-    return tuple(cells)
+    return tuple(np.array_split(as_generator(seed).permutation(N), d))
 
 
 def choose_regime(N: int, d: int, k: int) -> RegimeParams:

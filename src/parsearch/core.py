@@ -4,18 +4,21 @@ A search starts from the uniform superposition over an address subdomain
 and applies a phase oracle, so its state never leaves the 2-d span of the
 uniform marked and the uniform unmarked states.  :func:`sample_after` uses
 that to measure the state after r iterations in O(1) from the closed form
-of :func:`success_probability`; the searches run on it.
+of :func:`success_probability`; the searches run on it.  A search's state is
+therefore only its subdomain size M and its marked addresses, which is what
+:class:`MarkedPredicate` keeps.
 
 The dense simulator (:class:`StateVector`, :func:`init_uniform`,
-:func:`grover_iterate`, :func:`measure`) keeps a re-indexed amplitude
-vector over the subdomain and is the reference the closed form is checked
-against.  Its oracle is a phase flip on the addresses whose stored item
-belongs to the current target set (the standard phase-kickback form of the
-XOR oracle); each application is one query, which its caller counts by the
-rule of :class:`QueryLedger`.
+:func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
+whose first j basis positions stand for the j marked addresses, and is the
+reference the closed form is checked against.  Its oracle is a phase flip on
+those positions (the standard phase-kickback form of the XOR oracle); each
+application is one query, which its caller counts by the rule of
+:class:`QueryLedger`.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -86,77 +89,52 @@ class Database:
         return int(self.entries[address])
 
 
-@dataclass(frozen=True)
 class MarkedPredicate:
     """Membership test ``f(x) in targets`` restricted to a subdomain.
 
-    ``subdomain`` is the ordered list of addresses the current search runs
-    over; the simulator's state vector is indexed by position within it.
-    The subdomain is scanned once, at construction, for the marked
-    positions; :meth:`without` derives the predicate left after a find from
-    those, so one copy's whole search scans its cell once.
+    A search over the subdomain reads only its size M and which of its
+    addresses are marked, so that is all the predicate keeps: ``size`` and
+    ``marked``, the marked addresses in ascending order.  The subdomain is
+    scanned once, at construction; :meth:`without` derives the predicate
+    left after a find from ``marked``, so one copy's whole search scans its
+    cell once.
     """
 
-    db: Database
-    targets: frozenset
-    subdomain: np.ndarray
+    __slots__ = ("db", "targets", "size", "marked")
 
-    def __post_init__(self):
-        sub = np.ascontiguousarray(self.subdomain, dtype=np.int64)
+    def __init__(self, db: Database, targets, subdomain):
+        sub = np.asarray(subdomain, dtype=np.int64)
         if sub.ndim != 1:
             raise ValueError("subdomain must be a 1-d address array")
-        targets = frozenset(int(y) for y in self.targets)
-        mask = np.isin(self.db.entries[sub],
-                       np.fromiter(targets, dtype=np.int64, count=len(targets)))
-        self._set(targets=targets, subdomain=sub,
-                  _marked_positions=np.flatnonzero(mask))
-
-    def _set(self, **fields) -> "MarkedPredicate":
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        return self
-
-    @property
-    def size(self) -> int:
-        return int(self.subdomain.size)
+        self.db = db
+        self.targets = frozenset(int(y) for y in targets)
+        self.size = int(sub.size)
+        wanted = np.fromiter(self.targets, dtype=np.int64, count=len(self.targets))
+        self.marked = np.sort(sub[np.isin(db.entries[sub], wanted)])
 
     @property
     def mask(self) -> np.ndarray:
-        """Boolean marked/unmarked flags, aligned with ``subdomain``.
-
-        Built from the marked positions on each read, for the dense
-        reference; the searches read only :attr:`marked_positions`.
-        """
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self._marked_positions] = True
-        return mask
-
-    @property
-    def marked_positions(self) -> np.ndarray:
-        """Ascending positions within ``subdomain`` of the marked addresses."""
-        return self._marked_positions
+        """Boolean marked/unmarked flags over the M basis positions of the
+        dense reference: the j marked addresses take the first j positions,
+        in ascending order.  Grover dynamics do not depend on how basis
+        states are labelled, so any placement gives the same law."""
+        return np.arange(self.size) < self.marked.size
 
     def without(self, address: int) -> "MarkedPredicate":
         """The predicate once the item at the marked *address* is located.
 
         The address leaves the subdomain and its item leaves the targets, so
-        any other address holding that item is unmarked too.  Works on the
-        marked positions and one copy of the subdomain, without rescanning
-        it.  Raises ValueError when *address* is not marked.
+        any other address holding that item is unmarked too.  Raises
+        ValueError when *address* is not marked.
         """
-        marked = self._marked_positions
-        held = self.subdomain[marked]
-        at = np.flatnonzero(held == address)
-        if at.size == 0:
+        if not np.any(self.marked == address):
             raise ValueError(f"address {address} is not marked")
-        pos = int(marked[at[0]])
         item = self.db.lookup(address)
-        kept = marked[self.db.entries[held] != item]
-        kept -= kept > pos  # positions past the removed address move down one
-        return object.__new__(MarkedPredicate)._set(
-            db=self.db, targets=self.targets - {item},
-            subdomain=np.delete(self.subdomain, pos), _marked_positions=kept,
-        )
+        shrunk = copy.copy(self)
+        shrunk.targets = self.targets - {item}
+        shrunk.size = self.size - 1
+        shrunk.marked = self.marked[self.db.entries[self.marked] != item]
+        return shrunk
 
 
 class StateVector:

@@ -249,11 +249,16 @@ def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
 
 
 def run_adversary_check(n: int, m: int, d: int, k: int) -> dict:
-    """Brute-force the adversary graph and compare with the claimed stats."""
+    """Brute-force the adversary graph and compare with the claimed stats.
+
+    The graph has at least N vertices, so n above the largest n with
+    2**n <= ``FEASIBLE_VERTICES`` is refused before computing 2**n.
+    """
+    N = address_count(n, adversary.FEASIBLE_VERTICES.bit_length() - 1,
+                      "adversary enumeration")
     fam = adversary.InstanceFamily(n=n, m=m, d=d, k=k)
     graph = adversary.build_adversary_graph(fam)
     stats = adversary.compute_stats(graph)
-    N = fam.N
     claims = {
         "delta0_equals_N_minus_k_plus_1": stats.delta0 == N - k + 1,
         "delta1_equals_k": stats.delta1 == k,

@@ -207,6 +207,17 @@ class TestMultiItemSearch:
         if ghosts > 0:
             assert not parallel_search(db, 1, targets, seed, 1).success
 
+    def test_cell_order_does_not_matter(self):
+        # a copy's search reads only its cell's size and marked addresses
+        for s in range(200):
+            db, targets = build_database(6, 4, seed=[17, s])
+            cell = np.random.default_rng([18, s]).permutation(db.size)
+            shuffled, ordered = (multi_item_search(db, c, targets, 4, seed=[19, s])
+                                 for c in (cell, np.sort(cell)))
+            assert shuffled.located == ordered.located
+            assert shuffled.find_times == ordered.find_times
+            assert shuffled.ledger.oracle_counts == ordered.ledger.oracle_counts
+
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
         out = multi_item_search(db, np.arange(256), targets, 3, seed=16)
@@ -219,7 +230,7 @@ class TestRandomPartition:
     def test_single_cell(self):
         cells = random_partition(8, 1, seed=0)
         assert len(cells) == 1
-        np.testing.assert_array_equal(cells[0], np.arange(8))
+        np.testing.assert_array_equal(np.sort(cells[0]), np.arange(8))
 
     def test_eight_into_four(self):
         cells = random_partition(8, 4, seed=1)

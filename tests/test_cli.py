@@ -203,6 +203,18 @@ def test_adversary_infeasible_exit_code(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("n", ["8000", "100000000"])
+def test_adversary_oversized_n_is_infeasible(n, capsys, monkeypatch):
+    def no_family(*args, **kwargs):
+        raise AssertionError("the instance family was built before n was checked")
+
+    monkeypatch.setattr(experiments.adversary, "InstanceFamily", no_family)
+    code = main(["adversary", "--n", n, "--m", "3", "--d", "1", "--k", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"n={n}" in err
+
+
 SMALL_RUNS = {
     "search": ["search", "--n", "4", "--trials", "1"],
     "maxload": ["maxload", "--d", "2", "--k", "2", "--t", "1", "--trials", "10"],

@@ -49,32 +49,33 @@ class TestDatabase:
 @st.composite
 def shared_item_predicates(draw):
     """A predicate over an unsorted part of a database whose items 0..3
-    repeat at several addresses, with ghost targets 5 and 6 stored nowhere."""
+    repeat at several addresses, with ghost targets 5 and 6 stored nowhere,
+    and that part of the database."""
     n = draw(st.integers(1, 6))
     entries = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
     db = Database(n=n, m=3, entries=np.array(entries, dtype=np.int64))
     sub = draw(st.permutations(range(db.size)))
     sub = np.array(sub[:draw(st.integers(1, db.size))], dtype=np.int64)
     targets = draw(st.sets(st.integers(0, 3), min_size=1)) | {5, 6}
-    return MarkedPredicate(db, frozenset(targets), sub)
+    return MarkedPredicate(db, frozenset(targets), sub), sub
 
 
 class TestMarkedPredicateWithout:
     @settings(derandomize=True, deadline=None)
     @given(shared_item_predicates(), st.data())
-    def test_matches_a_fresh_predicate(self, pred, data):
+    def test_matches_a_fresh_predicate(self, case, data):
+        pred, sub = case
         # locate marked addresses one after another until none is left
-        while pred.marked_positions.size:
-            pos = data.draw(st.sampled_from(pred.marked_positions.tolist()))
-            addr = int(pred.subdomain[pos])
+        while pred.marked.size:
+            addr = data.draw(st.sampled_from(pred.marked.tolist()))
             shrunk = pred.without(addr)
+            sub = sub[sub != addr]
             fresh = MarkedPredicate(pred.db, pred.targets - {pred.db.lookup(addr)},
-                                    pred.subdomain[pred.subdomain != addr])
+                                    sub)
             assert shrunk.targets == fresh.targets
-            np.testing.assert_array_equal(shrunk.subdomain, fresh.subdomain)
+            assert shrunk.size == fresh.size == sub.size
+            np.testing.assert_array_equal(shrunk.marked, fresh.marked)
             np.testing.assert_array_equal(shrunk.mask, fresh.mask)
-            np.testing.assert_array_equal(shrunk.marked_positions,
-                                          fresh.marked_positions)
             pred = shrunk
         assert pred.targets >= {5, 6}
 
@@ -82,11 +83,11 @@ class TestMarkedPredicateWithout:
         db = make_db(3, [1, 4, 6])
         pred = MarkedPredicate(db, frozenset([1]), np.array([6, 0, 4, 1]))
         shrunk = pred.without(4)
-        np.testing.assert_array_equal(shrunk.subdomain, [6, 0, 1])
-        assert not shrunk.mask.any() and shrunk.marked_positions.size == 0
+        assert shrunk.size == 3
+        assert not shrunk.mask.any() and shrunk.marked.size == 0
         assert shrunk.targets == frozenset()
         # the original predicate is left as it was
-        np.testing.assert_array_equal(pred.marked_positions, [0, 2, 3])
+        np.testing.assert_array_equal(pred.marked, [1, 4, 6])
 
     @pytest.mark.parametrize("address", [0, 2, 5])
     def test_unmarked_address_rejected(self, address):
