@@ -3,11 +3,13 @@ the hard-instance bipartite graph, and the degree/multiplicity bound formula.
 
 Vertices on one side are databases holding exactly k-1 of the fixed target
 items (all other locations zero); on the other side, databases holding all
-k targets.  Two databases are adjacent iff they differ in exactly one base
-location.  With d copies, an edge is labeled by every d-fold address that
-contains the differing base address in some coordinate; the statistics are
-computed per base address and combined, which is equivalent and far smaller
-than enumerating d-fold addresses.
+k targets.  Since every other location is zero, a vertex is stored as its
+placement, the addresses where its targets sit, so memory grows as
+vertices * k, not vertices * N.  Two databases are adjacent iff they differ
+in exactly one base location.  With d copies, an edge is labeled by every
+d-fold address that contains the differing base address in some
+coordinate; the statistics are computed per base address and combined,
+which is equivalent and far smaller than enumerating d-fold addresses.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ class InstanceFamily:
     def __post_init__(self):
         if self.n < 0 or self.m < 1 or self.d < 1 or self.k < 1:
             raise ValueError("need n >= 0, m >= 1, d >= 1, k >= 1")
-        if self.k > 2 ** (self.m - 1):
+        # k > 2**(m-1), without building 2**(m-1) for a huge m
+        if (self.k - 1).bit_length() >= self.m:
             raise ValueError(
                 f"need k <= 2**(m-1): k={self.k}, m={self.m}"
             )
@@ -63,9 +66,12 @@ class InstanceFamily:
 class AdversaryGraph:
     """Explicit vertex sets and labeled edges at brute-force scale.
 
-    Vertices are item tuples of length N.  Each edge ``(i0, i1, x)`` joins
-    ``v0[i0]`` to ``v1[i1]`` and carries the single base address ``x`` where
-    the two databases differ.
+    A vertex is a placement.  ``v1[i]`` is a k-tuple of distinct addresses:
+    target item j+1 sits at ``v1[i][j]``.  ``v0[i]`` is a pair
+    ``(miss, p)``: target ``miss + 1`` is absent and the k-1 kept targets
+    sit, in order, at the addresses of ``p``.  Every other location holds
+    zero.  Each edge ``(i0, i1, x)`` joins ``v0[i0]`` to ``v1[i1]`` and
+    carries the single base address ``x`` where the two databases differ.
     """
 
     family: InstanceFamily
@@ -107,44 +113,33 @@ def estimated_size(fam: InstanceFamily) -> int:
 def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     """Enumerate both vertex sets and all edges explicitly.
 
-    A database pair is adjacent iff it differs in exactly one location,
-    which forces the smaller database to hold zero there and the larger one
-    the (unique) missing target.
+    Two databases differ in exactly one location iff removing one target
+    from the larger leaves the smaller, so each v1 vertex has one edge per
+    target, labeled with that target's address.
     """
+    # v1 alone has perm(N, k) >= k! vertices, so a large k is refused
+    # before perm(N, k) is computed.  b! > 2**b > FEASIBLE_VERTICES for its
+    # bit length b >= 4, so capping k at b keeps the comparison exact.
+    b = FEASIBLE_VERTICES.bit_length()
+    if math.factorial(min(fam.k, b)) > FEASIBLE_VERTICES:
+        raise InfeasibleInstanceError(
+            f"k={fam.k} targets give at least k! > {FEASIBLE_VERTICES} "
+            f"vertices"
+        )
     size = estimated_size(fam)
     if size > FEASIBLE_VERTICES:
         raise InfeasibleInstanceError(
             f"instance would enumerate {size} vertices "
             f"(cutoff {FEASIBLE_VERTICES})"
         )
-    N, targets = fam.N, fam.targets
-
-    def place(items, addrs):
-        db = [0] * N
-        for item, addr in zip(items, addrs):
-            db[addr] = item
-        return tuple(db)
-
-    v1 = [place(targets, addrs) for addrs in permutations(range(N), fam.k)]
-    v0 = []
-    for miss in range(fam.k):
-        kept = targets[:miss] + targets[miss + 1:]
-        v0.extend(place(kept, addrs)
-                  for addrs in permutations(range(N), fam.k - 1))
-
-    index0 = {db: i for i, db in enumerate(v0)}
-    edges = []
-    for i1, f1 in enumerate(v1):
-        for x in range(N):
-            if f1[x] == 0:
-                continue
-            f0 = f1[:x] + (0,) + f1[x + 1:]
-            i0 = index0.get(f0)
-            if i0 is not None:
-                edges.append((i0, i1, x))
-
-    return AdversaryGraph(family=fam, v0=tuple(v0), v1=tuple(v1),
-                          edges=tuple(edges))
+    addrs = range(fam.N)
+    v1 = tuple(permutations(addrs, fam.k))
+    kept = tuple(permutations(addrs, fam.k - 1))
+    v0 = tuple((miss, p) for miss in range(fam.k) for p in kept)
+    index0 = {v: i for i, v in enumerate(v0)}
+    edges = tuple((index0[(j, p[:j] + p[j + 1:])], i1, x)
+                  for i1, p in enumerate(v1) for j, x in enumerate(p))
+    return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
 
 
 def compute_stats(g: AdversaryGraph) -> AdversaryStats:

@@ -1,5 +1,6 @@
 """Tests for the lower-bound module: formulas and brute-force enumeration."""
 import math
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,15 @@ class TestInstanceFamily:
             InstanceFamily(n=2, m=1, d=1, k=2)
 
 
+def database(N, items, addrs):
+    """The N-entry database of a vertex: each item at its address, zero
+    elsewhere."""
+    db = [0] * N
+    for item, addr in zip(items, addrs):
+        db[addr] = item
+    return db
+
+
 class TestBuildGraph:
     def test_single_item_counts(self):
         fam = InstanceFamily(n=2, m=1, d=1, k=1)
@@ -57,12 +67,34 @@ class TestBuildGraph:
         assert len(g.v0) == 2 * 4      # missing-item choice times placements
 
     def test_edges_differ_in_one_location(self):
-        fam = InstanceFamily(n=2, m=2, d=2, k=2)
-        g = build_adversary_graph(fam)
-        for i0, i1, x in g.edges:
-            f0, f1 = g.v0[i0], g.v1[i1]
-            diffs = [a for a in range(fam.N) if f0[a] != f1[a]]
-            assert diffs == [x]
+        # the edges are exactly the (v0, v1) pairs whose databases differ
+        # in one location, each listed once
+        for n, k in [(2, 1), (2, 2), (3, 2), (3, 3), (2, 4)]:
+            fam = InstanceFamily(n=n, m=k.bit_length() + 1, d=2, k=k)
+            g = build_adversary_graph(fam)
+            t = fam.targets
+            dbs0 = [database(fam.N, t[:miss] + t[miss + 1:], p)
+                    for miss, p in g.v0]
+            dbs1 = [database(fam.N, t, p) for p in g.v1]
+            expected = set()
+            for i0, f0 in enumerate(dbs0):
+                for i1, f1 in enumerate(dbs1):
+                    diffs = [a for a in range(fam.N) if f0[a] != f1[a]]
+                    if len(diffs) == 1:
+                        expected.add((i0, i1, diffs[0]))
+            assert len(set(g.edges)) == len(g.edges)
+            assert set(g.edges) == expected
+
+    def test_memory_grows_with_k_not_n(self):
+        # a vertex holds its k target addresses, not an N-entry database
+        fam = InstanceFamily(n=8, m=3, d=1, k=2)
+        tracemalloc.start()
+        try:
+            build_adversary_graph(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_infeasible_refused_with_estimate(self):
         fam = InstanceFamily(n=10, m=6, d=1, k=4)

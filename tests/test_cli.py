@@ -196,6 +196,27 @@ def test_adversary_precondition_error(capsys):
     assert code == 1
 
 
+def test_adversary_oversized_m_allocates_nothing(capsys):
+    # k <= 2**(m-1) is checked without computing 2**(m-1)
+    code, out = run_cli(
+        ["adversary", "--n", "2", "--m", "1000000000000", "--d", "1",
+         "--k", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["all_claims_match"] is True
+
+
+def test_adversary_huge_k_is_infeasible_at_once(capsys):
+    # v1 alone has at least k! vertices: refused before perm(2**19, k)
+    code = main(["adversary", "--n", "19", "--m", "20", "--d", "1",
+                 "--k", "500000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("parsearch: infeasible: k=500000")
+
+
 def test_adversary_infeasible_exit_code(capsys):
     code = main(["adversary", "--n", "10", "--m", "6", "--d", "1", "--k", "4"])
     err = capsys.readouterr().err
