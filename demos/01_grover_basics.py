@@ -23,7 +23,7 @@ from parsearch import (
 entries = np.zeros(16, dtype=np.int64)
 entries[10] = 7
 db = Database(n=4, m=3, entries=entries)
-pred = MarkedPredicate(db=db, targets=frozenset([7]), subdomain=np.arange(16))
+pred = MarkedPredicate.scan(db, frozenset([7]), np.arange(16))
 
 state = init_uniform(16)
 print("iter  simulated P(marked)  closed form")

@@ -4,6 +4,7 @@ the parallel partition algorithm with regime-dependent per-cell item caps.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -14,12 +15,14 @@ from .core import (
     Database,
     MarkedPredicate,
     STREAM_COPY,
+    STREAM_EMPTY,
     STREAM_PARTITION,
     QueryLedger,
     as_generator,
     derive_stream,
     grover_iterate,
     init_uniform,
+    marked_addresses,
     measure,
     sample_after,
 )
@@ -123,14 +126,31 @@ def grover_search_known(pred: MarkedPredicate, j: int, seed):
     return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed))
 
 
+def bbht_schedule(M: int) -> tuple:
+    """Query budget and stage cutoffs of the unknown-count search over M
+    addresses.
+
+    Returns ``(budget, caps)``.  The budget is ceil(9/4 sqrt(M)) +
+    2 ceil(log_lambda sqrt(M)) queries, without the log term at M = 1, for
+    lambda = ``CUTOFF_GROWTH``.  ``caps`` is the endless iterator of stage
+    cutoffs, int(min(lambda**s, sqrt(M))) for stage s = 0, 1, ...
+    """
+    sqrt_m = math.sqrt(M)
+    budget = math.ceil(9 / 4 * sqrt_m)
+    if M > 1:
+        budget += 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH))
+    caps = (int(min(CUTOFF_GROWTH ** s, sqrt_m)) for s in itertools.count())
+    return budget, caps
+
+
 def bbht_search_unknown(pred: MarkedPredicate, seed):
     """Search the subdomain of *pred* without knowing the marked count, via
     growing random cutoffs.
 
-    Stage s draws an iteration count uniformly from [0, min(lambda**s,
-    sqrt(M))] and makes one Grover attempt with it.  Aborts once the
-    remaining budget cannot cover another stage; the budget is
-    ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) total queries.
+    Stage s draws an iteration count uniformly from [0, cap_s] and makes
+    one Grover attempt with it, while the queries so far plus cap_s + 1
+    stay within the budget; budget and cutoffs are those of
+    :func:`bbht_schedule`.
 
     Returns ``(address, queries)``: address None when nothing was found,
     and ``queries`` the oracle queries of all its stages.
@@ -139,15 +159,9 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
     if M == 0:
         raise ValueError("cannot search an empty subdomain")
     rng = as_generator(seed)
-    sqrt_m = math.sqrt(M)
-    budget = math.ceil(9 / 4 * sqrt_m)
-    if M > 1:
-        budget += 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH))
-
+    budget, caps = bbht_schedule(M)
     queries = 0
-    stage = 0
-    while True:
-        cap = int(min(CUTOFF_GROWTH ** stage, sqrt_m))
+    for cap in caps:
         if queries + cap + 1 > budget:
             return None, queries
         r = int(rng.integers(0, cap + 1))
@@ -155,73 +169,154 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
         queries += cost
         if addr is not None:
             return addr, queries
-        stage += 1
+
+
+def _empty_programs(sizes, t: int, rng) -> np.ndarray:
+    """Program lengths of copies whose cells, of the given *sizes*, hold no
+    marked address.
+
+    Every attempt there misses, so a copy's :func:`multi_item_search`
+    program is fixed: with t >= 1, one known-count attempt of r + 1
+    queries, r = optimal_iterations(M, min(t, M)), then the stages of
+    :func:`bbht_search_unknown` until its budget runs out, each costing
+    one more query than its uniform draw from [0, cap].  One stage loop
+    draws the stages of all the cells at once from *rng*.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if t == 0:
+        return np.zeros(sizes.size, dtype=np.int64)
+    kinds = sorted(set(sizes.tolist()))
+    which = np.searchsorted(kinds, sizes)
+    known = np.array([optimal_iterations(M, min(t, M)) + 1 for M in kinds],
+                     dtype=np.int64)
+    schedules = [bbht_schedule(M) for M in kinds]
+    room = np.array([budget - 1 for budget, _ in schedules], dtype=np.int64)[which]
+    spent = np.zeros(sizes.size, dtype=np.int64)
+    for caps in zip(*(caps for _, caps in schedules)):
+        cap = np.array(caps, dtype=np.int64)[which]
+        # cutoffs never shrink, so a cell whose stage did not fit stays done
+        running = spent + cap <= room
+        if not running.any():
+            break
+        spent += np.where(running, rng.integers(0, cap + 1) + 1, 0)
+    return known[which] + spent
 
 
 def multi_item_search(
     db: Database,
-    subdomain,
+    sizes,
+    addresses,
+    cells,
     targets: TargetSet,
     t: int,
     seed,
 ) -> SearchOutcome:
-    """Iterated search for up to *t* of the target items in the subdomain.
+    """Iterated search for up to *t* of the target items in each of d cells,
+    one copy per cell.
 
-    Step i (i = 1..t) searches with assumed marked count t-i+1; a found
-    item is removed from the target set and its address from the search
-    space.  A failed step falls back to the unknown-count search, since
-    fewer than the assumed number may be present; when the fallback also
-    finds nothing the subdomain is treated as exhausted.  The subdomain is
-    scanned once, for the first predicate; each find then shrinks it with
-    :meth:`~parsearch.core.MarkedPredicate.without`.
+    Cell c holds ``sizes[c]`` addresses.  ``addresses`` are all the
+    addresses of the cells that hold a target item, ``addresses[i]`` lying
+    in cell ``cells[i]``.  Every copy runs the same program on its cell: step i
+    (i = 1..t) searches with assumed marked count t-i+1; a found item is
+    removed from the target set and its address from the search space.  A
+    failed step falls back to the unknown-count search, since fewer than
+    the assumed number may be present; when the fallback also finds
+    nothing the cell is treated as exhausted.  A copy that has located
+    every target item stops.
 
-    ``success`` means every target item actually present in the subdomain
-    was located, that is, no marked address is left.  The searches return
-    their query counts and this is the one place that charges them, to the
-    outcome's one-copy ledger; ``find_times`` gives the query count at
-    which each item's check confirmed it.
+    A cell with marked addresses is searched step by step on its own
+    stream ``derive_stream(seed, STREAM_COPY, c)``, over one predicate of
+    its size and ascending marked addresses that each find shrinks with
+    :meth:`~parsearch.core.MarkedPredicate.without`.  In a cell with none
+    every attempt misses, so its program is fixed in law; the lengths of
+    all such programs are drawn at once from the one stream
+    ``derive_stream(seed, STREAM_EMPTY)``.
+
+    The outcome's d-copy ledger holds each copy's whole program, charged
+    here by the rule of :class:`~parsearch.core.QueryLedger`.
+    ``find_times`` gives, for each located item, the queries its copy had
+    made when its check confirmed it.  ``success`` means no marked address
+    is left in any cell.
     """
-    rng = as_generator(seed)
-    ledger = QueryLedger()
-    pred = MarkedPredicate(db, frozenset(targets.items), subdomain)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    addresses = np.asarray(addresses, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    if addresses.ndim != 1 or cells.shape != addresses.shape:
+        raise ValueError("need one cell per address")
+    if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
+        raise ValueError(f"cells must lie in [0, {sizes.size})")
+    ledger = QueryLedger(sizes.size)
     located: dict = {}
     find_times: dict = {}
+    left = 0
 
-    for i in range(1, t + 1):
-        if not pred.targets or pred.size == 0:
-            break
-        assumed = min(t - i + 1, pred.size)
-        addr, queries = grover_search_known(pred, assumed, rng)
-        ledger.record_oracle(0, queries)
-        if addr is None:
-            addr, queries = bbht_search_unknown(pred, rng)
-            ledger.record_oracle(0, queries)
-            if addr is None:
+    held: dict = {}     # cell -> its ascending marked addresses, cells ascending
+    for c, addr in sorted(zip(cells.tolist(), addresses.tolist())):
+        held.setdefault(c, []).append(addr)
+    for c, marked in held.items():
+        pred = MarkedPredicate(db, targets.items, int(sizes[c]), marked)
+        rng = as_generator(derive_stream(seed, STREAM_COPY, c))
+        for i in range(1, t + 1):
+            if not pred.targets or pred.size == 0:
                 break
-        y = db.lookup(addr)
-        located[y] = addr
-        find_times[y] = ledger.oracle_counts[0]
-        pred = pred.without(addr)
+            assumed = min(t - i + 1, pred.size)
+            addr, queries = grover_search_known(pred, assumed, rng)
+            ledger.record_oracle(c, queries)
+            if addr is None:
+                addr, queries = bbht_search_unknown(pred, rng)
+                ledger.record_oracle(c, queries)
+                if addr is None:
+                    break
+            y = db.lookup(addr)
+            located[y] = addr
+            find_times[y] = ledger.oracle_counts[c]
+            pred = pred.without(addr)
+        left += pred.marked.size
+
+    empty = np.ones(sizes.size, dtype=bool)
+    empty[list(held)] = False
+    if empty.any():
+        lengths = _empty_programs(sizes[empty], t,
+                                  as_generator(derive_stream(seed, STREAM_EMPTY)))
+        for c, length in zip(np.flatnonzero(empty).tolist(), lengths.tolist()):
+            ledger.record_oracle(c, length)
 
     return SearchOutcome(
         targets=targets,
         located=located,
-        success=pred.marked.size == 0,
+        success=left == 0,
         ledger=ledger,
         find_times=find_times,
     )
 
 
-def random_partition(N: int, d: int, seed) -> tuple:
-    """Uniformly random equipartition of [N] into d cells.
+def cell_sizes(N: int, d: int) -> np.ndarray:
+    """Sizes of the d cells of an equipartition of [N], the larger first."""
+    base, extra = divmod(N, d)
+    return np.repeat(np.array([base + 1, base], dtype=np.int64), [extra, d - extra])
 
-    A uniform permutation of [N] cut into d contiguous blocks whose sizes
-    differ by at most one, the larger blocks first.  Returns the tuple of
-    cells, each an array of its addresses in permutation order.
+
+def random_partition(N: int, d: int, addresses, seed) -> np.ndarray:
+    """The cell of each of the distinct *addresses* in a uniformly random
+    equipartition of [N] into d cells.
+
+    The partition is a uniform permutation of [N] cut into d contiguous
+    blocks of :func:`cell_sizes`, the larger first.  Only the addresses'
+    positions in that permutation matter, and those are a uniform ordered
+    sample of distinct positions, one ``rng.choice`` without replacement;
+    no N-entry permutation is made.  Returns the cell of ``addresses[i]``
+    at index i.
     """
     if d < 1 or d > N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
-    return tuple(np.array_split(as_generator(seed).permutation(N), d))
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if len(set(addresses.tolist())) != addresses.size:
+        raise ValueError("addresses must be distinct")
+    positions = as_generator(seed).choice(N, size=addresses.size, replace=False)
+    base, extra = divmod(N, d)
+    big = extra * (base + 1)    # positions in the larger blocks
+    return np.where(positions < big, positions // (base + 1),
+                    extra + (positions - big) // base)
 
 
 def choose_regime(N: int, d: int, k: int) -> RegimeParams:
@@ -308,22 +403,25 @@ def parallel_search(
 ) -> SearchOutcome:
     """Locate all target items using d database copies searched in lockstep.
 
-    Each repetition draws a fresh random equipartition of the address space,
-    dedicates one copy to each cell, and runs the iterated multi-item search
-    with the per-cell cap *t* (by default the regime cap of
-    :func:`choose_regime`) on every copy.  Copies run in lockstep, one
-    parallel round per oracle query, charged by the rule of
-    :class:`~parsearch.core.QueryLedger`; as soon as the check of the last
-    still-missing item confirms it, all copies halt, so the repetition's
-    round count is the find time of that item.  A repetition that leaves
-    items unlocated costs the longest copy program and triggers another
-    repetition (fresh partition, already-located items excluded) up to
-    ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from the
-    start of the search, across repetitions.
+    One scan of the database finds the addresses holding target items.
+    Each repetition then draws a fresh random equipartition of the address
+    space, of which it places only the addresses of still-missing items
+    (:func:`random_partition`), dedicates one copy to each cell, and runs
+    the iterated multi-item search with the per-cell cap *t* (by default
+    the regime cap of :func:`choose_regime`) on all d copies in one
+    :func:`multi_item_search` call.  Copies run in lockstep, one parallel
+    round per oracle query, charged by the rule of
+    :class:`~parsearch.core.QueryLedger`: as soon as the check of the last
+    still-missing item confirms it, all copies halt, so each copy is
+    charged the smaller of its program and that round.  A repetition that
+    leaves items unlocated costs the longest copy program and triggers
+    another repetition (fresh partition, already-located items excluded)
+    up to ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from
+    the start of the search, across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence; each
-    repetition's partition and each copy's search get their own stream
-    from :func:`~parsearch.core.derive_stream`, so results do not depend on
+    repetition's partition and copy searches get their own streams from
+    :func:`~parsearch.core.derive_stream`, so results do not depend on
     scheduling.
     """
     N = db.size
@@ -340,32 +438,33 @@ def parallel_search(
         repetitions=0,
     )
     ledger = outcome.ledger
+    sizes = cell_sizes(N, d)
+    where = marked_addresses(db, targets.items)
+    items = db.entries[where]
 
     for rep in range(MAX_REPETITIONS):
         outcome.repetitions += 1
         closed = ledger.parallel_rounds
         missing = TargetSet([y for y in targets.items if y not in outcome.located])
+        addresses = where[np.isin(items, missing.items)]
         cells = random_partition(
-            N, d, seed=derive_stream(seed, STREAM_PARTITION, rep)
+            N, d, addresses, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
-        copies = [
-            multi_item_search(db, cell, missing, t,
-                              seed=derive_stream(seed, STREAM_COPY, rep, c))
-            for c, cell in enumerate(cells)
-        ]
-        if {y for out in copies for y in out.located} == set(missing.items):
+        copies = multi_item_search(db, sizes, addresses, cells, missing, t,
+                                   seed=derive_stream(seed, STREAM_COPY, rep))
+        programs = copies.ledger.oracle_counts
+        if set(copies.located) == set(missing.items):
             # lockstep halt: every copy stops at the round where the last
             # needed item was confirmed
-            stop = max((when for out in copies for when in out.find_times.values()),
-                       default=0)
+            stop = max(copies.find_times.values())
         else:
-            stop = max(out.ledger.oracle_counts[0] for out in copies)
+            stop = max(programs)
 
-        for c, out in enumerate(copies):
-            ledger.record_oracle(c, min(out.ledger.oracle_counts[0], stop))
-            outcome.located.update(out.located)
-            for y, when in out.find_times.items():
-                outcome.find_times[y] = closed + when
+        for c, program in enumerate(programs):
+            ledger.record_oracle(c, min(program, stop))
+        outcome.located.update(copies.located)
+        for y, when in copies.find_times.items():
+            outcome.find_times[y] = closed + when
         ledger.end_repetition()
 
         outcome.success = verify_locations(db, outcome)

@@ -6,7 +6,8 @@ uniform marked and the uniform unmarked states.  :func:`sample_after` uses
 that to measure the state after r iterations in O(1) from the closed form
 of :func:`success_probability`; the searches run on it.  A search's state is
 therefore only its subdomain size M and its marked addresses, which is what
-:class:`MarkedPredicate` keeps.
+:class:`MarkedPredicate` keeps; :func:`marked_addresses` finds those
+addresses by one scan.
 
 The dense simulator (:class:`StateVector`, :func:`init_uniform`,
 :func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
@@ -39,8 +40,10 @@ def as_generator(seed) -> np.random.Generator:
 
 
 #: purpose words of derived streams: a search trial, its database
-#: placement, a repetition's partition and one copy's search in it
-STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY = range(4)
+#: placement, a repetition's partition, the copies' searches (a
+#: repetition's, and within it one copy's), and the programs of a
+#: repetition's copies whose cells hold no target
+STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY, STREAM_EMPTY = range(5)
 
 
 def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
@@ -50,7 +53,12 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
     ``(purpose, *indices)``.  It never appends words to the entropy: numpy
     pads entropy with zeros, so ``[s, 0]`` and ``[s, 0, 0]`` seed the same
     stream, while distinct spawn keys give distinct streams.  *seed* is an
-    int, a sequence of ints, or a SeedSequence from an earlier derivation.
+    int, a sequence of ints, or a SeedSequence from an earlier derivation,
+    so streams nest: a search trial's stream is the parent of its database,
+    partition and copy streams, and a repetition's copy stream
+    ``(STREAM_COPY, rep)`` the parent of each searched copy's
+    ``(STREAM_COPY, c)`` and of the one ``STREAM_EMPTY`` stream of its
+    empty copies.
     """
     if isinstance(seed, np.random.SeedSequence):
         root, key = seed.entropy, seed.spawn_key
@@ -89,28 +97,50 @@ class Database:
         return int(self.entries[address])
 
 
+def marked_addresses(db: Database, targets, subdomain=None) -> np.ndarray:
+    """The addresses of *subdomain* (all of *db* by default) whose items
+    are in *targets*, in ascending order: one scan of the subdomain."""
+    wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
+    if subdomain is None:
+        return np.flatnonzero(np.isin(db.entries, wanted))
+    sub = np.asarray(subdomain, dtype=np.int64)
+    if sub.ndim != 1:
+        raise ValueError("subdomain must be a 1-d address array")
+    return np.sort(sub[np.isin(db.entries[sub], wanted)])
+
+
 class MarkedPredicate:
     """Membership test ``f(x) in targets`` restricted to a subdomain.
 
     A search over the subdomain reads only its size M and which of its
     addresses are marked, so that is all the predicate keeps: ``size`` and
-    ``marked``, the marked addresses in ascending order.  The subdomain is
-    scanned once, at construction; :meth:`without` derives the predicate
-    left after a find from ``marked``, so one copy's whole search scans its
-    cell once.
+    ``marked``, the marked addresses in ascending order, both given at
+    construction; :meth:`scan` finds them from a subdomain's addresses.
+    :meth:`without` derives the predicate left after a find from
+    ``marked``, so a search never rescans.
     """
 
     __slots__ = ("db", "targets", "size", "marked")
 
-    def __init__(self, db: Database, targets, subdomain):
-        sub = np.asarray(subdomain, dtype=np.int64)
-        if sub.ndim != 1:
-            raise ValueError("subdomain must be a 1-d address array")
-        self.db = db
+    def __init__(self, db: Database, targets, size: int, marked):
+        marked = np.asarray(marked, dtype=np.int64)
         self.targets = frozenset(int(y) for y in targets)
-        self.size = int(sub.size)
-        wanted = np.fromiter(self.targets, dtype=np.int64, count=len(self.targets))
-        self.marked = np.sort(sub[np.isin(db.entries[sub], wanted)])
+        if marked.ndim != 1 or marked.size > size:
+            raise ValueError(f"need at most size={size} marked addresses")
+        held = marked.tolist()
+        if any(a >= b for a, b in zip(held, held[1:])):
+            raise ValueError("marked addresses must be distinct and ascending")
+        if not self.targets.issuperset(db.entries[marked].tolist()):
+            raise ValueError("a marked address holds no target item")
+        self.db = db
+        self.size = int(size)
+        self.marked = marked
+
+    @classmethod
+    def scan(cls, db: Database, targets, subdomain) -> "MarkedPredicate":
+        """The predicate over the addresses in *subdomain*, from one scan."""
+        sub = np.asarray(subdomain, dtype=np.int64)
+        return cls(db, targets, sub.size, marked_addresses(db, targets, sub))
 
     @property
     def mask(self) -> np.ndarray:
@@ -171,14 +201,18 @@ class QueryLedger:
     iteration and the classical check of a measured address are one oracle
     query on the copy that makes it.  The searches return the queries they
     make, and :func:`~parsearch.algorithms.multi_item_search` alone charges
-    them to its copy's one-copy ledger.  Only
-    :func:`~parsearch.algorithms.parallel_search` holds a d-copy ledger:
-    the copies run in lockstep, one parallel round per query, and halt at
-    the round where the last needed item is confirmed, so each copy is
-    charged its queries up to that stop and a repetition's rounds are the
-    largest such charge; the total sums the repetitions.  Checking the k
-    claimed locations at the end of a repetition costs ceil(k/d) parallel
-    queries, kept apart as verification rounds.
+    them, each to the copy that made it, on the d-copy ledger of one
+    repetition's programs.  A copy whose cell holds no marked address
+    misses at every attempt, so its program is fixed in law;
+    ``multi_item_search`` draws that program's length whole and charges it
+    as one amount.  :func:`~parsearch.algorithms.parallel_search` keeps
+    the d-copy ledger of the whole search: the copies run in lockstep, one
+    parallel round per query, and halt at the round where the last needed
+    item is confirmed, so each copy is charged its program up to that stop
+    and a repetition's rounds are the largest such charge; the total sums
+    the repetitions.  Checking the k claimed locations at the end of a
+    repetition costs ceil(k/d) parallel queries, kept apart as
+    verification rounds.
     """
 
     def __init__(self, copies: int = 1):

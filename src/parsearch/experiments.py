@@ -17,6 +17,7 @@ from . import adversary
 from .algorithms import (
     RegimeParams,
     TargetSet,
+    cell_sizes,
     choose_regime,
     maxload_bound,
     parallel_search,
@@ -191,10 +192,8 @@ def run_maxload_check(
             f"trials * d = {trials * d} cell loads exceed the limit "
             f"{MAX_MAXLOAD_LOADS}"
         )
-    base, extra = divmod(N, d)
-    sizes = [base + 1] * extra + [base] * (d - extra)
     rng = as_generator(seed)
-    loads = rng.multivariate_hypergeometric(sizes, k, size=trials)
+    loads = rng.multivariate_hypergeometric(cell_sizes(N, d), k, size=trials)
     exceed = int(np.count_nonzero(loads.max(axis=1) > t))
     phat = exceed / trials
     stderr = math.sqrt(phat * (1.0 - phat) / trials)

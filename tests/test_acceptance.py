@@ -26,6 +26,7 @@ from parsearch.core import (
     MarkedPredicate,
     grover_iterate,
     init_uniform,
+    marked_addresses,
     success_probability,
 )
 from parsearch.experiments import build_database, run_maxload_check
@@ -50,7 +51,7 @@ def test_criterion_1_closed_form_agreement():
         for j in (1, 2, 4):
             if j > M:
                 continue
-            pred = MarkedPredicate(marked_db(M, j), frozenset([1]), np.arange(M))
+            pred = MarkedPredicate.scan(marked_db(M, j), frozenset([1]), np.arange(M))
             state = init_uniform(M)
             for r in range(51):
                 if r > 0:
@@ -66,7 +67,7 @@ def test_criterion_1_closed_form_agreement():
 
 
 def test_criterion_2_exact_small_case():
-    pred = MarkedPredicate(marked_db(4, 1), frozenset([1]), np.arange(4))
+    pred = MarkedPredicate.scan(marked_db(4, 1), frozenset([1]), np.arange(4))
     state = grover_iterate(init_uniform(4), pred)
     err = abs(state.marked_mass(pred.mask) - 1.0)
     report(
@@ -85,8 +86,9 @@ def test_criterion_3_single_database_scaling():
         totals, successes = [], 0
         for s in range(trials):
             db, targets = build_database(n, k, seed=[301, n, s])
-            out = multi_item_search(db, np.arange(N), targets, t,
-                                    seed=[302, n, s])
+            marked = marked_addresses(db, targets.items)
+            out = multi_item_search(db, [N], marked, np.zeros_like(marked),
+                                    targets, t, seed=[302, n, s])
             totals.append(out.ledger.oracle_counts[0])
             successes += out.success
         ratios.append(np.mean(totals) / math.sqrt(N * t))

@@ -1,5 +1,6 @@
 """Tests for the search algorithms and partition machinery."""
 import inspect
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from parsearch import algorithms, experiments
 from parsearch.algorithms import (
     MAX_REPETITIONS,
+    SearchOutcome,
     TargetSet,
     bbht_search_unknown,
+    cell_sizes,
     choose_regime,
     grover_search_known,
     maxload_bound,
@@ -26,10 +29,13 @@ from parsearch.algorithms import (
 )
 from parsearch.core import (
     STREAM_COPY,
+    STREAM_EMPTY,
+    STREAM_PARTITION,
     Database,
     MarkedPredicate,
     QueryLedger,
     derive_stream,
+    marked_addresses,
 )
 from parsearch.experiments import (
     ExperimentConfig,
@@ -44,6 +50,13 @@ def instances(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(6, 1 << n)))
     return n, k, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def search_one_cell(db, subdomain, targets, t, seed):
+    """``multi_item_search`` with one copy, whose cell is *subdomain*."""
+    marked = marked_addresses(db, targets.items, subdomain)
+    return multi_item_search(db, [len(subdomain)], marked, np.zeros_like(marked),
+                             targets, t, seed)
 
 
 class TestTargetSet:
@@ -78,7 +91,7 @@ class TestGroverSearchKnown:
         db, targets = build_database(2, 1, seed=0)
         for s in range(25):
             addr, queries = grover_search_known(
-                MarkedPredicate(db, targets.items, np.arange(4)), 1, seed=s
+                MarkedPredicate.scan(db, targets.items, np.arange(4)), 1, seed=s
             )
             assert queries == 2
             assert addr is not None and db.lookup(addr) == 1
@@ -87,7 +100,7 @@ class TestGroverSearchKnown:
         entries = np.ones(8, dtype=np.int64)
         db = Database(n=3, m=1, entries=entries)
         addr, queries = grover_search_known(
-            MarkedPredicate(db, [1], np.arange(8)), 8, seed=3
+            MarkedPredicate.scan(db, [1], np.arange(8)), 8, seed=3
         )
         assert queries == 1
         assert addr is not None
@@ -97,7 +110,7 @@ class TestGroverSearchKnown:
         hits = 0
         for s in range(10 ** 4):
             addr, queries = grover_search_known(
-                MarkedPredicate(db, targets.items, np.arange(1024)), 1, seed=[5, s]
+                MarkedPredicate.scan(db, targets.items, np.arange(1024)), 1, seed=[5, s]
             )
             assert queries == 26
             hits += addr is not None
@@ -106,7 +119,7 @@ class TestGroverSearchKnown:
     def test_overlarge_assumed_count(self):
         db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
-            grover_search_known(MarkedPredicate(db, targets.items, np.arange(8)),
+            grover_search_known(MarkedPredicate.scan(db, targets.items, np.arange(8)),
                                 9, seed=0)
 
 
@@ -116,7 +129,7 @@ class TestBbhtSearchUnknown:
         absent = TargetSet([500])
         cutoff = math.ceil(9 / 4 * 16) + 2 * math.ceil(math.log(16) / math.log(6 / 5))
         addr, queries = bbht_search_unknown(
-            MarkedPredicate(db, absent.items, np.arange(256)), seed=2)
+            MarkedPredicate.scan(db, absent.items, np.arange(256)), seed=2)
         assert addr is None
         assert queries <= cutoff
 
@@ -125,7 +138,7 @@ class TestBbhtSearchUnknown:
         totals, hits = [], 0
         for s in range(10 ** 4):
             addr, queries = bbht_search_unknown(
-                MarkedPredicate(db, targets.items, np.arange(256)), seed=[11, s]
+                MarkedPredicate.scan(db, targets.items, np.arange(256)), seed=[11, s]
             )
             totals.append(queries)
             hits += addr is not None
@@ -138,7 +151,7 @@ class TestBbhtSearchUnknown:
         totals = []
         for s in range(2000):
             addr, queries = bbht_search_unknown(
-                MarkedPredicate(db, [1], np.arange(64)), seed=s
+                MarkedPredicate.scan(db, [1], np.arange(64)), seed=s
             )
             assert addr is not None
             totals.append(queries)
@@ -148,22 +161,26 @@ class TestBbhtSearchUnknown:
         db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
             bbht_search_unknown(
-                MarkedPredicate(db, targets.items, np.array([], dtype=np.int64)),
+                MarkedPredicate.scan(db, targets.items, np.array([], dtype=np.int64)),
                 seed=0)
 
 
 class TestMultiItemSearch:
     def test_zero_cap_is_empty(self):
         db, targets = build_database(4, 2, seed=3)
-        out = multi_item_search(db, np.arange(16), targets, 0, seed=0)
+        out = search_one_cell(db, np.arange(16), targets, 0, seed=0)
         assert out.located == {}
         assert out.ledger.oracle_counts[0] == 0
+        # and so is every copy of several cells, with or without targets
+        out = multi_item_search(db, [4, 4, 4, 4], marked_addresses(db, targets.items),
+                                [1, 1], targets, 0, seed=0)
+        assert out.located == {} and out.ledger.oracle_counts == [0, 0, 0, 0]
 
     def test_two_of_sixteen(self):
         successes, totals = 0, []
         for s in range(10 ** 4):
             db, targets = build_database(4, 2, seed=[7, s])
-            out = multi_item_search(db, np.arange(16), targets, 2, seed=[8, s])
+            out = search_one_cell(db, np.arange(16), targets, 2, seed=[8, s])
             successes += out.success
             totals.append(out.ledger.oracle_counts[0])
         assert successes / 10 ** 4 >= 3 / 4
@@ -173,7 +190,7 @@ class TestMultiItemSearch:
         db, targets = build_database(10, 1, seed=9)
         totals = []
         for s in range(200):
-            out = multi_item_search(db, np.arange(1024), targets, 1, seed=[9, s])
+            out = search_one_cell(db, np.arange(1024), targets, 1, seed=[9, s])
             totals.append(out.ledger.oracle_counts[0])
         # 25 iterations plus the check on success; the occasional fallback
         # adds more
@@ -185,7 +202,7 @@ class TestMultiItemSearch:
         # actually present there, not all of k
         sub = np.arange(32)
         present = {int(v) for v in db.entries[:32]} & set(targets.items)
-        out = multi_item_search(db, sub, targets, 4, seed=14)
+        out = search_one_cell(db, sub, targets, 4, seed=14)
         if out.success:
             assert set(out.located) == present
         for item, addr in out.located.items():
@@ -201,55 +218,137 @@ class TestMultiItemSearch:
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         sub = np.arange(max(1, db.size // 2))
-        out = multi_item_search(db, sub, targets, targets.k, seed)
+        out = search_one_cell(db, sub, targets, targets.k, seed)
         present = {int(v) for v in db.entries[sub]} & set(targets.items)
         assert out.success == (set(out.located) == present)
         if ghosts > 0:
             assert not parallel_search(db, 1, targets, seed, 1).success
 
     def test_cell_order_does_not_matter(self):
-        # a copy's search reads only its cell's size and marked addresses
+        # a copy's search reads only its cell's size and marked addresses,
+        # so the order in which the (address, cell) pairs come is no input
         for s in range(200):
             db, targets = build_database(6, 4, seed=[17, s])
-            cell = np.random.default_rng([18, s]).permutation(db.size)
-            shuffled, ordered = (multi_item_search(db, c, targets, 4, seed=[19, s])
-                                 for c in (cell, np.sort(cell)))
+            addresses = marked_addresses(db, targets.items)
+            cells = np.random.default_rng([18, s]).integers(0, 3, addresses.size)
+            shuffle = np.random.default_rng([18, s]).permutation(addresses.size)
+            shuffled, ordered = (
+                multi_item_search(db, [22, 21, 21], a, c, targets, 4, seed=[19, s])
+                for a, c in ((addresses[shuffle], cells[shuffle]), (addresses, cells)))
             assert shuffled.located == ordered.located
             assert shuffled.find_times == ordered.find_times
             assert shuffled.ledger.oracle_counts == ordered.ledger.oracle_counts
 
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
-        out = multi_item_search(db, np.arange(256), targets, 3, seed=16)
+        out = search_one_cell(db, np.arange(256), targets, 3, seed=16)
         times = sorted(out.find_times.values())
         assert times == sorted(set(times))
         assert all(0 <= t <= out.ledger.oracle_counts[0] for t in times)
 
+    @pytest.mark.parametrize("sizes,addresses,cells", [
+        ([4, 4], [1, 2], [0]),          # one cell per address
+        ([4, 4], [1, 2], [0, 2]),       # no cell 2
+        ([4, 4], [1, 2], [0, -1]),
+        ([1, 4], [1, 2], [0, 0]),       # two marked addresses, one-address cell
+    ])
+    def test_rejects_inconsistent_cells(self, sizes, addresses, cells):
+        db = Database(n=3, m=2, entries=np.array([0, 1, 1, 0, 0, 0, 0, 0]))
+        with pytest.raises(ValueError):
+            multi_item_search(db, sizes, addresses, cells, TargetSet([1]), 1, seed=0)
+
+
+class TestEmptyCellLaw:
+    """The programs of copies whose cells hold no target, drawn at once,
+    against the same program run attempt by attempt on an empty predicate."""
+
+    DRAWS = 4000
+
+    def attempt_by_attempt(self, M, t, seed):
+        pred = MarkedPredicate(Database(n=1, m=2, entries=np.zeros(2)), [1], M, [])
+        rng = np.random.default_rng(seed)
+        lengths = []
+        for _ in range(self.DRAWS):
+            hit, known = grover_search_known(pred, min(t, M), rng)
+            miss, unknown = bbht_search_unknown(pred, rng)
+            assert hit is None and miss is None
+            lengths.append(known + unknown)
+        return np.array(lengths)
+
+    @pytest.mark.parametrize("M,t", [(1, 3), (2, 1), (37, 5), (500, 35), (1024, 2)])
+    def test_matches_the_attempt_by_attempt_program(self, M, t):
+        drawn = algorithms._empty_programs(np.full(self.DRAWS, M), t,
+                                           np.random.default_rng([71, M, t]))
+        reference = self.attempt_by_attempt(M, t, [72, M, t])
+        assert drawn.min() == reference.min() and drawn.max() == reference.max()
+        assert within_four_pooled_errors(drawn, reference)
+
+    def test_two_sizes_in_one_draw_keep_their_own_laws(self):
+        # parallel_search's cells have two sizes, drawn in one stage loop
+        sizes = np.tile([1049, 1048], self.DRAWS)
+        drawn = algorithms._empty_programs(sizes, 2, np.random.default_rng(73))
+        for M in (1048, 1049):
+            reference = self.attempt_by_attempt(M, 2, [74, M])
+            mine = drawn[sizes == M]
+            assert mine.min() == reference.min() and mine.max() == reference.max()
+            assert within_four_pooled_errors(mine, reference)
+
+    def test_zero_cap_programs_are_empty(self):
+        drawn = algorithms._empty_programs([1, 37, 1024], 0, np.random.default_rng(0))
+        assert drawn.tolist() == [0, 0, 0]
+
 
 class TestRandomPartition:
     def test_single_cell(self):
-        cells = random_partition(8, 1, seed=0)
-        assert len(cells) == 1
-        np.testing.assert_array_equal(np.sort(cells[0]), np.arange(8))
+        cells = random_partition(8, 1, [3, 5, 0], seed=0)
+        assert cells.tolist() == [0, 0, 0]
 
     def test_eight_into_four(self):
-        cells = random_partition(8, 4, seed=1)
-        assert [c.size for c in cells] == [2, 2, 2, 2]
-        combined = np.concatenate(cells)
-        assert sorted(combined.tolist()) == list(range(8))
+        cells = random_partition(8, 4, np.arange(8), seed=1)
+        assert np.bincount(cells, minlength=4).tolist() == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("N,d", [(10, 3), (1024, 16), (100, 7)])
     def test_soundness_over_seeds(self, N, d):
+        sizes = cell_sizes(N, d)
+        assert sizes.sum() == N and sizes.max() - sizes.min() <= 1
+        assert (np.diff(sizes) <= 0).all()
         for s in range(20):
-            cells = random_partition(N, d, seed=s)
-            combined = np.concatenate(cells)
-            assert sorted(combined.tolist()) == list(range(N))
-            sizes = [c.size for c in cells]
-            assert max(sizes) - min(sizes) <= 1
+            # every address placed: each cell is full
+            cells = random_partition(N, d, np.arange(N), seed=s)
+            np.testing.assert_array_equal(np.bincount(cells, minlength=d), sizes)
+            some = random_partition(N, d, np.arange(0, N, 3), seed=s)
+            assert (np.bincount(some, minlength=d) <= sizes).all()
+
+    @pytest.mark.parametrize("N,d,k", [(7, 2, 3), (10, 3, 4), (9, 4, 5), (6, 6, 3),
+                                       (5, 2, 5), (12, 5, 2)])
+    def test_loads_follow_the_hypergeometric_law(self, N, d, k):
+        # exact law of the loads of k addresses in the d blocks of a uniform
+        # permutation: prod_c C(s_c, l_c) / C(N, k); every frequency within
+        # four standard errors, and no load above its cell's size
+        draws = 20000
+        sizes = cell_sizes(N, d).tolist()
+        rng = np.random.default_rng([81, N, d, k])
+        seen = Counter()
+        for _ in range(draws):
+            loads = np.bincount(random_partition(N, d, np.arange(N - k, N), rng),
+                                minlength=d)
+            assert loads.size == d and all(l <= s for l, s in zip(loads, sizes))
+            seen[tuple(loads.tolist())] += 1
+        for loads in itertools.product(*(range(s + 1) for s in sizes)):
+            if sum(loads) != k:
+                continue
+            p = math.prod(math.comb(s, l) for s, l in zip(sizes, loads)) / math.comb(N, k)
+            freq = seen.pop(loads, 0) / draws
+            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+        assert not seen
 
     def test_too_many_cells(self):
         with pytest.raises(ValueError):
-            random_partition(4, 5, seed=0)
+            random_partition(4, 5, [0], seed=0)
+
+    def test_repeated_address_rejected(self):
+        with pytest.raises(ValueError):
+            random_partition(8, 2, [3, 3], seed=0)
 
 
 class TestChooseRegime:
@@ -347,10 +446,8 @@ class TestParallelSearch:
         for s in range(15):
             db, targets = build_database(8, 3, seed=[41, s])
             par = parallel_search(db, 1, targets, seed=s)
-            single = multi_item_search(
-                db, np.arange(256), targets, 3,
-                seed=derive_stream(s, STREAM_COPY, 0, 0),
-            )
+            single = search_one_cell(db, np.arange(256), targets, 3,
+                                     seed=derive_stream(s, STREAM_COPY, 0))
             assert par.located == single.located
             assert par.ledger.oracle_counts[0] == single.ledger.oracle_counts[0]
 
@@ -448,6 +545,81 @@ class TestDenseReference:
             assert within_four_pooled_errors(a, b)
 
 
+def per_copy_search(db, cell, targets, t, seed):
+    """One copy's iterated search as a separate call: the scan of its
+    cell's addresses, then the step loop.  Returns the located items, their
+    find times and the copy's whole program."""
+    rng = np.random.default_rng(seed)
+    pred = MarkedPredicate.scan(db, targets, cell)
+    located, find_times, queries = {}, {}, 0
+    for i in range(1, t + 1):
+        if not pred.targets or pred.size == 0:
+            break
+        addr, q = grover_search_known(pred, min(t - i + 1, pred.size), rng)
+        queries += q
+        if addr is None:
+            addr, q = bbht_search_unknown(pred, rng)
+            queries += q
+            if addr is None:
+                break
+        located[db.lookup(addr)] = addr
+        find_times[db.lookup(addr)] = queries
+        pred = pred.without(addr)
+    return located, find_times, queries
+
+
+def per_copy_parallel_search(db, d, targets, seed):
+    """The reference engine: each repetition cuts a uniform permutation of
+    all N addresses into d blocks and runs every copy's search on its own,
+    on the stream ``(STREAM_COPY, rep, c)``, under the same lockstep rule."""
+    N = db.size
+    t = choose_regime(N, d, targets.k).t
+    outcome = SearchOutcome(targets=targets, located={}, success=False,
+                            ledger=QueryLedger(d), repetitions=0)
+    for rep in range(MAX_REPETITIONS):
+        outcome.repetitions += 1
+        missing = [y for y in targets.items if y not in outcome.located]
+        perm = np.random.default_rng(
+            derive_stream(seed, STREAM_PARTITION, rep)).permutation(N)
+        copies = [per_copy_search(db, cell, missing, t,
+                                  derive_stream(seed, STREAM_COPY, rep, c))
+                  for c, cell in enumerate(np.array_split(perm, d))]
+        if {y for located, _, _ in copies for y in located} == set(missing):
+            stop = max(when for _, times, _ in copies for when in times.values())
+        else:
+            stop = max(queries for _, _, queries in copies)
+        for c, (located, _, queries) in enumerate(copies):
+            outcome.ledger.record_oracle(c, min(queries, stop))
+            outcome.located.update(located)
+        outcome.ledger.end_repetition()
+        outcome.success = verify_locations(db, outcome)
+        if outcome.success:
+            break
+    return outcome
+
+
+class TestPerCopyReference:
+    """One ``multi_item_search`` call per repetition, with only the targets
+    placed and the empty copies' programs drawn at once, against the
+    engine that permutes every address and searches each copy on its own."""
+
+    @pytest.mark.parametrize("n,d,k", [(8, 4, 4), (10, 16, 16), (12, 64, 4), (8, 2, 6)])
+    def test_parallel_search_matches_per_copy_reference(self, n, d, k):
+        def run(search):
+            rounds, wins, reps, charged = [], [], [], []
+            for s in range(600):
+                db, targets = build_database(n, k, seed=[63, n, d, s])
+                out = search(db, d, targets, [64, n, d, s])
+                rounds.append(out.parallel_rounds)
+                wins.append(out.success)
+                reps.append(out.repetitions)
+                charged.append(sum(out.ledger.oracle_counts))
+            return rounds, wins, reps, charged
+
+        for a, b in zip(run(parallel_search), run(per_copy_parallel_search)):
+            assert within_four_pooled_errors(a, b)
+
+
 class TestStreamIndependence:
     @staticmethod
     def record_seeds(monkeypatch, module, name, seen):
@@ -460,26 +632,53 @@ class TestStreamIndependence:
 
         monkeypatch.setattr(module, name, recording)
 
-    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("d", [1, 4, 16])
     def test_every_stream_of_a_run_is_distinct(self, d, monkeypatch):
-        # the database stream, each repetition's partition stream and each
-        # repetition's d copy streams, over two trials
-        seen = []
+        # over two trials: the database stream; each repetition's partition
+        # stream and copy stream; and in each repetition, the stream of every
+        # copy whose cell holds a target and the one stream of the others
+        seen, streams, searched = [], [], []
         self.record_seeds(monkeypatch, experiments, "build_database", seen)
         self.record_seeds(monkeypatch, algorithms, "random_partition", seen)
         self.record_seeds(monkeypatch, algorithms, "multi_item_search", seen)
-        record = run_search_experiment(
-            ExperimentConfig(n=6, d=d, k=8, trials=2, seed=5, t_override=1)
-        )
+        derive, search = algorithms.derive_stream, algorithms.multi_item_search
+
+        def deriving(seed, purpose, *indices):
+            streams.append(((purpose, len(indices)), derive(seed, purpose, *indices)))
+            return streams[-1][1]
+
+        def searching(db, sizes, addresses, cells, *args, **kwargs):
+            searched.append(np.unique(cells).size)
+            return search(db, sizes, addresses, cells, *args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "derive_stream", deriving)
+        monkeypatch.setattr(algorithms, "multi_item_search", searching)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d = 16 exceeds sqrt(N)
+            record = run_search_experiment(
+                ExperimentConfig(n=6, d=d, k=8, trials=2, seed=5, t_override=1)
+            )
+        reps = sum(t["repetitions"] for t in record["trials"])
         assert all(t["repetitions"] >= 2 for t in record["trials"])
         kinds = Counter(name for name, _ in seen)
         assert kinds["build_database"] == 2
-        assert kinds["multi_item_search"] == d * kinds["random_partition"]
-        assert kinds["random_partition"] == sum(
-            t["repetitions"] for t in record["trials"])
+        assert kinds["multi_item_search"] == kinds["random_partition"] == reps
+        assert len(searched) == reps
+        # the partition's and the searches' seeds are derived streams
+        derived = [stream for _, stream in streams]
+        assert all(any(seed is stream for stream in derived)
+                   for name, seed in seen if name != "build_database")
+        where = Counter(kind for kind, _ in streams)
+        assert where[(STREAM_PARTITION, 1)] == reps
+        assert where[(STREAM_COPY, 1)] == reps + sum(searched)
+        assert where[(STREAM_EMPTY, 0)] == sum(held < d for held in searched)
+        assert set(where) <= {(STREAM_PARTITION, 1), (STREAM_COPY, 1), (STREAM_EMPTY, 0)}
+        if d == 16:
+            assert where[(STREAM_EMPTY, 0)] >= 1
         states = [
             tuple(np.random.default_rng(seed).bit_generator.state["state"].values())
-            for _, seed in seen
+            for seed in [seed for name, seed in seen if name == "build_database"]
+            + derived
         ]
         assert len(set(states)) == len(states)
 
@@ -507,7 +706,7 @@ class TestLedgerRule:
         db, targets = build_database(n, k, seed=seed)
         j = min(j, db.size)
         addr, queries = grover_search_known(
-            MarkedPredicate(db, targets.items, np.arange(db.size)), j, seed)
+            MarkedPredicate.scan(db, targets.items, np.arange(db.size)), j, seed)
         assert queries == optimal_iterations(db.size, j) + 1
         assert addr is None or db.lookup(addr) in targets.items
 
@@ -519,7 +718,7 @@ class TestLedgerRule:
         if absent:
             targets = TargetSet([db.size + 1])
         addr, queries = bbht_search_unknown(
-            MarkedPredicate(db, targets.items, np.arange(db.size)), seed)
+            MarkedPredicate.scan(db, targets.items, np.arange(db.size)), seed)
         sqrt_m = math.sqrt(db.size)
         budget = math.ceil(9 / 4 * sqrt_m)
         if db.size > 1:
@@ -530,29 +729,52 @@ class TestLedgerRule:
         assert addr is None or db.lookup(addr) in targets.items
 
     @settings(derandomize=True, deadline=None)
-    @given(instances(), st.integers(0, 6))
-    def test_multi_item_search_charges_what_the_searches_return(self, instance, t):
+    @given(instances(), st.integers(1, 8), st.integers(0, 6))
+    def test_multi_item_search_charges_what_the_searches_return(self, instance, d, t):
         n, k, seed = instance
         db, targets = build_database(n, k, seed=seed)
-        returned = []
+        d = min(d, db.size)
+        addresses = marked_addresses(db, targets.items)
+        cells = random_partition(db.size, d, addresses, seed)
+        events = []
 
-        def recording(search):
+        def recording(name, fn):
             def run(*args, **kwargs):
-                returned.append(search(*args, **kwargs))
-                return returned[-1]
+                events.append((name, fn(*args, **kwargs)))
+                return events[-1][1]
             return run
 
-        with mock.patch.object(algorithms, "grover_search_known",
-                               recording(grover_search_known)), \
+        with mock.patch.object(algorithms, "MarkedPredicate",
+                               recording("cell", MarkedPredicate)), \
+                mock.patch.object(algorithms, "grover_search_known",
+                                  recording("search", grover_search_known)), \
                 mock.patch.object(algorithms, "bbht_search_unknown",
-                                  recording(bbht_search_unknown)):
-            out = multi_item_search(db, np.arange(db.size), targets, t, seed)
-        assert out.ledger.oracle_counts == [sum(q for _, q in returned)]
-        running, finds = 0, {}
-        for addr, queries in returned:
-            running += queries
-            if addr is not None:
-                finds[db.lookup(addr)] = running
+                                  recording("search", bbht_search_unknown)), \
+                mock.patch.object(algorithms, "_empty_programs",
+                                  recording("empty", algorithms._empty_programs)):
+            out = multi_item_search(db, cell_sizes(db.size, d), addresses, cells,
+                                    targets, t, seed)
+        # a predicate for each cell holding a target, in cell order, then
+        # the searches on it; then one draw for all the other cells
+        held = np.unique(cells).tolist()
+        empty = [c for c in range(d) if c not in held]
+        names = [name for name, _ in events]
+        assert names.count("cell") == len(held)
+        assert names.count("empty") == (len(empty) > 0)
+        charged, finds, running, order = {}, {}, None, iter(held)
+        for name, result in events:
+            if name == "cell":
+                c, running = next(order), 0
+            elif name == "search":
+                addr, queries = result
+                running += queries
+                charged[c] = running
+                if addr is not None:
+                    finds[db.lookup(addr)] = running
+            else:
+                # an empty cell is charged exactly its drawn program
+                charged.update(zip(empty, result.tolist()))
+        assert out.ledger.oracle_counts == [charged.get(c, 0) for c in range(d)]
         assert out.find_times == finds
 
     @settings(derandomize=True, deadline=None)
@@ -572,21 +794,26 @@ class TestLedgerRule:
             out = parallel_search(db, d, targets, seed, t)
         ledger = out.ledger
         reps = ledger.rounds_per_repetition
-        assert len(reps) == out.repetitions
+        assert len(reps) == out.repetitions == len(runs)
         assert out.parallel_rounds == sum(reps)
         assert ledger.verification_rounds == out.repetitions * math.ceil(k / d)
 
         closed = 0
-        for i, rounds in enumerate(reps):
-            copies = runs[i * d:(i + 1) * d]
+        for i, (rounds, run) in enumerate(zip(reps, runs)):
+            programs = run.ledger.oracle_counts
+            assert len(programs) == d
             charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
             assert rounds == max(charges)
-            assert all(c <= own.ledger.oracle_counts[0]
-                       for c, own in zip(charges, copies))
+            # each copy is charged its program up to the lockstep stop
+            if set(run.located) == set(run.targets.items):
+                stop = max(run.find_times.values())
+            else:
+                stop = max(programs)
+            assert charges == [min(p, stop) for p in programs]
             # items found in this repetition: find times after every
             # earlier repetition's, within this one's rounds
-            found = {y for own in copies for y in own.located}
-            assert all(closed < out.find_times[y] <= closed + rounds for y in found)
+            assert all(closed < out.find_times[y] <= closed + rounds
+                       for y in run.located)
             closed += rounds
         if out.success:
             assert max(out.find_times.values()) == out.parallel_rounds

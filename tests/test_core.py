@@ -12,6 +12,7 @@ from parsearch.core import (
     StateVector,
     grover_iterate,
     init_uniform,
+    marked_addresses,
     measure,
     sample_after,
     success_probability,
@@ -27,7 +28,7 @@ def make_db(n, marked_addresses, m=2):
 
 def predicate(db, subdomain=None):
     sub = np.arange(db.size) if subdomain is None else np.asarray(subdomain)
-    return MarkedPredicate(db=db, targets=frozenset([1]), subdomain=sub)
+    return MarkedPredicate.scan(db=db, targets=frozenset([1]), subdomain=sub)
 
 
 class TestDatabase:
@@ -57,7 +58,26 @@ def shared_item_predicates(draw):
     sub = draw(st.permutations(range(db.size)))
     sub = np.array(sub[:draw(st.integers(1, db.size))], dtype=np.int64)
     targets = draw(st.sets(st.integers(0, 3), min_size=1)) | {5, 6}
-    return MarkedPredicate(db, frozenset(targets), sub), sub
+    return MarkedPredicate.scan(db, frozenset(targets), sub), sub
+
+
+class TestMarkedPredicateConstruction:
+    def test_scan_keeps_size_and_ascending_marked(self):
+        db = make_db(3, [1, 4, 6])
+        pred = MarkedPredicate.scan(db, [1], np.array([6, 0, 4, 3]))
+        assert pred.size == 4 and pred.marked.tolist() == [4, 6]
+        assert marked_addresses(db, [1]).tolist() == [1, 4, 6]
+        assert marked_addresses(db, [2]).tolist() == []
+
+    @pytest.mark.parametrize("size,marked", [
+        (1, [1, 4]),     # more marked addresses than the subdomain holds
+        (3, [4, 1]),     # not ascending
+        (3, [1, 1]),     # repeated
+        (3, [0]),        # holds no target item
+    ])
+    def test_rejects_impossible_marked_addresses(self, size, marked):
+        with pytest.raises(ValueError):
+            MarkedPredicate(make_db(3, [1, 4, 6]), [1], size, marked)
 
 
 class TestMarkedPredicateWithout:
@@ -70,8 +90,8 @@ class TestMarkedPredicateWithout:
             addr = data.draw(st.sampled_from(pred.marked.tolist()))
             shrunk = pred.without(addr)
             sub = sub[sub != addr]
-            fresh = MarkedPredicate(pred.db, pred.targets - {pred.db.lookup(addr)},
-                                    sub)
+            fresh = MarkedPredicate.scan(
+                pred.db, pred.targets - {pred.db.lookup(addr)}, sub)
             assert shrunk.targets == fresh.targets
             assert shrunk.size == fresh.size == sub.size
             np.testing.assert_array_equal(shrunk.marked, fresh.marked)
@@ -81,7 +101,7 @@ class TestMarkedPredicateWithout:
 
     def test_every_address_of_the_found_item_is_unmarked(self):
         db = make_db(3, [1, 4, 6])
-        pred = MarkedPredicate(db, frozenset([1]), np.array([6, 0, 4, 1]))
+        pred = MarkedPredicate.scan(db, frozenset([1]), np.array([6, 0, 4, 1]))
         shrunk = pred.without(4)
         assert shrunk.size == 3
         assert not shrunk.mask.any() and shrunk.marked.size == 0

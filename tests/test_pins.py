@@ -15,21 +15,21 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "7ad1b4165ead2316c9deffc8587051dc11ef7b9cd7ce2341c95043399c3a0cd9"),
+     "f16c61c19a9541157d355261a9e281129fb451c1f3edf9ec526914408a4bb5d0"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "2bc44fcbf097d6b8376b3671e62aeec9198744f232762e6a72028843e11c9748"),
+     "666a5620a09ce14499a30a795363239e86f58eb36101ca5e04ce2be536311f45"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "a6d64fa2556b766e56a95749cd2213ef3b39c7e32958f3a6dde4072f4d57b55c"),
+     "30da3cdca091b3c861b91403d028a0679763957252042c66724ecea8af49e22b"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "58eb0b5e0090811ee4c412b7c92c4975dc7c798486982f58cc296f50d2b8604a"),
+     "46d536d27c70367872994663f625f7dafbc0f4747477858e87d2b3d413d79274"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "6e48f48b5ef3aa09ead9cff75feb7cf31ab9b31ffffd8d4bb1f4c750afaf063b"),
+     "53ff6208b6b3733a79990d4abe6e4bf4a8699ec536db6c0d2baa3e049b5eaac2"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "279cbeb6980686ddb5dab36bd2bb7fc91e7288b4e928e606dafb5de861f5a877"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "13573c0c695c147e2b73d633c362072a4ec057fd63d327ba1f7ec1bedb90429e"),
+     "44ff4ca8ee0bef6e31d3791f93751254517bf95cc4b7e9f1736a61d039b1e97e"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4", "--trials", "2000", "--seed", "18"],
      "cca7e393a329d1da1268a9917dc104f385071cd2c1f8febebc3a1e3979a09d80"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
