@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Database,
     MarkedPredicate,
     STREAM_COPY,
     STREAM_EMPTY,
@@ -22,7 +21,6 @@ from .core import (
     derive_stream,
     grover_iterate,
     init_uniform,
-    marked_addresses,
     measure,
     sample_after,
 )
@@ -171,26 +169,30 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
             return addr, queries
 
 
-def _empty_programs(sizes, t: int, rng) -> np.ndarray:
-    """Program lengths of copies whose cells, of the given *sizes*, hold no
-    marked address.
+def _empty_programs(sizes, steps, rng) -> np.ndarray:
+    """Program lengths of copies with no marked address left in cells of
+    the given *sizes*, and *steps* steps of :func:`multi_item_search` left.
 
-    Every attempt there misses, so a copy's :func:`multi_item_search`
-    program is fixed: with t >= 1, one known-count attempt of r + 1
-    queries, r = optimal_iterations(M, min(t, M)), then the stages of
+    Every attempt there misses, so the rest of a copy's program is fixed:
+    with s >= 1 steps left, one known-count attempt of r + 1 queries,
+    r = optimal_iterations(M, min(s, M)), then the stages of
     :func:`bbht_search_unknown` until its budget runs out, each costing
-    one more query than its uniform draw from [0, cap].  One stage loop
-    draws the stages of all the cells at once from *rng*.
+    one more query than its uniform draw from [0, cap]; with none left,
+    nothing.  *steps* is one count for all cells or one per cell.  One
+    stage loop draws the stages of all the cells at once from *rng*.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    if t == 0:
-        return np.zeros(sizes.size, dtype=np.int64)
+    steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), sizes.shape)
     kinds = sorted(set(sizes.tolist()))
     which = np.searchsorted(kinds, sizes)
-    known = np.array([optimal_iterations(M, min(t, M)) + 1 for M in kinds],
-                     dtype=np.int64)
     schedules = [bbht_schedule(M) for M in kinds]
-    room = np.array([budget - 1 for budget, _ in schedules], dtype=np.int64)[which]
+    first = {(M, s): optimal_iterations(M, min(s, M)) + 1 if s else 0
+             for M, s in set(zip(sizes.tolist(), steps.tolist()))}
+    known = np.array([first[cell] for cell in zip(sizes.tolist(), steps.tolist())],
+                     dtype=np.int64)
+    # a copy with no step left fits no stage
+    room = np.where(steps > 0, np.array([budget - 1 for budget, _ in schedules],
+                                        dtype=np.int64)[which], -1)
     spent = np.zeros(sizes.size, dtype=np.int64)
     for caps in zip(*(caps for _, caps in schedules)):
         cap = np.array(caps, dtype=np.int64)[which]
@@ -199,11 +201,11 @@ def _empty_programs(sizes, t: int, rng) -> np.ndarray:
         if not running.any():
             break
         spent += np.where(running, rng.integers(0, cap + 1) + 1, 0)
-    return known[which] + spent
+    return known + spent
 
 
 def multi_item_search(
-    db: Database,
+    db,
     sizes,
     addresses,
     cells,
@@ -253,6 +255,12 @@ def multi_item_search(
     held: dict = {}     # cell -> its ascending marked addresses, cells ascending
     for c, addr in sorted(zip(cells.tolist(), addresses.tolist())):
         held.setdefault(c, []).append(addr)
+    # the copies whose programs are drawn, and each one's cell size and
+    # steps left: every cell with no marked address, from its first step
+    drawn = np.ones(sizes.size, dtype=bool)
+    drawn[list(held)] = False
+    left_sizes = sizes.copy()
+    steps = np.full(sizes.size, t, dtype=np.int64)
     for c, marked in held.items():
         pred = MarkedPredicate(db, targets.items, int(sizes[c]), marked)
         rng = as_generator(derive_stream(seed, STREAM_COPY, c))
@@ -273,12 +281,11 @@ def multi_item_search(
             pred = pred.without(addr)
         left += pred.marked.size
 
-    empty = np.ones(sizes.size, dtype=bool)
-    empty[list(held)] = False
-    if empty.any():
-        lengths = _empty_programs(sizes[empty], t,
+    if drawn.any():
+        which = np.flatnonzero(drawn)
+        lengths = _empty_programs(left_sizes[which], steps[which],
                                   as_generator(derive_stream(seed, STREAM_EMPTY)))
-        for c, length in zip(np.flatnonzero(empty).tolist(), lengths.tolist()):
+        for c, length in zip(which.tolist(), lengths.tolist()):
             ledger.record_oracle(c, length)
 
     return SearchOutcome(
@@ -379,7 +386,7 @@ def maxload_bound(k: int, t: int, d: int) -> float:
     return math.comb(k, t) / d ** t
 
 
-def verify_locations(db: Database, outcome: SearchOutcome) -> bool:
+def verify_locations(db, outcome: SearchOutcome) -> bool:
     """Classically check a claimed item -> address map against the database.
 
     True iff all k target items are claimed and every claimed pair satisfies
@@ -395,7 +402,7 @@ def verify_locations(db: Database, outcome: SearchOutcome) -> bool:
 
 
 def parallel_search(
-    db: Database,
+    db,
     d: int,
     targets: TargetSet,
     seed,
@@ -403,8 +410,10 @@ def parallel_search(
 ) -> SearchOutcome:
     """Locate all target items using d database copies searched in lockstep.
 
-    One scan of the database finds the addresses holding target items.
-    Each repetition then draws a fresh random equipartition of the address
+    ``db.locate`` finds the addresses holding target items; *db* is read
+    only through ``size``, ``lookup``, ``items_at`` and ``locate``, so a
+    :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
+    targets cost.  Each repetition then draws a fresh random equipartition of the address
     space, of which it places only the addresses of still-missing items
     (:func:`random_partition`), dedicates one copy to each cell, and runs
     the iterated multi-item search with the per-cell cap *t* (by default
@@ -439,8 +448,8 @@ def parallel_search(
     )
     ledger = outcome.ledger
     sizes = cell_sizes(N, d)
-    where = marked_addresses(db, targets.items)
-    items = db.entries[where]
+    where = db.locate(targets.items)
+    items = db.items_at(where)
 
     for rep in range(MAX_REPETITIONS):
         outcome.repetitions += 1

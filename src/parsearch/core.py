@@ -19,6 +19,7 @@ application is one query, which its caller counts by the rule of
 """
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -69,6 +70,11 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
     )
 
 
+#: largest n whose N-entry table :meth:`PlantedDatabase.explicit` builds;
+#: building it peaks at about BYTES bytes per address
+MAX_EXPLICIT_BITS = 24
+
+
 @dataclass(frozen=True)
 class Database:
     """A lookup table of m-bit items stored at N = 2**n addresses."""
@@ -96,17 +102,115 @@ class Database:
     def lookup(self, address: int) -> int:
         return int(self.entries[address])
 
+    def items_at(self, addresses) -> np.ndarray:
+        """The items stored at *addresses*, in their order."""
+        return self.entries[np.asarray(addresses, dtype=np.int64)]
 
-def marked_addresses(db: Database, targets, subdomain=None) -> np.ndarray:
+    def locate(self, targets) -> np.ndarray:
+        """The addresses holding an item of *targets*, in ascending order:
+        one scan of the table."""
+        wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
+        return np.flatnonzero(np.isin(self.entries, wanted))
+
+
+class PlantedDatabase:
+    """The database of (n + 1)-bit items with targets 1..k planted at k
+    distinct addresses, stored as those k addresses alone.
+
+    Target item i sits at ``addresses[i - 1]``; every other address a holds
+    the filler k + 1 + a - (targets below a), so the fillers are the
+    distinct items k + 1, ..., N in ascending address order.  Lookups cost
+    O(log k) and locating targets O(k) each, whatever N is, so n may be as
+    large as int64 addresses allow.  :meth:`explicit` builds the same
+    database as an N-entry :class:`Database`.
+    """
+
+    __slots__ = ("n", "m", "_drawn", "_ascending", "_ascending_array",
+                 "_ascending_items")
+
+    def __init__(self, n: int, addresses):
+        if n < 0:
+            raise ValueError("need n >= 0")
+        self._drawn = [int(a) for a in addresses]
+        if len(set(self._drawn)) != len(self._drawn):
+            raise ValueError("target addresses must be distinct")
+        if any(not 0 <= a < 1 << n for a in self._drawn):
+            raise ValueError(f"target addresses must lie in [0, {1 << n})")
+        self.n = n
+        self.m = n + 1
+        order = np.argsort(self._drawn)
+        self._ascending_array = np.array(self._drawn, dtype=np.int64)[order]
+        self._ascending = self._ascending_array.tolist()
+        self._ascending_items = order + 1
+
+    @property
+    def size(self) -> int:
+        return 1 << self.n
+
+    @property
+    def k(self) -> int:
+        return len(self._drawn)
+
+    def lookup(self, address: int) -> int:
+        address = int(address)
+        if not 0 <= address < self.size:
+            raise IndexError(f"address {address} outside [0, {self.size})")
+        below = bisect.bisect_left(self._ascending, address)
+        if below < self.k and self._ascending[below] == address:
+            return int(self._ascending_items[below])
+        return self.k + 1 + address - below
+
+    def items_at(self, addresses) -> np.ndarray:
+        """The items stored at *addresses*, in their order."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size and not 0 <= addresses.min() <= addresses.max() < self.size:
+            raise IndexError(f"addresses must lie in [0, {self.size})")
+        ascending = self._ascending_array
+        below = np.searchsorted(ascending, addresses)
+        items = addresses - below
+        items += self.k + 1
+        if self.k:
+            hits = np.flatnonzero(ascending[np.minimum(below, self.k - 1)] == addresses)
+            items[hits] = self._ascending_items[below[hits]]
+        return items
+
+    def locate(self, targets) -> np.ndarray:
+        """The addresses holding an item of *targets*, in ascending order."""
+        k, found = self.k, []
+        for y in {int(y) for y in targets}:
+            if 1 <= y <= k:
+                found.append(self._drawn[y - 1])
+            elif k < y <= self.size:
+                # the filler y sits at the (y - k - 1)-th non-target address
+                a = y - k - 1
+                for b in self._ascending:
+                    if b > a:
+                        break
+                    a += 1
+                found.append(a)
+        return np.array(sorted(found), dtype=np.int64)
+
+    def explicit(self) -> Database:
+        """The same database as an N-entry table; refuses n above
+        ``MAX_EXPLICIT_BITS``."""
+        if self.n > MAX_EXPLICIT_BITS:
+            raise ValueError(
+                f"n={self.n} exceeds the explicit table limit n <= {MAX_EXPLICIT_BITS}")
+        return Database(n=self.n, m=self.m,
+                        entries=self.items_at(np.arange(self.size, dtype=np.int64)))
+
+
+def marked_addresses(db, targets, subdomain=None) -> np.ndarray:
     """The addresses of *subdomain* (all of *db* by default) whose items
-    are in *targets*, in ascending order: one scan of the subdomain."""
-    wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
+    are in *targets*, in ascending order: ``db.locate(targets)``, or one
+    scan of the subdomain's items."""
     if subdomain is None:
-        return np.flatnonzero(np.isin(db.entries, wanted))
+        return db.locate(targets)
+    wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
     sub = np.asarray(subdomain, dtype=np.int64)
     if sub.ndim != 1:
         raise ValueError("subdomain must be a 1-d address array")
-    return np.sort(sub[np.isin(db.entries[sub], wanted)])
+    return np.sort(sub[np.isin(db.items_at(sub), wanted)])
 
 
 class MarkedPredicate:
@@ -115,14 +219,16 @@ class MarkedPredicate:
     A search over the subdomain reads only its size M and which of its
     addresses are marked, so that is all the predicate keeps: ``size`` and
     ``marked``, the marked addresses in ascending order, both given at
-    construction; :meth:`scan` finds them from a subdomain's addresses.
-    :meth:`without` derives the predicate left after a find from
-    ``marked``, so a search never rescans.
+    construction, and ``items``, the items stored there, read once from the
+    database (through ``items_at``); :meth:`scan` finds the marked
+    addresses from a subdomain's addresses.  :meth:`without` derives the
+    predicate left after a find from ``marked`` and ``items``, so a search
+    never goes back to the database.
     """
 
-    __slots__ = ("db", "targets", "size", "marked")
+    __slots__ = ("targets", "size", "marked", "items")
 
-    def __init__(self, db: Database, targets, size: int, marked):
+    def __init__(self, db, targets, size: int, marked):
         marked = np.asarray(marked, dtype=np.int64)
         self.targets = frozenset(int(y) for y in targets)
         if marked.ndim != 1 or marked.size > size:
@@ -130,14 +236,15 @@ class MarkedPredicate:
         held = marked.tolist()
         if any(a >= b for a, b in zip(held, held[1:])):
             raise ValueError("marked addresses must be distinct and ascending")
-        if not self.targets.issuperset(db.entries[marked].tolist()):
+        items = db.items_at(marked)
+        if not self.targets.issuperset(items.tolist()):
             raise ValueError("a marked address holds no target item")
-        self.db = db
         self.size = int(size)
         self.marked = marked
+        self.items = items
 
     @classmethod
-    def scan(cls, db: Database, targets, subdomain) -> "MarkedPredicate":
+    def scan(cls, db, targets, subdomain) -> "MarkedPredicate":
         """The predicate over the addresses in *subdomain*, from one scan."""
         sub = np.asarray(subdomain, dtype=np.int64)
         return cls(db, targets, sub.size, marked_addresses(db, targets, sub))
@@ -157,13 +264,16 @@ class MarkedPredicate:
         any other address holding that item is unmarked too.  Raises
         ValueError when *address* is not marked.
         """
-        if not np.any(self.marked == address):
+        at = np.flatnonzero(self.marked == address)
+        if not at.size:
             raise ValueError(f"address {address} is not marked")
-        item = self.db.lookup(address)
+        item = int(self.items[at[0]])
+        keep = self.items != item
         shrunk = copy.copy(self)
         shrunk.targets = self.targets - {item}
         shrunk.size = self.size - 1
-        shrunk.marked = self.marked[self.db.entries[self.marked] != item]
+        shrunk.marked = self.marked[keep]
+        shrunk.items = self.items[keep]
         return shrunk
 
 

@@ -26,7 +26,7 @@ from .algorithms import (
 from .core import (
     STREAM_DATABASE,
     STREAM_TRIAL,
-    Database,
+    PlantedDatabase,
     as_generator,
     derive_stream,
 )
@@ -43,10 +43,13 @@ MAX_MAXLOAD_BITS = 29
 #: 0.56 GB and took 7 s on a 2-core host.
 MAX_MAXLOAD_LOADS = 1 << 26
 
-#: largest n the explicit database is built for.  One search trial at
-#: (N, d, k) = (2^20, 1024, 32) peaks about 140 MB above the interpreter's
-#: 28 MB, about 105 bytes per address, so 2^24 addresses need about 1.8 GB.
-MAX_EXPLICIT_BITS = 24
+#: largest n a search runs at: its addresses are int64, and numpy's
+#: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
+MAX_SEARCH_BITS = 62
+
+#: largest d and largest k a search takes.  A run holds O(d + k) numbers,
+#: d per-copy counts and k target addresses, and never O(N).
+MAX_COUNT = 1 << 24
 
 
 def address_count(n: int, limit: int, what: str) -> int:
@@ -85,37 +88,34 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         _check_seed(self.seed)
-        N = address_count(self.n, MAX_EXPLICIT_BITS, "explicit database")
+        N = address_count(self.n, MAX_SEARCH_BITS, "search")
         if not 1 <= self.d <= N:
             raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
         if not 1 <= self.k <= N:
             raise ValueError(f"need 1 <= k <= N={N}, got k={self.k}")
+        for name in ("d", "k"):
+            if getattr(self, name) > MAX_COUNT:
+                raise adversary.InfeasibleInstanceError(
+                    f"{name}={getattr(self, name)} exceeds the search limit "
+                    f"{name} <= {MAX_COUNT}")
         if self.t_override is not None and self.t_override < 0:
             raise ValueError(f"need t >= 0, got t={self.t_override}")
 
 
 def build_database(n: int, k: int, seed) -> tuple:
     """Database of (n + 1)-bit items with targets 1..k at random distinct
-    addresses.
+    addresses, and its target set.
 
     Non-target addresses hold distinct fillers k + 1, ..., N, which fit in
-    n + 1 bits.  Refuses n above ``MAX_EXPLICIT_BITS`` before allocating
-    anything.
+    n + 1 bits.  The database is a :class:`~parsearch.core.PlantedDatabase`,
+    which stores only the k target addresses.  Refuses n above
+    ``MAX_SEARCH_BITS`` before computing 2**n.
     """
-    N = address_count(n, MAX_EXPLICIT_BITS, "explicit database")
+    N = address_count(n, MAX_SEARCH_BITS, "search")
     if k > N:
         raise ValueError("more targets than addresses")
-    rng = as_generator(seed)
-    addresses = rng.choice(N, size=k, replace=False)
-    targets = TargetSet(range(1, k + 1))
-    # the i-th non-target address in ascending order holds k + 1 + i, i
-    # being its address less the targets below it
-    is_target = np.zeros(N, dtype=bool)
-    is_target[addresses] = True
-    entries = np.arange(k + 1, N + k + 1, dtype=np.int64)
-    entries -= np.cumsum(is_target)
-    entries[addresses] = targets.items
-    return Database(n=n, m=n + 1, entries=entries), targets
+    addresses = as_generator(seed).choice(N, size=k, replace=False)
+    return PlantedDatabase(n, addresses), TargetSet(range(1, k + 1))
 
 
 def run_search_experiment(cfg: ExperimentConfig) -> dict:
@@ -218,7 +218,7 @@ def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     for n in ns:
         for d in ds:
             for k in ks:
-                N = address_count(n, MAX_EXPLICIT_BITS, "explicit database")
+                N = address_count(n, MAX_SEARCH_BITS, "search")
                 if d > N or k > N:
                     continue
                 rec = run_search_experiment(

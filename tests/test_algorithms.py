@@ -28,11 +28,13 @@ from parsearch.algorithms import (
     verify_locations,
 )
 from parsearch.core import (
+    MAX_EXPLICIT_BITS,
     STREAM_COPY,
     STREAM_EMPTY,
     STREAM_PARTITION,
     Database,
     MarkedPredicate,
+    PlantedDatabase,
     QueryLedger,
     derive_stream,
     marked_addresses,
@@ -83,7 +85,49 @@ class TestBuildDatabase:
         rest = np.setdiff1d(np.arange(N), addresses)
         entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)
         entries[addresses] = targets.items
-        np.testing.assert_array_equal(db.entries, entries)
+        np.testing.assert_array_equal(db.explicit().entries, entries)
+
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1))
+    def test_reads_match_the_explicit_table(self, n, data, seed):
+        # lookup, items_at and locate of the k stored addresses against the
+        # same reads of the N-entry table
+        N = 1 << n
+        k = data.draw(st.integers(1, min(N, 12)))
+        db, targets = build_database(n, k, seed)
+        table = db.explicit()
+        assert db.size == table.size and db.m == table.m == n + 1
+        assert [db.lookup(a) for a in range(N)] == table.entries.tolist()
+        some = data.draw(st.lists(st.integers(0, N - 1), max_size=20))
+        np.testing.assert_array_equal(db.items_at(some), table.items_at(some))
+        wanted = data.draw(st.sets(st.integers(-2, N + k + 2), max_size=8))
+        for items in (targets.items, wanted):
+            np.testing.assert_array_equal(db.locate(items), table.locate(items))
+
+    def test_explicit_table_is_refused_above_its_limit(self):
+        with pytest.raises(ValueError, match="explicit"):
+            PlantedDatabase(MAX_EXPLICIT_BITS + 1, [0]).explicit()
+
+    @pytest.mark.parametrize("n,d,k,t", [
+        (8, 4, 4, None),
+        (8, 3, 5, None),    # cells of 86, 85 and 85 addresses
+        (8, 2, 6, 1),       # a cap override: several repetitions
+    ])
+    def test_parallel_search_is_the_same_on_the_explicit_table(self, n, d, k, t):
+        for s in range(40):
+            db, targets = build_database(n, k, seed=[65, n, d, s])
+            stored, table = (parallel_search(base, d, targets, [66, s], t)
+                             for base in (db, db.explicit()))
+            assert stored.located == table.located
+            assert stored.find_times == table.find_times
+            assert stored.success == table.success
+            assert stored.repetitions == table.repetitions
+            assert stored.ledger.oracle_counts == table.ledger.oracle_counts
+            assert (stored.ledger.rounds_per_repetition
+                    == table.ledger.rounds_per_repetition)
+            assert (stored.ledger.verification_rounds
+                    == table.ledger.verification_rounds)
 
 
 class TestGroverSearchKnown:
@@ -201,7 +245,7 @@ class TestMultiItemSearch:
         # search only half the address space: success must track what is
         # actually present there, not all of k
         sub = np.arange(32)
-        present = {int(v) for v in db.entries[:32]} & set(targets.items)
+        present = set(db.items_at(sub).tolist()) & set(targets.items)
         out = search_one_cell(db, sub, targets, 4, seed=14)
         if out.success:
             assert set(out.located) == present
@@ -219,7 +263,7 @@ class TestMultiItemSearch:
                                                         db.size + 1 + ghosts)))
         sub = np.arange(max(1, db.size // 2))
         out = search_one_cell(db, sub, targets, targets.k, seed)
-        present = {int(v) for v in db.entries[sub]} & set(targets.items)
+        present = set(db.items_at(sub).tolist()) & set(targets.items)
         assert out.success == (set(out.located) == present)
         if ghosts > 0:
             assert not parallel_search(db, 1, targets, seed, 1).success
@@ -423,16 +467,14 @@ class TestVerifyLocations:
 
     def test_correct_map_passes_and_counts_rounds(self):
         db, targets = build_database(4, 3, seed=1)
-        located = {int(v): int(a) for a, v in enumerate(db.entries)
-                   if v in targets.items}
+        located = {db.lookup(a): a for a in db.locate(targets.items).tolist()}
         out = self._outcome(db, targets, located, d=2)
         assert verify_locations(db, out) is True
         assert out.ledger.verification_rounds == math.ceil(3 / 2)
 
     def test_one_wrong_address_fails(self):
         db, targets = build_database(4, 2, seed=2)
-        located = {int(v): int(a) for a, v in enumerate(db.entries)
-                   if v in targets.items}
+        located = {db.lookup(a): a for a in db.locate(targets.items).tolist()}
         first = next(iter(located))
         located[first] = (located[first] + 1) % db.size
         out = self._outcome(db, targets, located)

@@ -78,11 +78,35 @@ def test_search_negative_cap_is_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["search", "bounds"])
 def test_explicit_size_limit_is_infeasible(command, capsys):
-    # refused before any N-sized array is allocated
-    code = main([command, "--n", "60", "--d", "2", "--k", "2", "--trials", "1"])
+    # past int64 addresses: refused before 2**n is computed
+    code = main([command, "--n", "63", "--d", "2", "--k", "2", "--trials", "1"])
     err = capsys.readouterr().err
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("command", ["search", "bounds"])
+@pytest.mark.parametrize("flag", ["--d", "--k"])
+def test_oversized_copy_or_target_count_is_infeasible(command, flag, capsys,
+                                                      monkeypatch):
+    # refused before the first database is built
+    def no_search(*args, **kwargs):
+        raise AssertionError("an oversized search reached its first trial")
+
+    monkeypatch.setattr(experiments, "build_database", no_search)
+    sizes = {"--d": "2", "--k": "2", flag: str(experiments.MAX_COUNT + 1)}
+    code = main([command, "--n", "40", "--d", sizes["--d"], "--k", sizes["--k"],
+                 "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "infeasible" in err and f"{flag[2:]}={experiments.MAX_COUNT + 1}" in err
+
+
+def test_search_at_n_40_runs(capsys):
+    code = main(["search", "--n", "40", "--d", "64", "--k", "64", "--trials", "1"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["trials"][0]["success"] is True
 
 
 @pytest.mark.parametrize("flags", [

@@ -49,16 +49,16 @@ class TestDatabase:
 
 @st.composite
 def shared_item_predicates(draw):
-    """A predicate over an unsorted part of a database whose items 0..3
-    repeat at several addresses, with ghost targets 5 and 6 stored nowhere,
-    and that part of the database."""
+    """A database whose items 0..3 repeat at several addresses, a
+    predicate over an unsorted part of it, with ghost targets 5 and 6
+    stored nowhere, and that part of the database."""
     n = draw(st.integers(1, 6))
     entries = draw(st.lists(st.integers(0, 3), min_size=1 << n, max_size=1 << n))
     db = Database(n=n, m=3, entries=np.array(entries, dtype=np.int64))
     sub = draw(st.permutations(range(db.size)))
     sub = np.array(sub[:draw(st.integers(1, db.size))], dtype=np.int64)
     targets = draw(st.sets(st.integers(0, 3), min_size=1)) | {5, 6}
-    return MarkedPredicate.scan(db, frozenset(targets), sub), sub
+    return db, MarkedPredicate.scan(db, frozenset(targets), sub), sub
 
 
 class TestMarkedPredicateConstruction:
@@ -84,17 +84,18 @@ class TestMarkedPredicateWithout:
     @settings(derandomize=True, deadline=None)
     @given(shared_item_predicates(), st.data())
     def test_matches_a_fresh_predicate(self, case, data):
-        pred, sub = case
+        db, pred, sub = case
         # locate marked addresses one after another until none is left
         while pred.marked.size:
             addr = data.draw(st.sampled_from(pred.marked.tolist()))
             shrunk = pred.without(addr)
             sub = sub[sub != addr]
             fresh = MarkedPredicate.scan(
-                pred.db, pred.targets - {pred.db.lookup(addr)}, sub)
+                db, pred.targets - {db.lookup(addr)}, sub)
             assert shrunk.targets == fresh.targets
             assert shrunk.size == fresh.size == sub.size
             np.testing.assert_array_equal(shrunk.marked, fresh.marked)
+            np.testing.assert_array_equal(shrunk.items, fresh.items)
             np.testing.assert_array_equal(shrunk.mask, fresh.mask)
             pred = shrunk
         assert pred.targets >= {5, 6}
