@@ -4,6 +4,7 @@ search across parallel database copies."""
 from .core import (
     Database,
     MarkedPredicate,
+    PlantedDatabase,
     QueryLedger,
     StateVector,
     grover_iterate,

@@ -229,10 +229,13 @@ def multi_item_search(
     A cell with marked addresses is searched step by step on its own
     stream ``derive_stream(seed, STREAM_COPY, c)``, over one predicate of
     its size and ascending marked addresses that each find shrinks with
-    :meth:`~parsearch.core.MarkedPredicate.without`.  In a cell with none
-    every attempt misses, so its program is fixed in law; the lengths of
-    all such programs are drawn at once from the one stream
-    ``derive_stream(seed, STREAM_EMPTY)``.
+    :meth:`~parsearch.core.MarkedPredicate.without`.  Where no marked
+    address is left, every attempt misses, so the rest of the program is
+    fixed in law: in a cell with none from the start, and in one whose last
+    find emptied it while items are still missing and steps are left.  The
+    lengths of all such programs and remainders are drawn at once, in
+    ascending cell order, from the one stream
+    ``derive_stream(seed, STREAM_EMPTY)`` (see :func:`_empty_programs`).
 
     The outcome's d-copy ledger holds each copy's whole program, charged
     here by the rule of :class:`~parsearch.core.QueryLedger`.
@@ -266,6 +269,11 @@ def multi_item_search(
         rng = as_generator(derive_stream(seed, STREAM_COPY, c))
         for i in range(1, t + 1):
             if not pred.targets or pred.size == 0:
+                break
+            if not pred.marked.size:
+                # the last find emptied the cell: the rest is drawn
+                drawn[c] = True
+                left_sizes[c], steps[c] = pred.size, t - i + 1
                 break
             assumed = min(t - i + 1, pred.size)
             addr, queries = grover_search_known(pred, assumed, rng)
@@ -413,9 +421,10 @@ def parallel_search(
     ``db.locate`` finds the addresses holding target items; *db* is read
     only through ``size``, ``lookup``, ``items_at`` and ``locate``, so a
     :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
-    targets cost.  Each repetition then draws a fresh random equipartition of the address
-    space, of which it places only the addresses of still-missing items
-    (:func:`random_partition`), dedicates one copy to each cell, and runs
+    targets cost.  Each repetition then draws a fresh random equipartition
+    of the address space, of which it places only the addresses of
+    still-missing items (:func:`random_partition`), dedicates one copy to
+    each cell, and runs
     the iterated multi-item search with the per-cell cap *t* (by default
     the regime cap of :func:`choose_regime`) on all d copies in one
     :func:`multi_item_search` call.  Copies run in lockstep, one parallel

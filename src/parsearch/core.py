@@ -7,7 +7,9 @@ that to measure the state after r iterations in O(1) from the closed form
 of :func:`success_probability`; the searches run on it.  A search's state is
 therefore only its subdomain size M and its marked addresses, which is what
 :class:`MarkedPredicate` keeps; :func:`marked_addresses` finds those
-addresses by one scan.
+addresses.  A database answers ``lookup``, ``items_at`` and ``locate``:
+:class:`Database` from an N-entry table, :class:`PlantedDatabase` from its
+k target addresses alone, at any N that int64 addresses allow.
 
 The dense simulator (:class:`StateVector`, :func:`init_uniform`,
 :func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
@@ -42,8 +44,8 @@ def as_generator(seed) -> np.random.Generator:
 
 #: purpose words of derived streams: a search trial, its database
 #: placement, a repetition's partition, the copies' searches (a
-#: repetition's, and within it one copy's), and the programs of a
-#: repetition's copies whose cells hold no target
+#: repetition's, and within it one copy's), and the programs, or the rest
+#: of them, of a repetition's copies with no marked address left
 STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY, STREAM_EMPTY = range(5)
 
 
@@ -59,7 +61,7 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
     partition and copy streams, and a repetition's copy stream
     ``(STREAM_COPY, rep)`` the parent of each searched copy's
     ``(STREAM_COPY, c)`` and of the one ``STREAM_EMPTY`` stream of its
-    empty copies.
+    copies with no marked address left.
     """
     if isinstance(seed, np.random.SeedSequence):
         root, key = seed.entropy, seed.spawn_key
@@ -70,8 +72,9 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
     )
 
 
-#: largest n whose N-entry table :meth:`PlantedDatabase.explicit` builds;
-#: building it peaks at about BYTES bytes per address
+#: largest n whose N-entry table :meth:`PlantedDatabase.explicit` builds.
+#: The table holds 8 bytes per address, and building it peaks at about 40
+#: (tracemalloc), so 2**24 addresses peak at about 0.7 GB.
 MAX_EXPLICIT_BITS = 24
 
 
@@ -163,14 +166,13 @@ class PlantedDatabase:
     def items_at(self, addresses) -> np.ndarray:
         """The items stored at *addresses*, in their order."""
         addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size and not 0 <= addresses.min() <= addresses.max() < self.size:
+        if addresses.size and not (0 <= np.minimum.reduce(addresses)
+                                   and np.maximum.reduce(addresses) < self.size):
             raise IndexError(f"addresses must lie in [0, {self.size})")
-        ascending = self._ascending_array
-        below = np.searchsorted(ascending, addresses)
-        items = addresses - below
-        items += self.k + 1
+        below = self._ascending_array.searchsorted(addresses)
+        items = addresses + (self.k + 1) - below
         if self.k:
-            hits = np.flatnonzero(ascending[np.minimum(below, self.k - 1)] == addresses)
+            hits = self._ascending_array.take(below, mode="clip") == addresses
             items[hits] = self._ascending_items[below[hits]]
         return items
 
@@ -315,7 +317,9 @@ class QueryLedger:
     repetition's programs.  A copy whose cell holds no marked address
     misses at every attempt, so its program is fixed in law;
     ``multi_item_search`` draws that program's length whole and charges it
-    as one amount.  :func:`~parsearch.algorithms.parallel_search` keeps
+    as one amount.  So is the rest of a copy's program once its last find
+    leaves no marked address in its cell: the copy is charged the queries
+    of its searches so far plus that rest, drawn whole.  :func:`~parsearch.algorithms.parallel_search` keeps
     the d-copy ledger of the whole search: the copies run in lockstep, one
     parallel round per query, and halt at the round where the last needed
     item is confirmed, so each copy is charged its program up to that stop

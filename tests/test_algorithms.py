@@ -2,6 +2,7 @@
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -86,7 +87,6 @@ class TestBuildDatabase:
         entries[rest] = np.arange(k + 1, N + 1, dtype=np.int64)
         entries[addresses] = targets.items
         np.testing.assert_array_equal(db.explicit().entries, entries)
-
 
     @settings(derandomize=True, deadline=None)
     @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1))
@@ -337,6 +337,18 @@ class TestEmptyCellLaw:
             assert mine.min() == reference.min() and mine.max() == reference.max()
             assert within_four_pooled_errors(mine, reference)
 
+    def test_steps_per_cell_in_one_draw_keep_their_own_laws(self):
+        # the rest of a copy emptied by its last find at step i has
+        # t - i + 1 steps, fewer than t, drawn with the other cells
+        cells = [(31, 1), (31, 2), (6, 3), (500, 4), (1023, 1)]
+        sizes, steps = (np.tile(column, self.DRAWS) for column in zip(*cells))
+        drawn = algorithms._empty_programs(sizes, steps, np.random.default_rng(77))
+        for M, s in cells:
+            reference = self.attempt_by_attempt(M, s, [78, M, s])
+            mine = drawn[(sizes == M) & (steps == s)]
+            assert mine.min() == reference.min() and mine.max() == reference.max()
+            assert within_four_pooled_errors(mine, reference)
+
     def test_zero_cap_programs_are_empty(self):
         drawn = algorithms._empty_programs([1, 37, 1024], 0, np.random.default_rng(0))
         assert drawn.tolist() == [0, 0, 0]
@@ -552,6 +564,22 @@ class TestParallelSearch:
                 rounds.append(out.parallel_rounds)
             ratio = np.mean(rounds) / theorem_envelope(1 << n, d, k)
             assert 1 / 8 <= ratio <= 4
+
+
+class TestLargeN:
+    def test_a_trial_at_n_40_holds_no_table(self):
+        # one trial's traced peak stays flat in N: at N = 2^40 it is below
+        # 1 MB, where one N-entry table would take 8 TB
+        cfg = ExperimentConfig(n=40, d=64, k=64, trials=1, seed=3)
+        run_search_experiment(cfg)      # first-call allocations
+        tracemalloc.start()
+        try:
+            record = run_search_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record["trials"][0]["success"]
+        assert peak < 1 << 20
 
 
 def within_four_pooled_errors(a, b):
@@ -778,12 +806,13 @@ class TestLedgerRule:
         d = min(d, db.size)
         addresses = marked_addresses(db, targets.items)
         cells = random_partition(db.size, d, addresses, seed)
+        sizes = cell_sizes(db.size, d)
         events = []
 
         def recording(name, fn):
             def run(*args, **kwargs):
-                events.append((name, fn(*args, **kwargs)))
-                return events[-1][1]
+                events.append((name, args, fn(*args, **kwargs)))
+                return events[-1][2]
             return run
 
         with mock.patch.object(algorithms, "MarkedPredicate",
@@ -793,31 +822,78 @@ class TestLedgerRule:
                 mock.patch.object(algorithms, "bbht_search_unknown",
                                   recording("search", bbht_search_unknown)), \
                 mock.patch.object(algorithms, "_empty_programs",
-                                  recording("empty", algorithms._empty_programs)):
-            out = multi_item_search(db, cell_sizes(db.size, d), addresses, cells,
-                                    targets, t, seed)
+                                  recording("drawn", algorithms._empty_programs)):
+            out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
         # a predicate for each cell holding a target, in cell order, then
-        # the searches on it; then one draw for all the other cells
+        # the searches on it; then one draw for every copy with no marked
+        # address left: each empty cell from its first step, and each cell
+        # whose last find emptied it while items and steps are left
         held = np.unique(cells).tolist()
-        empty = [c for c in range(d) if c not in held]
-        names = [name for name, _ in events]
+        names = [name for name, _, _ in events]
         assert names.count("cell") == len(held)
-        assert names.count("empty") == (len(empty) > 0)
-        charged, finds, running, order = {}, {}, None, iter(held)
-        for name, result in events:
+        charged, finds, found, order = {}, {}, Counter(), iter(held)
+        rest = {c: (int(sizes[c]), t) for c in range(d) if c not in held}
+        draws = []
+        for name, args, result in events:
             if name == "cell":
-                c, running = next(order), 0
+                c = next(order)
+                charged[c] = 0
             elif name == "search":
                 addr, queries = result
-                running += queries
-                charged[c] = running
+                charged[c] += queries
                 if addr is not None:
-                    finds[db.lookup(addr)] = running
+                    finds[db.lookup(addr)] = charged[c]
+                    found[c] += 1
             else:
-                # an empty cell is charged exactly its drawn program
-                charged.update(zip(empty, result.tolist()))
+                draws.append((args, result))
+        for c in held:
+            f = found[c]
+            if f == np.count_nonzero(cells == c) and f < min(t, k, sizes[c]):
+                rest[c] = (int(sizes[c]) - f, t - f)
+        assert len(draws) == (len(rest) > 0)
+        if rest:
+            (drawn_sizes, drawn_steps, _), lengths = draws[0]
+            assert list(zip(drawn_sizes.tolist(), drawn_steps.tolist())) == \
+                [rest[c] for c in sorted(rest)]
+            # such a copy is charged its searches so far plus its drawn rest
+            for c, length in zip(sorted(rest), lengths.tolist()):
+                charged[c] = charged.get(c, 0) + length
         assert out.ledger.oracle_counts == [charged.get(c, 0) for c in range(d)]
         assert out.find_times == finds
+
+    def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
+        # two cells of 32 addresses hold one target each, with t = 3: after
+        # its find, a copy's two steps left are drawn whole, not walked
+        db, targets = build_database(6, 2, seed=75)
+        addresses = db.locate(targets.items)
+        both = 0
+        for s in range(20):
+            known, draws = [], []
+
+            def recording(calls, fn):
+                def run(*args, **kwargs):
+                    calls.append((args, fn(*args, **kwargs)))
+                    return calls[-1][1]
+                return run
+
+            with mock.patch.object(algorithms, "grover_search_known",
+                                   recording(known, grover_search_known)), \
+                    mock.patch.object(algorithms, "_empty_programs",
+                                      recording(draws, algorithms._empty_programs)):
+                out = multi_item_search(db, [32, 32], addresses, [0, 1], targets, 3,
+                                        [76, s])
+            if len(out.located) < 2:
+                continue
+            both += 1
+            assert len(known) == 2      # one known-count attempt per copy
+            assert len(draws) == 1
+            (sizes, steps, _), lengths = draws[0]
+            assert sizes.tolist() == [31, 31] and steps.tolist() == [2, 2]
+            items = [db.lookup(a) for a in addresses.tolist()]
+            assert out.ledger.oracle_counts == [
+                out.find_times[y] + length for y, length in zip(items, lengths.tolist())]
+            assert all(length >= optimal_iterations(31, 2) + 1 for length in lengths)
+        assert both >= 15
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(0, 3))

@@ -17,9 +17,9 @@ PINS = [
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
      "f16c61c19a9541157d355261a9e281129fb451c1f3edf9ec526914408a4bb5d0"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "666a5620a09ce14499a30a795363239e86f58eb36101ca5e04ce2be536311f45"),
+     "064de12d9df9ed8b8adc795469299de9c6eb4b4a6d7f706764c83b8617d3c5a9"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "30da3cdca091b3c861b91403d028a0679763957252042c66724ecea8af49e22b"),
+     "d643f95b72b6db9e69b67dc8ff120cb1592c669e734961ad78068a30162d51d9"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
      "46d536d27c70367872994663f625f7dafbc0f4747477858e87d2b3d413d79274"),
     # k > d with cap 1: every trial takes several repetitions
@@ -28,6 +28,11 @@ PINS = [
      "53ff6208b6b3733a79990d4abe6e4bf4a8699ec536db6c0d2baa3e049b5eaac2"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "279cbeb6980686ddb5dab36bd2bb7fc91e7288b4e928e606dafb5de861f5a877"),
+    # d = 1 with cap 2 < k: every trial takes three repetitions, so the
+    # pin sees the search's decisions, not only three near-certain hits
+    (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
+      "--seed", "19"],
+     "c814f97468fba8b2fa339f3b1689af031e4740b553b7ec1dc0f71fcb4d79e933"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
      "44ff4ca8ee0bef6e31d3791f93751254517bf95cc4b7e9f1736a61d039b1e97e"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4", "--trials", "2000", "--seed", "18"],
