@@ -1,15 +1,18 @@
-"""Monte-Carlo check of the per-cell load cap behind the parallel algorithm.
+"""The per-cell load cap behind the parallel algorithm: exact law vs union bound.
 
 Dropping k target addresses into a random equipartition of [N] into d
 cells, the probability that some cell receives more than t of them is at
-most d * C(k, t) * d**(-t).  The check samples the exact load distribution
-and compares the empirical exceedance with that union bound.
+most d * C(k, t) * d**(-t).  The check computes that probability exactly
+from the multivariate hypergeometric law of the cell loads, at any N up to
+2**62, and compares it with the union bound.
 """
 from parsearch import run_maxload_check
 
-print(f"{'k':>4} {'d':>4} {'t':>4} {'empirical':>10} {'bound':>10} {'3*se':>8}")
-for k, d, t in ((8, 4, 4), (8, 4, 3), (16, 8, 6), (32, 8, 8), (16, 16, 20)):
-    rec = run_maxload_check(k=k, d=d, t=t, trials=10 ** 5, seed=99)
-    print(f"{k:>4} {d:>4} {t:>4} {rec['empirical_exceedance']:>10.4f} "
-          f"{rec['union_bound']:>10.4f} {3 * rec['standard_error']:>8.4f}"
+print(f"{'n':>3} {'k':>4} {'d':>5} {'t':>4} {'exact':>11} {'bound':>11}")
+for n, k, d, t in ((12, 8, 4, 4), (12, 8, 4, 3), (12, 16, 8, 6), (12, 32, 8, 8),
+                   (12, 16, 16, 20), (20, 32, 1024, 2), (40, 256, 256, 5),
+                   (62, 64, 64, 4)):
+    rec = run_maxload_check(k=k, d=d, t=t, n=n)
+    print(f"{n:>3} {k:>4} {d:>5} {t:>4} {rec['exceedance']:>11.4e} "
+          f"{rec['union_bound']:>11.4e}"
           f"   {'ok' if rec['within_bound'] else 'EXCEEDED'}")

@@ -21,6 +21,7 @@ from .algorithms import (
     choose_regime,
     grover_search_known,
     maxload_bound,
+    maxload_exceedance,
     multi_item_search,
     parallel_search,
     random_partition,

@@ -4,6 +4,7 @@ the parallel partition algorithm with regime-dependent per-cell item caps.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -384,14 +385,82 @@ def theorem_envelope(N: int, d: int, k: int) -> float:
 
 
 def maxload_bound(k: int, t: int, d: int) -> float:
-    """Probability bound C(k, t) * d**(-t) that one cell holds more than t items."""
+    """Probability bound min(1, C(k, t) * d**(-t)) that one cell holds more
+    than t items; the clamp is decided on integers, so no quotient overflows."""
     if d < 1:
         raise ValueError("need d >= 1")
     if t < 0:
         raise ValueError("need t >= 0")
     if t > k:
         return 0.0
-    return math.comb(k, t) / d ** t
+    overloads, placements = math.comb(k, t), d ** t
+    return 1.0 if overloads >= placements else overloads / placements
+
+
+def maxload_exceedance(N: int, d: int, k: int, t: int) -> float:
+    """Exact probability that some cell of a uniform equipartition of [N]
+    into d cells holds more than t of k distinct uniform target addresses.
+
+    With G = prod_c (1 + lam x)**s_c over the sizes s_c of
+    :func:`cell_sizes`, and F the same product with each factor cut after
+    degree t, this is [x^k] (G - F) / [x^k] G.  Each cell size's factor is
+    raised to its count by squaring, every product cut after degree k:
+    O(k**2 log d).  D = G - F is carried as D1 G2 + F1 D2, a sum of
+    positive terms, so a tiny exceedance keeps its relative precision.
+    lam = k / (N - k + 1) puts G's largest coefficient at degree k, and one
+    power of two rescales each (G, F, D) after a product, which leaves
+    their ratios exact.  Products are elementwise numpy arithmetic, not a
+    BLAS dot product with a machine-dependent summation order, so every
+    machine gives the same bits.
+    """
+    if not (1 <= d <= N and 0 <= k <= N and t >= 0):
+        raise ValueError(f"need 1 <= d <= N, 0 <= k <= N and t >= 0, got "
+                         f"N={N}, d={d}, k={k}, t={t}")
+    if t >= k:
+        return 0.0
+    if t * d < k:
+        return 1.0
+    lam = k / (N - k + 1)
+
+    def product(a, b):
+        c = np.zeros(min(len(a) + len(b) - 1, k + 1))
+        for i in np.flatnonzero(a):
+            n = min(len(b), len(c) - i)
+            c[i:i + n] += a[i] * b[:n]
+        return c
+
+    def factor(size):
+        logs = [0.0]
+        for i in range(1, min(size, k) + 1):
+            logs.append(logs[-1] + math.log((size - i + 1) / i * lam))
+        top = max(logs)
+        g = np.array([math.exp(x - top) for x in logs])
+        f = np.where(np.arange(len(g)) <= t, g, 0.0)
+        return g, f, g - f
+
+    def combine(x, y):
+        # F and D keep G's length, so both parts of D's sum have it too
+        (g1, f1, d1), (g2, f2, d2) = x, y
+        g = product(g1, g2)
+        shift = -math.frexp(g.max())[1]
+        return tuple(np.ldexp(p, shift) for p in
+                     (g, product(f1, f2), product(d1, g2) + product(f1, d2)))
+
+    def power(x, count):
+        out = None
+        while count:
+            if count & 1:
+                out = x if out is None else combine(out, x)
+            count >>= 1
+            if count:
+                x = combine(x, x)
+        return out
+
+    base, extra = divmod(N, d)
+    g, _, diff = functools.reduce(combine, [
+        power(factor(size), count)
+        for size, count in ((base + 1, extra), (base, d - extra)) if count])
+    return min(1.0, float(diff[k] / g[k]))
 
 
 def verify_locations(db, outcome: SearchOutcome) -> bool:

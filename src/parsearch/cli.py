@@ -1,9 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``search``, ``maxload``, ``bounds``, ``adversary``.  Every run
-is fully determined by ``--seed``; identical invocations produce
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 infeasible
-instance.
+is fully determined by its arguments, its randomness by ``--seed``;
+identical invocations produce byte-identical output.  Exit codes: 0
+success, 1 usage error, 2 infeasible instance.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="parsearch",
         description="Quantum multi-item parallel search: simulation, "
-                    "Monte-Carlo checks, and query-complexity bounds.",
+                    "the exact max-load law, and query-complexity bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -58,13 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--out", default=None)
     search.add_argument("--format", choices=("json", "csv"), default="json")
 
-    maxload = sub.add_parser("maxload", help="empirical max-load vs the union bound")
+    maxload = sub.add_parser("maxload", help="exact max-load law vs the union bound")
     maxload.add_argument("--n", type=int, default=None, help="address bits")
     maxload.add_argument("--d", type=int, required=True)
     maxload.add_argument("--k", type=int, required=True)
     maxload.add_argument("--t", type=int, required=True, help="per-cell cap")
-    maxload.add_argument("--trials", type=int, default=100000)
-    maxload.add_argument("--seed", type=int, default=0)
     maxload.add_argument("--out", default=None)
     maxload.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -105,8 +103,7 @@ def _csv_rows(record: dict) -> tuple:
     if cmd == "maxload":
         row = dict(record["config"])
         row.update({
-            "empirical_exceedance": record["empirical_exceedance"],
-            "standard_error": record["standard_error"],
+            "exceedance": record["exceedance"],
             "union_bound": record["union_bound"],
             "within_bound": record["within_bound"],
         })
@@ -185,10 +182,7 @@ def main(argv=None) -> int:
             )
             record = run_search_experiment(cfg)
         elif args.command == "maxload":
-            record = run_maxload_check(
-                k=args.k, d=args.d, t=args.t, trials=args.trials,
-                seed=args.seed, n=args.n,
-            )
+            record = run_maxload_check(k=args.k, d=args.d, t=args.t, n=args.n)
         elif args.command == "bounds":
             record = run_bound_table(
                 ns=args.n, ds=args.d, ks=args.k, trials=args.trials,

@@ -1,4 +1,4 @@
-"""Seeded experiment drivers: search sweeps, max-load Monte Carlo checks,
+"""Experiment drivers: seeded search sweeps, exact max-load checks,
 bound comparison tables, and brute-force adversary verification.
 
 Every driver returns a plain dict ready for JSON serialization; all
@@ -7,19 +7,16 @@ are byte-stable across runs.
 """
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import adversary
 from .algorithms import (
     RegimeParams,
     TargetSet,
-    cell_sizes,
     choose_regime,
     maxload_bound,
+    maxload_exceedance,
     parallel_search,
     theorem_envelope,
 )
@@ -31,17 +28,7 @@ from .core import (
     derive_stream,
 )
 
-SPEC_VERSION = "2.0"
-
-#: largest n the max-load check samples: numpy's multivariate
-#: hypergeometric sampler (method "marginals") needs the N = 2**n colors to
-#: total below 10**9, a tighter limit than int64 cell sizes.
-MAX_MAXLOAD_BITS = 29
-
-#: largest trials * d, the int64 cell loads the max-load check samples at
-#: once.  At the limit, 2**20 trials of d = 64 cells, one check peaked at
-#: 0.56 GB and took 7 s on a 2-core host.
-MAX_MAXLOAD_LOADS = 1 << 26
+SPEC_VERSION = "3.0"
 
 #: largest n a search runs at: its addresses are int64, and numpy's
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
@@ -50,6 +37,11 @@ MAX_SEARCH_BITS = 62
 #: largest d and largest k a search takes.  A run holds O(d + k) numbers,
 #: d per-copy counts and k target addresses, and never O(N).
 MAX_COUNT = 1 << 24
+
+#: largest k the max-load check takes: its exact law costs O(k**2 log d).
+#: The slowest case measured at the limit, (n, d, t) = (62, 2**16 - 1, 3),
+#: took 3.2 s on a 2-core host.
+MAX_MAXLOAD_K = 1 << 14
 
 
 def address_count(n: int, limit: int, what: str) -> int:
@@ -168,46 +160,36 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
     return record
 
 
-def run_maxload_check(
-    k: int, d: int, t: int, trials: int, seed, n: int | None = None
-) -> dict:
-    """Empirical exceedance frequency of the per-cell item cap.
+def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
+    """Exact probability that some cell exceeds the per-cell item cap t,
+    against the union bound.
 
     Dropping k target addresses into a uniform random equipartition of [N]
-    gives cell loads distributed multivariate-hypergeometrically with the
-    cell sizes as color counts; the check samples that law directly, one
-    draw per partition.  Refuses n above ``MAX_MAXLOAD_BITS`` and trials * d
-    above ``MAX_MAXLOAD_LOADS`` before sampling anything.
+    into d cells, the largest cell load exceeds t with the probability
+    :func:`~parsearch.algorithms.maxload_exceedance`, which the union bound
+    d * C(k, t) * d**(-t) must not undercut.  Refuses n above
+    ``MAX_SEARCH_BITS`` and k above ``MAX_MAXLOAD_K`` before computing
+    anything.
     """
-    if trials < 1 or d < 1 or k < 0 or t < 0:
+    if d < 1 or k < 0 or t < 0:
         raise ValueError("invalid max-load parameters")
-    _check_seed(seed)
     if n is None:
         n = max(12, max(d, k).bit_length())
-    N = address_count(n, MAX_MAXLOAD_BITS, "max-load sampler")
+    N = address_count(n, MAX_SEARCH_BITS, "max-load")
     if d > N or k > N:
         raise ValueError(f"need d, k <= N = {N}")
-    if trials * d > MAX_MAXLOAD_LOADS:
+    if k > MAX_MAXLOAD_K:
         raise adversary.InfeasibleInstanceError(
-            f"trials * d = {trials * d} cell loads exceed the limit "
-            f"{MAX_MAXLOAD_LOADS}"
-        )
-    rng = as_generator(seed)
-    loads = rng.multivariate_hypergeometric(cell_sizes(N, d), k, size=trials)
-    exceed = int(np.count_nonzero(loads.max(axis=1) > t))
-    phat = exceed / trials
-    stderr = math.sqrt(phat * (1.0 - phat) / trials)
+            f"k={k} exceeds the max-load limit k <= {MAX_MAXLOAD_K}")
+    exceedance = maxload_exceedance(N, d, k, t)
     bound = d * maxload_bound(k, t, d)
     return {
         "spec_version": SPEC_VERSION,
         "command": "maxload",
-        "config": {"n": n, "k": k, "d": d, "t": t, "trials": trials,
-                   "seed": seed},
-        "empirical_exceedance": phat,
-        "exceed_count": exceed,
-        "standard_error": stderr,
+        "config": {"n": n, "k": k, "d": d, "t": t},
+        "exceedance": exceedance,
         "union_bound": bound,
-        "within_bound": phat <= bound + 3 * stderr,
+        "within_bound": exceedance <= bound,
     }
 
 

@@ -61,15 +61,16 @@ SEARCH_SCHEMA = {
 
 MAXLOAD_SCHEMA = {
     "type": "object",
-    "required": ["spec_version", "command", "config", "empirical_exceedance",
-                 "exceed_count", "standard_error", "union_bound",
-                 "within_bound"],
+    "required": ["spec_version", "command", "config", "exceedance",
+                 "union_bound", "within_bound"],
     "properties": {
         "spec_version": {"type": "string"},
         "command": {"const": "maxload"},
-        "empirical_exceedance": {"type": "number", "minimum": 0, "maximum": 1},
-        "exceed_count": {"type": "integer", "minimum": 0},
-        "standard_error": {"type": "number", "minimum": 0},
+        "config": {
+            "type": "object",
+            "required": ["n", "k", "d", "t"],
+        },
+        "exceedance": {"type": "number", "minimum": 0, "maximum": 1},
         "union_bound": {"type": "number", "minimum": 0},
         "within_bound": {"type": "boolean"},
     },

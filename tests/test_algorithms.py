@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from parsearch.algorithms import (
     choose_regime,
     grover_search_known,
     maxload_bound,
+    maxload_exceedance,
     multi_item_search,
     optimal_iterations,
     parallel_search,
@@ -461,6 +463,72 @@ class TestMaxloadBound:
 
     def test_cap_above_k_is_zero(self):
         assert maxload_bound(16, 20, 16) == 0.0
+
+    def test_clamped_to_one_without_overflow(self):
+        # C(2000, 1000) alone exceeds every float
+        assert maxload_bound(2000, 1000, 1) == 1.0
+        assert maxload_bound(4, 1, 2) == 1.0
+
+
+def integer_exceedance(N, d, k, t):
+    """1 - [x^k] prod_c sum_{i<=t} C(s_c, i) x^i / C(N, k), in integers."""
+    poly = [1]
+    for size in cell_sizes(N, d).tolist():
+        cap = [math.comb(size, i) for i in range(min(t, size) + 1)]
+        out = [0] * min(len(poly) + len(cap) - 1, k + 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(cap[:len(out) - i]):
+                out[i + j] += a * b
+        poly = out
+    within = poly[k] if k < len(poly) else 0
+    return Fraction(math.comb(N, k) - within, math.comb(N, k))
+
+
+class TestMaxloadExceedance:
+    def test_matches_the_integer_formula_on_every_small_cell(self):
+        # every (N, d, k, t) with N <= 12 and t <= k + 1, within 1e-12 of
+        # the exact value both absolutely and relatively
+        seen = Counter()
+        for N in range(1, 13):
+            for d, k in itertools.product(range(1, N + 1), range(N + 1)):
+                for t in range(k + 2):
+                    want = integer_exceedance(N, d, k, t)
+                    got = maxload_exceedance(N, d, k, t)
+                    assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want, \
+                        (N, d, k, t)
+                    seen.update({"d does not divide N": N % d != 0, "t = 0": t == 0,
+                                 "t >= k": t >= k, "t * d < k": t * d < k})
+        assert len(seen) == 4 and min(seen.values()) > 100
+
+    def test_tiny_exceedance_keeps_its_digits(self):
+        # d = N - 1: only the one two-address cell can overflow a cap of 1,
+        # so the exceedance is C(k, 2) / C(N, 2), about 5e-32 here
+        N, k = 2 ** 62, 1024
+        want = Fraction(k * (k - 1), N * (N - 1))
+        got = maxload_exceedance(N, N - 1, k, 1)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want
+
+    @pytest.mark.parametrize("N,d,k,t,rounded", [
+        (2 ** 12, 8, 16, 4, 0.30983), (2 ** 12, 64, 64, 3, 0.70493),
+        (2 ** 14, 16, 16, 2, 0.80460), (2 ** 20, 1024, 32, 2, 0.00461)])
+    def test_matches_the_hypergeometric_sampler(self, N, d, k, t, rounded):
+        # 10**5 draws of numpy's multivariate hypergeometric cell loads: the
+        # frequency of a load above t lies within four standard errors
+        p = maxload_exceedance(N, d, k, t)
+        assert round(p, 5) == rounded
+        rng = np.random.default_rng([90, N, d, k, t])
+        draws, chunk = 10 ** 5, 2000
+        exceed = sum(
+            int(np.count_nonzero(rng.multivariate_hypergeometric(
+                cell_sizes(N, d), k, size=chunk, method="count").max(axis=1) > t))
+            for _ in range(draws // chunk))
+        assert abs(exceed / draws - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+    @pytest.mark.parametrize("N,d,k,t", [(4, 5, 1, 1), (4, 0, 1, 1), (4, 2, 5, 1),
+                                         (4, 2, -1, 1), (4, 2, 1, -1)])
+    def test_rejects_out_of_range(self, N, d, k, t):
+        with pytest.raises(ValueError):
+            maxload_exceedance(N, d, k, t)
 
 
 class TestVerifyLocations:

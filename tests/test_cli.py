@@ -26,7 +26,7 @@ def test_search_json_schema(capsys):
     assert code == 0
     record = json.loads(out)
     jsonschema.validate(record, SCHEMAS["search"])
-    assert record["spec_version"] == "2.0"
+    assert record["spec_version"] == "3.0"
 
 
 def test_search_aggregates_recomputable(capsys):
@@ -110,16 +110,16 @@ def test_search_at_n_40_runs(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--trials", "100000000000"],  # 4 * 10^11 cell loads
-    ["--n", "30"],                 # 2^30 addresses: past the sampler's total
+    ["--n", str(experiments.MAX_SEARCH_BITS + 1)],  # past int64 addresses
     ["--n", "70"],
+    ["--k", str(experiments.MAX_MAXLOAD_K + 1)],    # past the law's k limit
 ])
 def test_maxload_oversized_is_infeasible(flags, capsys, monkeypatch):
-    # refused before the random stream that sampling needs is even made
-    def no_sampling(seed):
-        raise AssertionError("an oversized max-load check reached sampling")
+    # refused before the exact law runs
+    def no_law(*args):
+        raise AssertionError("an oversized max-load check reached the law")
 
-    monkeypatch.setattr(experiments, "as_generator", no_sampling)
+    monkeypatch.setattr(experiments, "maxload_exceedance", no_law)
     code = main(["maxload", "--d", "4", "--k", "4", "--t", "2", *flags])
     err = capsys.readouterr().err
     assert code == 2
@@ -127,16 +127,36 @@ def test_maxload_oversized_is_infeasible(flags, capsys, monkeypatch):
 
 
 def test_maxload_largest_n_runs(capsys):
-    code = main(["maxload", "--n", str(experiments.MAX_MAXLOAD_BITS), "--d", "4",
-                 "--k", "4", "--t", "2", "--trials", "10"])
+    code = main(["maxload", "--n", str(experiments.MAX_SEARCH_BITS), "--d", "4",
+                 "--k", "4", "--t", "2"])
     capsys.readouterr()
     assert code == 0
 
 
+def test_maxload_overloaded_cap_bound_is_one(capsys):
+    # C(2000, 1000) / 1**1000 exceeds every float: the bound is clamped to 1
+    code, out = run_cli(["maxload", "--d", "1", "--k", "2000", "--t", "1000",
+                         "--n", "12"], capsys)
+    record = json.loads(out)
+    assert code == 0
+    assert record["union_bound"] == 1.0 and record["exceedance"] == 1.0
+    assert record["within_bound"] is True
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_maxload_takes_no_sampling_flags(flag, capsys):
+    # the law is exact: nothing to sample, so no trial count and no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["maxload", "--d", "2", "--k", "2", "--t", "1", flag, "10"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 10" in err
+
+
 @pytest.mark.parametrize("command", ["search", "bounds", "maxload"])
 def test_negative_address_bits_is_usage_error(command, capsys):
-    cap = ["--t", "2"] if command == "maxload" else []
-    code = main([command, "--n", "-1", "--d", "2", "--k", "2", "--trials", "1", *cap])
+    extra = ["--t", "2"] if command == "maxload" else ["--trials", "1"]
+    code = main([command, "--n", "-1", "--d", "2", "--k", "2", *extra])
     err = capsys.readouterr().err
     assert code == 1
     assert "n=-1" in err
@@ -162,14 +182,11 @@ def test_search_csv(capsys):
 
 
 def test_maxload_json_schema(capsys):
-    code, out = run_cli(
-        ["maxload", "--k", "8", "--d", "4", "--t", "4", "--trials", "2000",
-         "--seed", "5"],
-        capsys,
-    )
+    code, out = run_cli(["maxload", "--k", "8", "--d", "4", "--t", "4"], capsys)
     assert code == 0
     record = json.loads(out)
     jsonschema.validate(record, SCHEMAS["maxload"])
+    assert 0 < record["exceedance"] <= record["union_bound"]
     assert record["within_bound"] is True
 
 
@@ -262,7 +279,7 @@ def test_adversary_oversized_n_is_infeasible(n, capsys, monkeypatch):
 
 SMALL_RUNS = {
     "search": ["search", "--n", "4", "--trials", "1"],
-    "maxload": ["maxload", "--d", "2", "--k", "2", "--t", "1", "--trials", "10"],
+    "maxload": ["maxload", "--d", "2", "--k", "2", "--t", "1"],
     "bounds": ["bounds", "--n", "4", "--d", "2", "--k", "2", "--trials", "1"],
     "adversary": ["adversary", "--n", "2", "--m", "2", "--d", "2", "--k", "2"],
 }
@@ -306,8 +323,8 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [SMALL_RUNS["search"], SMALL_RUNS["bounds"],
-                                  ["bounds", "--trials", "1"], SMALL_RUNS["maxload"]],
-                         ids=["search", "bounds", "empty-bounds", "maxload"])
+                                  ["bounds", "--trials", "1"]],
+                         ids=["search", "bounds", "empty-bounds"])
 def test_negative_seed_is_usage_error(argv, capsys):
     code = main(argv + ["--seed", "-1"])
     err = capsys.readouterr().err
