@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     MarkedPredicate,
     STREAM_COPY,
-    STREAM_EMPTY,
     STREAM_PARTITION,
     QueryLedger,
     as_generator,
@@ -227,16 +226,15 @@ def multi_item_search(
     nothing the cell is treated as exhausted.  A copy that has located
     every target item stops.
 
-    A cell with marked addresses is searched step by step on its own
-    stream ``derive_stream(seed, STREAM_COPY, c)``, over one predicate of
-    its size and ascending marked addresses that each find shrinks with
+    All of the copies' randomness comes from the one stream *seed*.  The
+    cells with marked addresses are searched on it step by step, in
+    ascending cell order, each over one predicate of its size and ascending
+    marked addresses that each find shrinks with
     :meth:`~parsearch.core.MarkedPredicate.without`.  Where no marked
-    address is left, every attempt misses, so the rest of the program is
-    fixed in law: in a cell with none from the start, and in one whose last
-    find emptied it while items are still missing and steps are left.  The
-    lengths of all such programs and remainders are drawn at once, in
-    ascending cell order, from the one stream
-    ``derive_stream(seed, STREAM_EMPTY)`` (see :func:`_empty_programs`).
+    address is left every attempt misses, so the rest of a copy's program
+    is fixed in law: it is drawn from the first step at which its cell holds
+    none, unless the copy has stopped.  Then one :func:`_empty_programs`
+    call on the same stream draws all those rests at once.
 
     The outcome's d-copy ledger holds each copy's whole program, charged
     here by the rule of :class:`~parsearch.core.QueryLedger`.
@@ -251,6 +249,7 @@ def multi_item_search(
         raise ValueError("need one cell per address")
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
+    rng = as_generator(seed)
     ledger = QueryLedger(sizes.size)
     located: dict = {}
     find_times: dict = {}
@@ -259,21 +258,18 @@ def multi_item_search(
     held: dict = {}     # cell -> its ascending marked addresses, cells ascending
     for c, addr in sorted(zip(cells.tolist(), addresses.tolist())):
         held.setdefault(c, []).append(addr)
-    # the copies whose programs are drawn, and each one's cell size and
-    # steps left: every cell with no marked address, from its first step
-    drawn = np.ones(sizes.size, dtype=bool)
-    drawn[list(held)] = False
+    # each copy's cell size and steps left once its cell holds no marked
+    # address: all t steps of a cell with none, and none of a stopped copy
     left_sizes = sizes.copy()
     steps = np.full(sizes.size, t, dtype=np.int64)
     for c, marked in held.items():
         pred = MarkedPredicate(db, targets.items, int(sizes[c]), marked)
-        rng = as_generator(derive_stream(seed, STREAM_COPY, c))
+        steps[c] = 0
         for i in range(1, t + 1):
-            if not pred.targets or pred.size == 0:
+            # step i follows i - 1 finds, one item each
+            if i > targets.k or pred.size == 0:
                 break
             if not pred.marked.size:
-                # the last find emptied the cell: the rest is drawn
-                drawn[c] = True
                 left_sizes[c], steps[c] = pred.size, t - i + 1
                 break
             assumed = min(t - i + 1, pred.size)
@@ -290,10 +286,9 @@ def multi_item_search(
             pred = pred.without(addr)
         left += pred.marked.size
 
-    if drawn.any():
-        which = np.flatnonzero(drawn)
-        lengths = _empty_programs(left_sizes[which], steps[which],
-                                  as_generator(derive_stream(seed, STREAM_EMPTY)))
+    which = np.flatnonzero(steps)
+    if which.size:
+        lengths = _empty_programs(left_sizes[which], steps[which], rng)
         for c, length in zip(which.tolist(), lengths.tolist()):
             ledger.record_oracle(c, length)
 
@@ -506,10 +501,10 @@ def parallel_search(
     up to ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from
     the start of the search, across repetitions.
 
-    The seed may be an int, a sequence of ints or a SeedSequence; each
-    repetition's partition and copy searches get their own streams from
-    :func:`~parsearch.core.derive_stream`, so results do not depend on
-    scheduling.
+    The seed may be an int, a sequence of ints or a SeedSequence.  Each
+    repetition derives two streams from it with
+    :func:`~parsearch.core.derive_stream`: ``(STREAM_PARTITION, rep)`` for
+    its partition and ``(STREAM_COPY, rep)`` for all its copies' searches.
     """
     N = db.size
     if not 1 <= d <= N:

@@ -18,6 +18,11 @@ reference the closed form is checked against.  Its oracle is a phase flip on
 those positions (the standard phase-kickback form of the XOR oracle); each
 application is one query, which its caller counts by the rule of
 :class:`QueryLedger`.
+
+Every random stream of a run is a child of its seed made by
+:func:`derive_stream`: one per search trial, and within a trial one for
+its database and, per repetition, one for the partition and one for all
+d copies' searches.
 """
 from __future__ import annotations
 
@@ -43,10 +48,8 @@ def as_generator(seed) -> np.random.Generator:
 
 
 #: purpose words of derived streams: a search trial, its database
-#: placement, a repetition's partition, the copies' searches (a
-#: repetition's, and within it one copy's), and the programs, or the rest
-#: of them, of a repetition's copies with no marked address left
-STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY, STREAM_EMPTY = range(5)
+#: placement, a repetition's partition, and all of a repetition's copies
+STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY = range(4)
 
 
 def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
@@ -57,11 +60,8 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
     pads entropy with zeros, so ``[s, 0]`` and ``[s, 0, 0]`` seed the same
     stream, while distinct spawn keys give distinct streams.  *seed* is an
     int, a sequence of ints, or a SeedSequence from an earlier derivation,
-    so streams nest: a search trial's stream is the parent of its database,
-    partition and copy streams, and a repetition's copy stream
-    ``(STREAM_COPY, rep)`` the parent of each searched copy's
-    ``(STREAM_COPY, c)`` and of the one ``STREAM_EMPTY`` stream of its
-    copies with no marked address left.
+    so streams nest: a search trial's stream is the parent of its database
+    stream and of each repetition's partition and copy streams, one each.
     """
     if isinstance(seed, np.random.SeedSequence):
         root, key = seed.entropy, seed.spawn_key
@@ -228,18 +228,17 @@ class MarkedPredicate:
     never goes back to the database.
     """
 
-    __slots__ = ("targets", "size", "marked", "items")
+    __slots__ = ("size", "marked", "items")
 
     def __init__(self, db, targets, size: int, marked):
         marked = np.asarray(marked, dtype=np.int64)
-        self.targets = frozenset(int(y) for y in targets)
         if marked.ndim != 1 or marked.size > size:
             raise ValueError(f"need at most size={size} marked addresses")
         held = marked.tolist()
         if any(a >= b for a, b in zip(held, held[1:])):
             raise ValueError("marked addresses must be distinct and ascending")
         items = db.items_at(marked)
-        if not self.targets.issuperset(items.tolist()):
+        if not {int(y) for y in targets}.issuperset(items.tolist()):
             raise ValueError("a marked address holds no target item")
         self.size = int(size)
         self.marked = marked
@@ -269,10 +268,8 @@ class MarkedPredicate:
         at = np.flatnonzero(self.marked == address)
         if not at.size:
             raise ValueError(f"address {address} is not marked")
-        item = int(self.items[at[0]])
-        keep = self.items != item
+        keep = self.items != self.items[at[0]]
         shrunk = copy.copy(self)
-        shrunk.targets = self.targets - {item}
         shrunk.size = self.size - 1
         shrunk.marked = self.marked[keep]
         shrunk.items = self.items[keep]
@@ -315,12 +312,12 @@ class QueryLedger:
     make, and :func:`~parsearch.algorithms.multi_item_search` alone charges
     them, each to the copy that made it, on the d-copy ledger of one
     repetition's programs.  A copy whose cell holds no marked address
-    misses at every attempt, so its program is fixed in law;
-    ``multi_item_search`` draws that program's length whole and charges it
-    as one amount.  So is the rest of a copy's program once its last find
-    leaves no marked address in its cell: the copy is charged the queries
-    of its searches so far plus that rest, drawn whole.  :func:`~parsearch.algorithms.parallel_search` keeps
-    the d-copy ledger of the whole search: the copies run in lockstep, one
+    misses at every attempt, so the rest of its program is fixed in law:
+    from its first step if its cell holds no target, or from the step after
+    the find that emptied its cell while items are missing.
+    ``multi_item_search`` draws that rest whole, so a copy is charged the
+    queries of its searches plus its drawn rest.  :func:`~parsearch.algorithms.parallel_search` keeps the d-copy
+    ledger of the whole search: the copies run in lockstep, one
     parallel round per query, and halt at the round where the last needed
     item is confirmed, so each copy is charged its program up to that stop
     and a repetition's rounds are the largest such charge; the total sums

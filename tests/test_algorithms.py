@@ -33,7 +33,6 @@ from parsearch.algorithms import (
 from parsearch.core import (
     MAX_EXPLICIT_BITS,
     STREAM_COPY,
-    STREAM_EMPTY,
     STREAM_PARTITION,
     Database,
     MarkedPredicate,
@@ -691,7 +690,7 @@ def per_copy_search(db, cell, targets, t, seed):
     pred = MarkedPredicate.scan(db, targets, cell)
     located, find_times, queries = {}, {}, 0
     for i in range(1, t + 1):
-        if not pred.targets or pred.size == 0:
+        if len(located) == len(targets) or pred.size == 0:
             break
         addr, q = grover_search_known(pred, min(t - i + 1, pred.size), rng)
         queries += q
@@ -772,47 +771,39 @@ class TestStreamIndependence:
 
     @pytest.mark.parametrize("d", [1, 4, 16])
     def test_every_stream_of_a_run_is_distinct(self, d, monkeypatch):
-        # over two trials: the database stream; each repetition's partition
-        # stream and copy stream; and in each repetition, the stream of every
-        # copy whose cell holds a target and the one stream of the others
-        seen, streams, searched = [], [], []
+        # over two trials: the database stream, and in each repetition one
+        # partition stream and one stream for all of its copies' searches
+        seen, streams = [], []
         self.record_seeds(monkeypatch, experiments, "build_database", seen)
         self.record_seeds(monkeypatch, algorithms, "random_partition", seen)
         self.record_seeds(monkeypatch, algorithms, "multi_item_search", seen)
-        derive, search = algorithms.derive_stream, algorithms.multi_item_search
+        derive = algorithms.derive_stream
 
         def deriving(seed, purpose, *indices):
-            streams.append(((purpose, len(indices)), derive(seed, purpose, *indices)))
+            streams.append(((purpose, indices), derive(seed, purpose, *indices)))
             return streams[-1][1]
 
-        def searching(db, sizes, addresses, cells, *args, **kwargs):
-            searched.append(np.unique(cells).size)
-            return search(db, sizes, addresses, cells, *args, **kwargs)
-
         monkeypatch.setattr(algorithms, "derive_stream", deriving)
-        monkeypatch.setattr(algorithms, "multi_item_search", searching)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # d = 16 exceeds sqrt(N)
             record = run_search_experiment(
                 ExperimentConfig(n=6, d=d, k=8, trials=2, seed=5, t_override=1)
             )
-        reps = sum(t["repetitions"] for t in record["trials"])
-        assert all(t["repetitions"] >= 2 for t in record["trials"])
+        reps = [t["repetitions"] for t in record["trials"]]
+        assert all(r >= 2 for r in reps)
         kinds = Counter(name for name, _ in seen)
         assert kinds["build_database"] == 2
-        assert kinds["multi_item_search"] == kinds["random_partition"] == reps
-        assert len(searched) == reps
-        # the partition's and the searches' seeds are derived streams
+        assert kinds["multi_item_search"] == kinds["random_partition"] == sum(reps)
+        # the only derivations in algorithms: per repetition, in order, the
+        # partition's stream, then the copies' one stream
+        assert [kind for kind, _ in streams] == [
+            (purpose, (rep,)) for count in reps for rep in range(count)
+            for purpose in (STREAM_PARTITION, STREAM_COPY)]
+        # the partition's and the searches' seeds are those streams
         derived = [stream for _, stream in streams]
-        assert all(any(seed is stream for stream in derived)
-                   for name, seed in seen if name != "build_database")
-        where = Counter(kind for kind, _ in streams)
-        assert where[(STREAM_PARTITION, 1)] == reps
-        assert where[(STREAM_COPY, 1)] == reps + sum(searched)
-        assert where[(STREAM_EMPTY, 0)] == sum(held < d for held in searched)
-        assert set(where) <= {(STREAM_PARTITION, 1), (STREAM_COPY, 1), (STREAM_EMPTY, 0)}
-        if d == 16:
-            assert where[(STREAM_EMPTY, 0)] >= 1
+        seeds = [seed for name, seed in seen if name != "build_database"]
+        assert len(seeds) == len(derived)
+        assert all(seed is stream for seed, stream in zip(seeds, derived))
         states = [
             tuple(np.random.default_rng(seed).bit_generator.state["state"].values())
             for seed in [seed for name, seed in seen if name == "build_database"]
@@ -893,9 +884,10 @@ class TestLedgerRule:
                                   recording("drawn", algorithms._empty_programs)):
             out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
         # a predicate for each cell holding a target, in cell order, then
-        # the searches on it; then one draw for every copy with no marked
-        # address left: each empty cell from its first step, and each cell
-        # whose last find emptied it while items and steps are left
+        # the searches on it; then, if some copy has steps left, one draw
+        # for every copy with no marked address left: each empty cell from
+        # its first step, and each cell whose last find emptied it while
+        # items and steps are left
         held = np.unique(cells).tolist()
         names = [name for name, _, _ in events]
         assert names.count("cell") == len(held)
@@ -918,8 +910,8 @@ class TestLedgerRule:
             f = found[c]
             if f == np.count_nonzero(cells == c) and f < min(t, k, sizes[c]):
                 rest[c] = (int(sizes[c]) - f, t - f)
-        assert len(draws) == (len(rest) > 0)
-        if rest:
+        assert len(draws) == any(steps for _, steps in rest.values())
+        if draws:
             (drawn_sizes, drawn_steps, _), lengths = draws[0]
             assert list(zip(drawn_sizes.tolist(), drawn_steps.tolist())) == \
                 [rest[c] for c in sorted(rest)]

@@ -15,26 +15,26 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "967048d3e571760bf57730b50486bbd6c3ec27f5cce081b90c03dd3382769995"),
+     "a169f9cc4acd12a95feb6bf74e7eec57b256ed807ac3236763621d5a9e65d6f1"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "a88df4ab69a6c2e91dcb9318be26427ca67ad19be7b15c4080e5c62aa25dc2a1"),
+     "e00edf46b85a3b195557c18178409029c212ec310e22db36e1d7ed6e8c344cfe"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "741f4fb85b1cb7312bc04f686403658f0f0aeb8d7fe27ad39b6f5bf2a3c5ca7d"),
+     "a82cdd2fde405045f8d0bb5518358ee817f48c62d241eb3a53e41db1372f64cf"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "30429a91f506932ea2e0eced66741a061e3105bbc5861bc107d32ca77e716bcf"),
+     "941660e18d7e0903c624aa8e1db6c757841ec683dd4b946362d3e0fae3825c90"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "80f3b2c8f2d19cd53d718295a776f61e5f66d0abdb090b855a203abcb63f485f"),
+     "a1778b82a6f593323ed3206d6fe5ca191b43cfb3a242acf42064c857b1cbb031"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "9842c2fb0aa624fd6af9a12733a150aa1358d74f959a5cdf34c62b39be69ae47"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "4d70c9957b79a174c33e4a4c2acb9007bc11a34acc87644cb1741946117edc33"),
+     "7a9c230290c4e1f60a2ca28c8e109007e7ce3537b59e34fd72e707507a5d4bc0"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "a9e2319fe8a66ac49bd5b6bb9a13108301d7ffae3990237ae66a6ca555e31fdb"),
+     "75ff4c6cf099d0b33c943aab0df8508c25b1bf3262575e37d17f2f943ad21cad"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "537a4e5fc29cec3d91275ba31dc735d6adf3839ed89b0b4157ea90de6da67a1e"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
