@@ -2,7 +2,9 @@
 
 Dropping k target addresses into a random equipartition of [N] into d
 cells, the probability that some cell receives more than t of them is at
-most d * C(k, t) * d**(-t).  The check computes that probability exactly
+most min(1, d * C(k, t + 1) * d**(-(t + 1))), a union over the d cells of
+the chance that one holds at least t + 1.  The check computes that
+probability exactly
 from the multivariate hypergeometric law of the cell loads, at any N up to
 2**62, and compares it with the union bound.
 """

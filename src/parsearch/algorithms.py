@@ -380,8 +380,9 @@ def theorem_envelope(N: int, d: int, k: int) -> float:
 
 
 def maxload_bound(k: int, t: int, d: int) -> float:
-    """Probability bound min(1, C(k, t) * d**(-t)) that one cell holds more
-    than t items; the clamp is decided on integers, so no quotient overflows."""
+    """Probability bound min(1, C(k, t) * d**(-t)) that one cell holds at
+    least t items; the clamp is decided on integers, so no quotient
+    overflows."""
     if d < 1:
         raise ValueError("need d >= 1")
     if t < 0:

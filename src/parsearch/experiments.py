@@ -7,6 +7,7 @@ are byte-stable across runs.
 """
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -34,9 +35,25 @@ SPEC_VERSION = "3.0"
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
 MAX_SEARCH_BITS = 62
 
-#: largest d and largest k a search takes.  A run holds O(d + k) numbers,
-#: d per-copy counts and k target addresses, and never O(N).
+#: largest k, and largest --t, a search takes: a trial holds k target
+#: addresses, never O(N) numbers.
 MAX_COUNT = 1 << 24
+
+#: largest d, trials * d and trials a search takes.  A run's memory grows
+#: with them, not with N: its record keeps d per-copy counts per trial,
+#: about 80-120 bytes each, and about 2.2 KB more per trial.  Peak RSS of
+#: ``search --n 40 --k 64`` (``--n 24 --k 2`` and ``--n 2 --k 1`` for the
+#: many-trial runs), measured on a 2-core host:
+#:
+#: - d = 2**20, 1 trial: 342 MB; 4 trials (trials * d at its limit): 583 MB;
+#: - trials * d at its limit: d = 2**12, 1024 trials: 551 MB; d = 2**8,
+#:   16384 trials: 657 MB; d = 64, 65536 trials: 679 MB;
+#: - d = 1, 65536 trials (trials at its limit): 177 MB;
+#: - past the limits: d = 2**20, 8 trials: 1.1 GB; d = 32, 131072
+#:   trials: 818 MB; d = 1 and 2**22 trials would hold about 9 GB.
+MAX_COPIES = 1 << 20
+MAX_COPY_TRIALS = 1 << 22
+MAX_TRIALS = 1 << 16
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).
 #: The slowest case measured at the limit, (n, d, t) = (62, 2**16 - 1, 3),
@@ -85,13 +102,16 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
         if not 1 <= self.k <= N:
             raise ValueError(f"need 1 <= k <= N={N}, got k={self.k}")
-        for name in ("d", "k"):
-            if getattr(self, name) > MAX_COUNT:
+        t = self.t_override
+        if t is not None and t < 0:
+            raise ValueError(f"need t >= 0, got t={t}")
+        for name, value, limit in (
+                ("d", self.d, MAX_COPIES), ("k", self.k, MAX_COUNT),
+                ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS),
+                ("trials * d", self.trials * self.d, MAX_COPY_TRIALS)):
+            if value > limit:
                 raise adversary.InfeasibleInstanceError(
-                    f"{name}={getattr(self, name)} exceeds the search limit "
-                    f"{name} <= {MAX_COUNT}")
-        if self.t_override is not None and self.t_override < 0:
-            raise ValueError(f"need t >= 0, got t={self.t_override}")
+                    f"{name}={value} exceeds the search limit {name} <= {limit}")
 
 
 def build_database(n: int, k: int, seed) -> tuple:
@@ -167,7 +187,8 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
     Dropping k target addresses into a uniform random equipartition of [N]
     into d cells, the largest cell load exceeds t with the probability
     :func:`~parsearch.algorithms.maxload_exceedance`, which the union bound
-    d * C(k, t) * d**(-t) must not undercut.  Refuses n above
+    over the cells, min(1, d * C(k, t + 1) * d**(-(t + 1))), must not
+    undercut.  Refuses n above
     ``MAX_SEARCH_BITS`` and k above ``MAX_MAXLOAD_K`` before computing
     anything.
     """
@@ -182,7 +203,10 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
         raise adversary.InfeasibleInstanceError(
             f"k={k} exceeds the max-load limit k <= {MAX_MAXLOAD_K}")
     exceedance = maxload_exceedance(N, d, k, t)
-    bound = d * maxload_bound(k, t, d)
+    # some cell holds at least t + 1 targets; the clamp is decided on
+    # integers: d * C(k, t + 1) >= d**(t + 1)
+    per_cell = maxload_bound(k, t + 1, d)
+    bound = 1.0 if per_cell and math.comb(k, t + 1) >= d ** t else d * per_cell
     return {
         "spec_version": SPEC_VERSION,
         "command": "maxload",
@@ -196,30 +220,27 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
 def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     """Sweep (n, d, k) cells: measured mean rounds vs both bound formulas."""
     _check_seed(seed)  # also when the sweep is empty
+    # every cell's limits are checked before the first one runs
+    cells = [ExperimentConfig(n=n, d=d, k=k, trials=trials, seed=seed)
+             for n in ns for d in ds for k in ks
+             if max(d, k) <= address_count(n, MAX_SEARCH_BITS, "search")]
     rows = []
-    for n in ns:
-        for d in ds:
-            for k in ks:
-                N = address_count(n, MAX_SEARCH_BITS, "search")
-                if d > N or k > N:
-                    continue
-                rec = run_search_experiment(
-                    ExperimentConfig(n=n, d=d, k=k, trials=trials, seed=seed)
-                )
-                mean_rounds = rec["aggregates"]["mean_rounds"]
-                lower = rec["reference"]["lower_bound"]
-                upper = rec["reference"]["upper_envelope"]
-                rows.append({
-                    "N": N, "d": d, "k": k,
-                    "regime": rec["regime"]["tag"],
-                    "t": rec["regime"]["t"],
-                    "mean_rounds": mean_rounds,
-                    "success_rate": rec["aggregates"]["success_rate"],
-                    "lower_bound": lower,
-                    "upper_envelope": upper,
-                    "ratio_to_lower": mean_rounds / lower,
-                    "ratio_to_upper": mean_rounds / upper,
-                })
+    for cfg in cells:
+        rec = run_search_experiment(cfg)
+        mean_rounds = rec["aggregates"]["mean_rounds"]
+        lower = rec["reference"]["lower_bound"]
+        upper = rec["reference"]["upper_envelope"]
+        rows.append({
+            "N": 1 << cfg.n, "d": cfg.d, "k": cfg.k,
+            "regime": rec["regime"]["tag"],
+            "t": rec["regime"]["t"],
+            "mean_rounds": mean_rounds,
+            "success_rate": rec["aggregates"]["success_rate"],
+            "lower_bound": lower,
+            "upper_envelope": upper,
+            "ratio_to_lower": mean_rounds / lower,
+            "ratio_to_upper": mean_rounds / upper,
+        })
     return {
         "spec_version": SPEC_VERSION,
         "command": "bounds",

@@ -468,6 +468,23 @@ class TestMaxloadBound:
         assert maxload_bound(2000, 1000, 1) == 1.0
         assert maxload_bound(4, 1, 2) == 1.0
 
+    def test_union_bound_is_on_a_cell_above_the_cap(self):
+        # d * C(k, t + 1) * d**(-(t + 1)): P(some cell holds at least t + 1)
+        rec = experiments.run_maxload_check(k=8, d=4, t=4, n=12)
+        assert rec["union_bound"] == 4 * math.comb(8, 5) / 4 ** 5
+        # d * C(k, t + 1) = d**(t + 1) exactly, where the float product
+        # d * (C(23, 2) / 253**2) reads 0.9999999999999999: clamped to 1
+        # on integers
+        assert experiments.run_maxload_check(k=23, d=253, t=1)["union_bound"] == 1.0
+
+    def test_union_bound_never_undercuts_the_exact_law(self):
+        for n in range(5):
+            N = 1 << n
+            for d, k in itertools.product(range(1, N + 1), range(N + 1)):
+                for t in range(k + 1):
+                    rec = experiments.run_maxload_check(k, d, t, n)
+                    assert rec["exceedance"] <= rec["union_bound"] <= 1
+
 
 def integer_exceedance(N, d, k, t):
     """1 - [x^k] prod_c sum_{i<=t} C(s_c, i) x^i / C(N, k), in integers."""

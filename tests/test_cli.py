@@ -102,6 +102,73 @@ def test_oversized_copy_or_target_count_is_infeasible(command, flag, capsys,
     assert "infeasible" in err and f"{flag[2:]}={experiments.MAX_COUNT + 1}" in err
 
 
+class ReachedATrial(Exception):
+    """Raised by a ``build_database`` that a refused run must not reach."""
+
+
+def no_trial(*args, **kwargs):
+    raise ReachedATrial
+
+
+@pytest.mark.parametrize("t,accepted", [
+    (experiments.MAX_COUNT, True),
+    (experiments.MAX_COUNT + 1, False),
+    (2 ** 70, False),       # past int64
+])
+def test_search_cap_limit(t, accepted, capsys, monkeypatch):
+    # a cap past the limit is refused before the first database is built
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    argv = ["search", "--n", "8", "--d", "4", "--k", "4", "--t", str(t),
+            "--trials", "1"]
+    if accepted:
+        with pytest.raises(ReachedATrial):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "infeasible" in err and f"t={t}" in err
+
+
+MAX_COPIES = experiments.MAX_COPIES
+MAX_COPY_TRIALS = experiments.MAX_COPY_TRIALS
+MAX_TRIALS = experiments.MAX_TRIALS
+
+
+@pytest.mark.parametrize("command", ["search", "bounds"])
+@pytest.mark.parametrize("d,trials,refused_by", [
+    (MAX_COPIES, 1, None),
+    (MAX_COPIES + 1, 1, "d"),
+    (MAX_COPIES, MAX_COPY_TRIALS // MAX_COPIES, None),
+    (MAX_COPIES, MAX_COPY_TRIALS // MAX_COPIES + 1, "trials * d"),
+    (MAX_COPY_TRIALS // MAX_TRIALS, MAX_TRIALS, None),
+    (MAX_COPY_TRIALS // MAX_TRIALS + 1, MAX_TRIALS, "trials * d"),
+    (1, MAX_TRIALS, None),
+    (1, MAX_TRIALS + 1, "trials"),
+])
+def test_copy_and_trial_limits(command, d, trials, refused_by, capsys,
+                               monkeypatch):
+    # d, trials * d and trials past their limits are refused before the
+    # first database is built
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    argv = [command, "--n", "40", "--d", str(d), "--k", "2",
+            "--trials", str(trials)]
+    if refused_by is None:
+        with pytest.raises(ReachedATrial):
+            main(argv)
+        return
+    assert main(argv) == 2
+    value = {"d": d, "trials": trials, "trials * d": trials * d}[refused_by]
+    assert f"infeasible: {refused_by}={value} exceeds" in capsys.readouterr().err
+
+
+def test_bounds_checks_every_cell_before_the_first_runs(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    code = main(["bounds", "--n", "40", "--d", f"2,{MAX_COPIES + 1}", "--k", "2",
+                 "--trials", "1"])
+    assert code == 2
+    assert f"d={MAX_COPIES + 1}" in capsys.readouterr().err
+
+
 def test_search_at_n_40_runs(capsys):
     code = main(["search", "--n", "40", "--d", "64", "--k", "64", "--trials", "1"])
     record = json.loads(capsys.readouterr().out)
@@ -134,7 +201,7 @@ def test_maxload_largest_n_runs(capsys):
 
 
 def test_maxload_overloaded_cap_bound_is_one(capsys):
-    # C(2000, 1000) / 1**1000 exceeds every float: the bound is clamped to 1
+    # C(2000, 1001) / 1**1000 exceeds every float: the bound is clamped to 1
     code, out = run_cli(["maxload", "--d", "1", "--k", "2000", "--t", "1000",
                          "--n", "12"], capsys)
     record = json.loads(out)

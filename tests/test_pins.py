@@ -36,7 +36,7 @@ PINS = [
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
      "75ff4c6cf099d0b33c943aab0df8508c25b1bf3262575e37d17f2f943ad21cad"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
-     "537a4e5fc29cec3d91275ba31dc735d6adf3839ed89b0b4157ea90de6da67a1e"),
+     "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
      "cffdba120acfb59ebd489b96189b575082b39efbfd73c2b06074b6b224c7e47e"),
 ]
