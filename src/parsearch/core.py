@@ -316,12 +316,12 @@ class QueryLedger:
     from its first step if its cell holds no target, or from the step after
     the find that emptied its cell while items are missing.
     ``multi_item_search`` draws that rest whole, so a copy is charged the
-    queries of its searches plus its drawn rest.  :func:`~parsearch.algorithms.parallel_search` keeps the d-copy
-    ledger of the whole search: the copies run in lockstep, one
-    parallel round per query, and halt at the round where the last needed
-    item is confirmed, so each copy is charged its program up to that stop
-    and a repetition's rounds are the largest such charge; the total sums
-    the repetitions.  Checking the k claimed locations at the end of a
+    queries of its searches plus its drawn rest.
+    :func:`~parsearch.algorithms.parallel_search` keeps the d-copy ledger
+    of the whole search: the copies run in lockstep, one parallel round per
+    query, and halt at the round where the last needed item is confirmed,
+    so each copy is charged its program up to that stop and a repetition's
+    rounds are the largest such charge; the total sums the repetitions.  Checking the k claimed locations at the end of a
     repetition costs ceil(k/d) parallel queries, kept apart as
     verification rounds.
     """
