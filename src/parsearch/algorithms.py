@@ -169,17 +169,23 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
             return addr, queries
 
 
-def _empty_programs(sizes, steps, rng) -> np.ndarray:
+def _empty_programs(sizes, steps, rng, *, limits=None) -> np.ndarray:
     """Program lengths of copies with no marked address left in cells of
-    the given *sizes*, and *steps* steps of :func:`multi_item_search` left.
+    the given *sizes*, and *steps* steps of :func:`multi_item_search` left,
+    each cut at its limit.
 
     Every attempt there misses, so the rest of a copy's program is fixed:
     with s >= 1 steps left, one known-count attempt of r + 1 queries,
     r = optimal_iterations(M, min(s, M)), then the stages of
     :func:`bbht_search_unknown` until its budget runs out, each costing
     one more query than its uniform draw from [0, cap]; with none left,
-    nothing.  *steps* is one count for all cells or one per cell.  One
-    stage loop draws the stages of all the cells at once from *rng*.
+    nothing.  *steps* and *limits* are one count for all cells or one per
+    cell; without *limits* every program is whole.  One stage loop draws
+    the stages of all the cells at once from *rng*, one draw per cell per
+    stage, and adds nothing to a cell that has reached its limit; it ends
+    once no cell under its limit fits its next stage.  So a length is the
+    smaller of the whole program and the limit, and the draws that decide
+    it are those of the whole program.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), sizes.shape)
@@ -193,15 +199,18 @@ def _empty_programs(sizes, steps, rng) -> np.ndarray:
     # a copy with no step left fits no stage
     room = np.where(steps > 0, np.array([budget - 1 for budget, _ in schedules],
                                         dtype=np.int64)[which], -1)
+    if limits is None:
+        limits = np.iinfo(np.int64).max
+    limits = np.asarray(limits, dtype=np.int64)
     spent = np.zeros(sizes.size, dtype=np.int64)
     for caps in zip(*(caps for _, caps in schedules)):
         cap = np.array(caps, dtype=np.int64)[which]
         # cutoffs never shrink, so a cell whose stage did not fit stays done
-        running = spent + cap <= room
+        running = (spent + cap <= room) & (known + spent < limits)
         if not running.any():
             break
         spent += np.where(running, rng.integers(0, cap + 1) + 1, 0)
-    return known + spent
+    return np.minimum(known + spent, limits)
 
 
 def multi_item_search(
@@ -236,8 +245,15 @@ def multi_item_search(
     none, unless the copy has stopped.  Then one :func:`_empty_programs`
     call on the same stream draws all those rests at once.
 
-    The outcome's d-copy ledger holds each copy's whole program, charged
-    here by the rule of :class:`~parsearch.core.QueryLedger`.
+    The copies run in lockstep and halt once every target item is located,
+    at the round of the last find; the outcome's d-copy ledger charges each
+    copy its program up to that halt, by the rule of
+    :class:`~parsearch.core.QueryLedger`.  Each drawn rest is cut at the
+    halt less the queries its copy has made, so none is drawn past it.  A
+    searched copy has made its last query by then, unless its cell holds an
+    item that another cell holds too; its charge is cut at the halt as
+    well.  A repetition that leaves an item unlocated charges whole
+    programs.
     ``find_times`` gives, for each located item, the queries its copy had
     made when its check confirmed it.  ``success`` means no marked address
     is left in any cell.
@@ -250,7 +266,7 @@ def multi_item_search(
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
     rng = as_generator(seed)
-    ledger = QueryLedger(sizes.size)
+    spent = [0] * sizes.size    # the queries each copy has made
     located: dict = {}
     find_times: dict = {}
     left = 0
@@ -262,8 +278,9 @@ def multi_item_search(
     # address: all t steps of a cell with none, and none of a stopped copy
     left_sizes = sizes.copy()
     steps = np.full(sizes.size, t, dtype=np.int64)
+    wanted = frozenset(targets.items)
     for c, marked in held.items():
-        pred = MarkedPredicate(db, targets.items, int(sizes[c]), marked)
+        pred = MarkedPredicate(db, wanted, int(sizes[c]), marked)
         steps[c] = 0
         for i in range(1, t + 1):
             # step i follows i - 1 finds, one item each
@@ -274,23 +291,31 @@ def multi_item_search(
                 break
             assumed = min(t - i + 1, pred.size)
             addr, queries = grover_search_known(pred, assumed, rng)
-            ledger.record_oracle(c, queries)
+            spent[c] += queries
             if addr is None:
                 addr, queries = bbht_search_unknown(pred, rng)
-                ledger.record_oracle(c, queries)
+                spent[c] += queries
                 if addr is None:
                     break
             y = db.lookup(addr)
             located[y] = addr
-            find_times[y] = ledger.oracle_counts[c]
+            find_times[y] = spent[c]
             pred = pred.without(addr)
         left += pred.marked.size
 
+    charges = np.array(spent, dtype=np.int64)
+    # lockstep halt: the round where the last missing item was confirmed
+    stop = max(find_times.values()) if len(located) == targets.k else None
     which = np.flatnonzero(steps)
     if which.size:
-        lengths = _empty_programs(left_sizes[which], steps[which], rng)
-        for c, length in zip(which.tolist(), lengths.tolist()):
-            ledger.record_oracle(c, length)
+        limits = None if stop is None else np.maximum(stop - charges[which], 0)
+        charges[which] += _empty_programs(left_sizes[which], steps[which], rng,
+                                          limits=limits)
+    if stop is not None:
+        charges = np.minimum(charges, stop)
+    ledger = QueryLedger(sizes.size)
+    for c, charge in enumerate(charges.tolist()):
+        ledger.record_oracle(c, charge)
 
     return SearchOutcome(
         targets=targets,
@@ -493,14 +518,13 @@ def parallel_search(
     the iterated multi-item search with the per-cell cap *t* (by default
     the regime cap of :func:`choose_regime`) on all d copies in one
     :func:`multi_item_search` call.  Copies run in lockstep, one parallel
-    round per oracle query, charged by the rule of
-    :class:`~parsearch.core.QueryLedger`: as soon as the check of the last
-    still-missing item confirms it, all copies halt, so each copy is
-    charged the smaller of its program and that round.  A repetition that
-    leaves items unlocated costs the longest copy program and triggers
-    another repetition (fresh partition, already-located items excluded)
-    up to ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from
-    the start of the search, across repetitions.
+    round per oracle query; that call charges each copy up to the halt by
+    the rule of :class:`~parsearch.core.QueryLedger`, and this one records
+    its charges.  A repetition that leaves items unlocated costs the
+    longest copy program and triggers another repetition (fresh partition,
+    already-located items excluded) up to ``MAX_REPETITIONS``.
+    ``find_times`` count parallel rounds from the start of the search,
+    across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence.  Each
     repetition derives two streams from it with
@@ -535,16 +559,8 @@ def parallel_search(
         )
         copies = multi_item_search(db, sizes, addresses, cells, missing, t,
                                    seed=derive_stream(seed, STREAM_COPY, rep))
-        programs = copies.ledger.oracle_counts
-        if set(copies.located) == set(missing.items):
-            # lockstep halt: every copy stops at the round where the last
-            # needed item was confirmed
-            stop = max(copies.find_times.values())
-        else:
-            stop = max(programs)
-
-        for c, program in enumerate(programs):
-            ledger.record_oracle(c, min(program, stop))
+        for c, charge in enumerate(copies.ledger.oracle_counts):
+            ledger.record_oracle(c, charge)
         outcome.located.update(copies.located)
         for y, when in copies.find_times.items():
             outcome.find_times[y] = closed + when

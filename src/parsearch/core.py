@@ -225,7 +225,9 @@ class MarkedPredicate:
     database (through ``items_at``); :meth:`scan` finds the marked
     addresses from a subdomain's addresses.  :meth:`without` derives the
     predicate left after a find from ``marked`` and ``items``, so a search
-    never goes back to the database.
+    never goes back to the database.  *targets* given as a set or
+    frozenset is used as it is, so a caller building many predicates over
+    one target set builds that set once.
     """
 
     __slots__ = ("size", "marked", "items")
@@ -238,7 +240,9 @@ class MarkedPredicate:
         if any(a >= b for a, b in zip(held, held[1:])):
             raise ValueError("marked addresses must be distinct and ascending")
         items = db.items_at(marked)
-        if not {int(y) for y in targets}.issuperset(items.tolist()):
+        if not isinstance(targets, (set, frozenset)):
+            targets = {int(y) for y in targets}
+        if not targets.issuperset(items.tolist()):
             raise ValueError("a marked address holds no target item")
         self.size = int(size)
         self.marked = marked
@@ -311,18 +315,14 @@ class QueryLedger:
     query on the copy that makes it.  The searches return the queries they
     make, and :func:`~parsearch.algorithms.multi_item_search` alone charges
     them, each to the copy that made it, on the d-copy ledger of one
-    repetition's programs.  A copy whose cell holds no marked address
-    misses at every attempt, so the rest of its program is fixed in law:
-    from its first step if its cell holds no target, or from the step after
-    the find that emptied its cell while items are missing.
-    ``multi_item_search`` draws that rest whole, so a copy is charged the
-    queries of its searches plus its drawn rest.
-    :func:`~parsearch.algorithms.parallel_search` keeps the d-copy ledger
-    of the whole search: the copies run in lockstep, one parallel round per
-    query, and halt at the round where the last needed item is confirmed,
-    so each copy is charged its program up to that stop and a repetition's
-    rounds are the largest such charge; the total sums the repetitions.  Checking the k claimed locations at the end of a
-    repetition costs ceil(k/d) parallel queries, kept apart as
+    repetition.  The copies run in lockstep, one parallel round per query,
+    and halt at the round where the check of the last missing item confirms
+    it, so no copy is charged past that round; a repetition that leaves an
+    item unlocated charges every copy its whole program.  A repetition's
+    rounds are its largest charge, and
+    :func:`~parsearch.algorithms.parallel_search` sums the repetitions on
+    the ledger of the whole search.  Checking the k claimed locations at
+    the end of a repetition costs ceil(k/d) parallel queries, kept apart as
     verification rounds.
     """
 

@@ -35,8 +35,8 @@ SPEC_VERSION = "3.0"
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
 MAX_SEARCH_BITS = 62
 
-#: largest k, and largest --t, a search takes: a trial holds k target
-#: addresses, never O(N) numbers.
+#: largest --t a search takes: the cap bounds a copy's steps, and no
+#: array of its size is made.
 MAX_COUNT = 1 << 24
 
 #: largest d, trials * d and trials a search takes.  A run's memory grows
@@ -54,6 +54,18 @@ MAX_COUNT = 1 << 24
 MAX_COPIES = 1 << 20
 MAX_COPY_TRIALS = 1 << 22
 MAX_TRIALS = 1 << 16
+
+#: largest k a search takes.  A trial holds its k target addresses, never
+#: O(N) numbers, but several structures per target: the database's address
+#: lists, the target set and the found items' maps.  That memory is freed
+#: after each trial, so it adds to the record's.  Peak RSS of
+#: ``search --n 40 --d 1048576`` (d at its limit), measured on a 2-core
+#: host:
+#:
+#: - 1 trial: k = 2**16: 385 MB; k = 2**18: 483 MB; k = 2**19: 604 MB;
+#: - 4 trials (trials * d at its limit): k = 2**17: 631 MB; past the
+#:   limit, k = 2**18: 737 MB.
+MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).
 #: The slowest case measured at the limit, (n, d, t) = (62, 2**16 - 1, 3),
@@ -106,7 +118,7 @@ class ExperimentConfig:
         if t is not None and t < 0:
             raise ValueError(f"need t >= 0, got t={t}")
         for name, value, limit in (
-                ("d", self.d, MAX_COPIES), ("k", self.k, MAX_COUNT),
+                ("d", self.d, MAX_COPIES), ("k", self.k, MAX_TARGETS),
                 ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS),
                 ("trials * d", self.trials * self.d, MAX_COPY_TRIALS)):
             if value > limit:

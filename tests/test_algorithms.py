@@ -291,6 +291,25 @@ class TestMultiItemSearch:
         assert times == sorted(set(times))
         assert all(0 <= t <= out.ledger.oracle_counts[0] for t in times)
 
+    def test_the_missing_items_are_read_once_per_call(self):
+        # a predicate per cell holding a target must not rebuild the set of
+        # all k' missing items: that costs O(k' * cells) per repetition
+        class CountingItems(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingItems.reads += 1
+                return super().__iter__()
+
+        db, targets = build_database(12, 64, seed=17)
+        addresses = db.locate(targets.items)
+        cells = random_partition(db.size, 64, addresses, seed=18)
+        assert np.unique(cells).size >= 32
+        object.__setattr__(targets, "items", CountingItems(targets.items))
+        multi_item_search(db, cell_sizes(db.size, 64), addresses, cells, targets, 2,
+                          seed=19)
+        assert CountingItems.reads == 1
+
     @pytest.mark.parametrize("sizes,addresses,cells", [
         ([4, 4], [1, 2], [0]),          # one cell per address
         ([4, 4], [1, 2], [0, 2]),       # no cell 2
@@ -887,8 +906,8 @@ class TestLedgerRule:
 
         def recording(name, fn):
             def run(*args, **kwargs):
-                events.append((name, args, fn(*args, **kwargs)))
-                return events[-1][2]
+                events.append((name, args, kwargs, fn(*args, **kwargs)))
+                return events[-1][3]
             return run
 
         with mock.patch.object(algorithms, "MarkedPredicate",
@@ -906,12 +925,12 @@ class TestLedgerRule:
         # its first step, and each cell whose last find emptied it while
         # items and steps are left
         held = np.unique(cells).tolist()
-        names = [name for name, _, _ in events]
+        names = [name for name, _, _, _ in events]
         assert names.count("cell") == len(held)
         charged, finds, found, order = {}, {}, Counter(), iter(held)
         rest = {c: (int(sizes[c]), t) for c in range(d) if c not in held}
         draws = []
-        for name, args, result in events:
+        for name, args, kwargs, result in events:
             if name == "cell":
                 c = next(order)
                 charged[c] = 0
@@ -922,16 +941,24 @@ class TestLedgerRule:
                     finds[db.lookup(addr)] = charged[c]
                     found[c] += 1
             else:
-                draws.append((args, result))
+                draws.append((args, kwargs, result))
         for c in held:
             f = found[c]
             if f == np.count_nonzero(cells == c) and f < min(t, k, sizes[c]):
                 rest[c] = (int(sizes[c]) - f, t - f)
         assert len(draws) == any(steps for _, steps in rest.values())
         if draws:
-            (drawn_sizes, drawn_steps, _), lengths = draws[0]
+            (drawn_sizes, drawn_steps, _), kwargs, lengths = draws[0]
             assert list(zip(drawn_sizes.tolist(), drawn_steps.tolist())) == \
                 [rest[c] for c in sorted(rest)]
+            # once every item is located, each rest is cut at the lockstep
+            # halt less the queries its copy has made; else it is whole
+            if len(finds) == k:
+                stop = max(finds.values())
+                assert kwargs["limits"].tolist() == \
+                    [stop - charged.get(c, 0) for c in sorted(rest)]
+            else:
+                assert kwargs["limits"] is None
             # such a copy is charged its searches so far plus its drawn rest
             for c, length in zip(sorted(rest), lengths.tolist()):
                 charged[c] = charged.get(c, 0) + length
@@ -940,7 +967,8 @@ class TestLedgerRule:
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
         # two cells of 32 addresses hold one target each, with t = 3: after
-        # its find, a copy's two steps left are drawn whole, not walked
+        # its find, a copy's two steps left are drawn, not walked, and cut
+        # at the lockstep halt
         db, targets = build_database(6, 2, seed=75)
         addresses = db.locate(targets.items)
         both = 0
@@ -969,8 +997,54 @@ class TestLedgerRule:
             items = [db.lookup(a) for a in addresses.tolist()]
             assert out.ledger.oracle_counts == [
                 out.find_times[y] + length for y, length in zip(items, lengths.tolist())]
-            assert all(length >= optimal_iterations(31, 2) + 1 for length in lengths)
+            # both items are found, so the copies halt at the later find:
+            # each rest is its whole program cut there, and the whole
+            # program is at least one known-count attempt
+            stop = max(out.find_times.values())
+            assert max(out.ledger.oracle_counts) == stop
+            first = optimal_iterations(31, 2) + 1
+            assert all(min(first, stop - out.find_times[y]) <= length
+                       <= stop - out.find_times[y]
+                       for y, length in zip(items, lengths.tolist()))
         assert both >= 15
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2),
+           st.booleans())
+    def test_charges_stop_at_the_lockstep_halt(self, instance, d, t, ghosts, twice):
+        # the same search twice on one seed, the second with every drawn rest
+        # whole: the first charges each copy the second's program up to the
+        # halt, the round of the last find once every item is located (a
+        # ghost target, stored nowhere, never is; with t = 1 a cell holding
+        # two targets leaves one), and finds the same items at the same times
+        n, k, seed = instance
+        db, targets = build_database(n, k, seed=seed)
+        if twice and k < db.size:
+            # item 1 at a second address too, whose copy may search past
+            # the halt
+            entries = db.explicit().entries.copy()
+            entries[np.flatnonzero(entries > k)[0]] = 1
+            db = Database(n=n, m=db.m, entries=entries)
+        targets = TargetSet(targets.items + tuple(range(db.size + 1,
+                                                        db.size + 1 + ghosts)))
+        d = min(d, db.size)
+        addresses = marked_addresses(db, targets.items)
+        cells = random_partition(db.size, d, addresses, seed)
+        sizes = cell_sizes(db.size, d)
+        out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
+        draw = algorithms._empty_programs
+        with mock.patch.object(algorithms, "_empty_programs",
+                               lambda sizes, steps, rng, limits=None:
+                               draw(sizes, steps, rng)):
+            whole = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
+        assert out.located == whole.located
+        assert out.find_times == whole.find_times
+        programs = whole.ledger.oracle_counts
+        if len(whole.located) == targets.k:
+            stop = max(whole.find_times.values())
+        else:
+            stop = max(programs)
+        assert out.ledger.oracle_counts == [min(p, stop) for p in programs]
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(0, 3))
@@ -999,12 +1073,11 @@ class TestLedgerRule:
             assert len(programs) == d
             charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
             assert rounds == max(charges)
-            # each copy is charged its program up to the lockstep stop
+            # each copy is charged what multi_item_search charged it, which
+            # ends at the lockstep halt once every missing item is located
+            assert charges == programs
             if set(run.located) == set(run.targets.items):
-                stop = max(run.find_times.values())
-            else:
-                stop = max(programs)
-            assert charges == [min(p, stop) for p in programs]
+                assert max(programs) == max(run.find_times.values())
             # items found in this repetition: find times after every
             # earlier repetition's, within this one's rounds
             assert all(closed < out.find_times[y] <= closed + rounds

@@ -161,6 +161,21 @@ def test_copy_and_trial_limits(command, d, trials, refused_by, capsys,
     assert f"infeasible: {refused_by}={value} exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["search", "bounds"])
+@pytest.mark.parametrize("past", [0, 1])
+def test_target_limit(command, past, capsys, monkeypatch):
+    # k past its limit is refused before the first database is built
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    k = experiments.MAX_TARGETS + past
+    argv = [command, "--n", "40", "--d", "2", "--k", str(k), "--trials", "1"]
+    if not past:
+        with pytest.raises(ReachedATrial):
+            main(argv)
+        return
+    assert main(argv) == 2
+    assert f"infeasible: k={k} exceeds" in capsys.readouterr().err
+
+
 def test_bounds_checks_every_cell_before_the_first_runs(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "build_database", no_trial)
     code = main(["bounds", "--n", "40", "--d", f"2,{MAX_COPIES + 1}", "--k", "2",
