@@ -172,7 +172,7 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
 def _empty_programs(sizes, steps, rng, *, limits=None) -> np.ndarray:
     """Program lengths of copies with no marked address left in cells of
     the given *sizes*, and *steps* steps of :func:`multi_item_search` left,
-    each cut at its limit.
+    each drawn up to the stage that reaches its limit.
 
     Every attempt there misses, so the rest of a copy's program is fixed:
     with s >= 1 steps left, one known-count attempt of r + 1 queries,
@@ -183,9 +183,9 @@ def _empty_programs(sizes, steps, rng, *, limits=None) -> np.ndarray:
     cell; without *limits* every program is whole.  One stage loop draws
     the stages of all the cells at once from *rng*, one draw per cell per
     stage, and adds nothing to a cell that has reached its limit; it ends
-    once no cell under its limit fits its next stage.  So a length is the
-    smaller of the whole program and the limit, and the draws that decide
-    it are those of the whole program.
+    once no cell under its limit fits its next stage.  So a length below
+    its limit is the whole program, one at or past it is cut by the caller,
+    and the draws that decide it are those of the whole program.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), sizes.shape)
@@ -210,7 +210,7 @@ def _empty_programs(sizes, steps, rng, *, limits=None) -> np.ndarray:
         if not running.any():
             break
         spent += np.where(running, rng.integers(0, cap + 1) + 1, 0)
-    return np.minimum(known + spent, limits)
+    return known + spent
 
 
 def multi_item_search(
@@ -248,12 +248,11 @@ def multi_item_search(
     The copies run in lockstep and halt once every target item is located,
     at the round of the last find; the outcome's d-copy ledger charges each
     copy its program up to that halt, by the rule of
-    :class:`~parsearch.core.QueryLedger`.  Each drawn rest is cut at the
-    halt less the queries its copy has made, so none is drawn past it.  A
-    searched copy has made its last query by then, unless its cell holds an
-    item that another cell holds too; its charge is cut at the halt as
-    well.  A repetition that leaves an item unlocated charges whole
-    programs.
+    :class:`~parsearch.core.QueryLedger`: every charge is cut at the halt.
+    A drawn rest is drawn only up to the stage that reaches the halt, so
+    no later stage is drawn.  A searched copy has made its last query by
+    then, unless its cell holds an item that another cell holds too.  A
+    repetition that leaves an item unlocated charges whole programs.
     ``find_times`` gives, for each located item, the queries its copy had
     made when its check confirmed it.  ``success`` means no marked address
     is left in any cell.
@@ -308,7 +307,7 @@ def multi_item_search(
     stop = max(find_times.values()) if len(located) == targets.k else None
     which = np.flatnonzero(steps)
     if which.size:
-        limits = None if stop is None else np.maximum(stop - charges[which], 0)
+        limits = None if stop is None else stop - charges[which]
         charges[which] += _empty_programs(left_sizes[which], steps[which], rng,
                                           limits=limits)
     if stop is not None:

@@ -225,9 +225,7 @@ class MarkedPredicate:
     database (through ``items_at``); :meth:`scan` finds the marked
     addresses from a subdomain's addresses.  :meth:`without` derives the
     predicate left after a find from ``marked`` and ``items``, so a search
-    never goes back to the database.  *targets* given as a set or
-    frozenset is used as it is, so a caller building many predicates over
-    one target set builds that set once.
+    never goes back to the database.
     """
 
     __slots__ = ("size", "marked", "items")
@@ -240,9 +238,7 @@ class MarkedPredicate:
         if any(a >= b for a, b in zip(held, held[1:])):
             raise ValueError("marked addresses must be distinct and ascending")
         items = db.items_at(marked)
-        if not isinstance(targets, (set, frozenset)):
-            targets = {int(y) for y in targets}
-        if not targets.issuperset(items.tolist()):
+        if not frozenset(targets).issuperset(items.tolist()):
             raise ValueError("a marked address holds no target item")
         self.size = int(size)
         self.marked = marked

@@ -65,6 +65,12 @@ MAX_TRIALS = 1 << 16
 #: - 1 trial: k = 2**16: 385 MB; k = 2**18: 483 MB; k = 2**19: 604 MB;
 #: - 4 trials (trials * d at its limit): k = 2**17: 631 MB; past the
 #:   limit, k = 2**18: 737 MB.
+#:
+#: With d = 64 a trial at k = 2**17 takes about 17 s and peaks at 116 MB
+#: over 1 trial, 145 MB over 4 and 149 MB over 8, against 36 MB at
+#: k = 64: it holds about 110 MB on top of the record.  So the corner
+#: d = 64, 2**16 trials, k = 2**17, which was not run (about two weeks),
+#: would peak between the record's 679 MB and about 0.8 GB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).

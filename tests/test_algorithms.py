@@ -951,8 +951,8 @@ class TestLedgerRule:
             (drawn_sizes, drawn_steps, _), kwargs, lengths = draws[0]
             assert list(zip(drawn_sizes.tolist(), drawn_steps.tolist())) == \
                 [rest[c] for c in sorted(rest)]
-            # once every item is located, each rest is cut at the lockstep
-            # halt less the queries its copy has made; else it is whole
+            # once every item is located, each rest is drawn up to the
+            # lockstep halt less the queries its copy has made; else whole
             if len(finds) == k:
                 stop = max(finds.values())
                 assert kwargs["limits"].tolist() == \
@@ -962,7 +962,10 @@ class TestLedgerRule:
             # such a copy is charged its searches so far plus its drawn rest
             for c, length in zip(sorted(rest), lengths.tolist()):
                 charged[c] = charged.get(c, 0) + length
-        assert out.ledger.oracle_counts == [charged.get(c, 0) for c in range(d)]
+        # and every charge is cut at the halt
+        stop = max(finds.values()) if len(finds) == k else math.inf
+        assert out.ledger.oracle_counts == [min(charged.get(c, 0), stop)
+                                            for c in range(d)]
         assert out.find_times == finds
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
@@ -995,18 +998,46 @@ class TestLedgerRule:
             (sizes, steps, _), lengths = draws[0]
             assert sizes.tolist() == [31, 31] and steps.tolist() == [2, 2]
             items = [db.lookup(a) for a in addresses.tolist()]
-            assert out.ledger.oracle_counts == [
-                out.find_times[y] + length for y, length in zip(items, lengths.tolist())]
             # both items are found, so the copies halt at the later find:
-            # each rest is its whole program cut there, and the whole
-            # program is at least one known-count attempt
+            # each is charged its find plus its rest, cut there, and the
+            # rest is at least one known-count attempt
             stop = max(out.find_times.values())
+            assert out.ledger.oracle_counts == [
+                min(out.find_times[y] + length, stop)
+                for y, length in zip(items, lengths.tolist())]
             assert max(out.ledger.oracle_counts) == stop
             first = optimal_iterations(31, 2) + 1
-            assert all(min(first, stop - out.find_times[y]) <= length
-                       <= stop - out.find_times[y]
-                       for y, length in zip(items, lengths.tolist()))
+            assert all(length >= first for length in lengths.tolist())
         assert both >= 15
+
+    def test_no_stage_is_drawn_past_the_limits(self):
+        # a cell at its limit adds nothing, and once every cell is there
+        # the stage loop draws no further stage
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), 0
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                return self.rng.integers(*args, **kwargs)
+
+        def draw(limits):
+            rng = CountingGenerator(81)
+            lengths = algorithms._empty_programs([37, 1024], 3, rng, limits=limits)
+            return lengths.tolist(), rng.draws
+
+        known = [optimal_iterations(M, 3) + 1 for M in (37, 1024)]
+        whole, stages = draw(None)
+        assert stages > 1
+        # with limits of 0 no stage is drawn: each copy has made only its
+        # known-count attempt, which the caller cuts at the limit
+        assert draw(0) == (known, 0)
+        # one stage takes every copy past its known-count attempt, so a
+        # limit one above it stops the loop after one draw
+        limits = np.array(known) + 1
+        cut, draws = draw(limits)
+        assert draws == 1
+        assert np.minimum(cut, limits).tolist() == np.minimum(whole, limits).tolist()
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2),
