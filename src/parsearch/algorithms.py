@@ -227,7 +227,10 @@ def multi_item_search(
 
     Cell c holds ``sizes[c]`` addresses.  ``addresses`` are all the
     addresses of the cells that hold a target item, ``addresses[i]`` lying
-    in cell ``cells[i]``.  Every copy runs the same program on its cell: step i
+    in cell ``cells[i]``, one address per item: the items stored there are
+    read once, with one ``db.items_at`` call, and an address that holds no
+    target item, or a target item at two of them, is refused with
+    ValueError.  Every copy runs the same program on its cell: step i
     (i = 1..t) searches with assumed marked count t-i+1; a found item is
     removed from the target set and its address from the search space.  A
     failed step falls back to the unknown-count search, since fewer than
@@ -251,8 +254,8 @@ def multi_item_search(
     :class:`~parsearch.core.QueryLedger`: every charge is cut at the halt.
     A drawn rest is drawn only up to the stage that reaches the halt, so
     no later stage is drawn.  A searched copy has made its last query by
-    then, unless its cell holds an item that another cell holds too.  A
-    repetition that leaves an item unlocated charges whole programs.
+    then.  A repetition that leaves an item unlocated charges whole
+    programs.
     ``find_times`` gives, for each located item, the queries its copy had
     made when its check confirmed it.  ``success`` means no marked address
     is left in any cell.
@@ -264,6 +267,13 @@ def multi_item_search(
         raise ValueError("need one cell per address")
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
+    items = db.items_at(addresses)
+    if not np.isin(items, targets.items).all():
+        raise ValueError("an address holds no target item")
+    ordered = np.sort(items)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("a target item is stored at two addresses")
+    item_at = dict(zip(addresses.tolist(), items.tolist()))
     rng = as_generator(seed)
     spent = [0] * sizes.size    # the queries each copy has made
     located: dict = {}
@@ -277,9 +287,8 @@ def multi_item_search(
     # address: all t steps of a cell with none, and none of a stopped copy
     left_sizes = sizes.copy()
     steps = np.full(sizes.size, t, dtype=np.int64)
-    wanted = frozenset(targets.items)
     for c, marked in held.items():
-        pred = MarkedPredicate(db, wanted, int(sizes[c]), marked)
+        pred = MarkedPredicate(int(sizes[c]), marked)
         steps[c] = 0
         for i in range(1, t + 1):
             # step i follows i - 1 finds, one item each
@@ -296,7 +305,7 @@ def multi_item_search(
                 spent[c] += queries
                 if addr is None:
                     break
-            y = db.lookup(addr)
+            y = item_at[addr]
             located[y] = addr
             find_times[y] = spent[c]
             pred = pred.without(addr)
@@ -313,8 +322,7 @@ def multi_item_search(
     if stop is not None:
         charges = np.minimum(charges, stop)
     ledger = QueryLedger(sizes.size)
-    for c, charge in enumerate(charges.tolist()):
-        ledger.record_oracle(c, charge)
+    ledger.record_repetition(charges.tolist())
 
     return SearchOutcome(
         targets=targets,
@@ -558,12 +566,10 @@ def parallel_search(
         )
         copies = multi_item_search(db, sizes, addresses, cells, missing, t,
                                    seed=derive_stream(seed, STREAM_COPY, rep))
-        for c, charge in enumerate(copies.ledger.oracle_counts):
-            ledger.record_oracle(c, charge)
+        ledger.record_repetition(copies.ledger.oracle_counts)
         outcome.located.update(copies.located)
         for y, when in copies.find_times.items():
             outcome.find_times[y] = closed + when
-        ledger.end_repetition()
 
         outcome.success = verify_locations(db, outcome)
         if outcome.success:

@@ -5,11 +5,12 @@ and applies a phase oracle, so its state never leaves the 2-d span of the
 uniform marked and the uniform unmarked states.  :func:`sample_after` uses
 that to measure the state after r iterations in O(1) from the closed form
 of :func:`success_probability`; the searches run on it.  A search's state is
-therefore only its subdomain size M and its marked addresses, which is what
+therefore only its subdomain size M and its marked addresses, which is all
 :class:`MarkedPredicate` keeps; :func:`marked_addresses` finds those
-addresses.  A database answers ``lookup``, ``items_at`` and ``locate``:
-:class:`Database` from an N-entry table, :class:`PlantedDatabase` from its
-k target addresses alone, at any N that int64 addresses allow.
+addresses.  A database answers ``lookup``, ``items_at`` and ``locate``, and
+refuses an address outside [0, N) with IndexError: :class:`Database` from
+an N-entry table, :class:`PlantedDatabase` from its k target addresses
+alone, at any N that int64 addresses allow.
 
 The dense simulator (:class:`StateVector`, :func:`init_uniform`,
 :func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
@@ -27,7 +28,6 @@ d copies' searches.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass
 
@@ -78,6 +78,16 @@ def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
 MAX_EXPLICIT_BITS = 24
 
 
+def _in_range(addresses, size: int) -> np.ndarray:
+    """*addresses* as an int64 array; IndexError unless each lies in
+    [0, size)."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if addresses.size and not (0 <= np.minimum.reduce(addresses)
+                               and np.maximum.reduce(addresses) < size):
+        raise IndexError(f"addresses must lie in [0, {size})")
+    return addresses
+
+
 @dataclass(frozen=True)
 class Database:
     """A lookup table of m-bit items stored at N = 2**n addresses."""
@@ -103,11 +113,11 @@ class Database:
         return 1 << self.n
 
     def lookup(self, address: int) -> int:
-        return int(self.entries[address])
+        return int(self.items_at([address])[0])
 
     def items_at(self, addresses) -> np.ndarray:
         """The items stored at *addresses*, in their order."""
-        return self.entries[np.asarray(addresses, dtype=np.int64)]
+        return self.entries[_in_range(addresses, self.size)]
 
     def locate(self, targets) -> np.ndarray:
         """The addresses holding an item of *targets*, in ascending order:
@@ -165,10 +175,7 @@ class PlantedDatabase:
 
     def items_at(self, addresses) -> np.ndarray:
         """The items stored at *addresses*, in their order."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size and not (0 <= np.minimum.reduce(addresses)
-                                   and np.maximum.reduce(addresses) < self.size):
-            raise IndexError(f"addresses must lie in [0, {self.size})")
+        addresses = _in_range(addresses, self.size)
         below = self._ascending_array.searchsorted(addresses)
         items = addresses + (self.k + 1) - below
         if self.k:
@@ -220,35 +227,27 @@ class MarkedPredicate:
 
     A search over the subdomain reads only its size M and which of its
     addresses are marked, so that is all the predicate keeps: ``size`` and
-    ``marked``, the marked addresses in ascending order, both given at
-    construction, and ``items``, the items stored there, read once from the
-    database (through ``items_at``); :meth:`scan` finds the marked
-    addresses from a subdomain's addresses.  :meth:`without` derives the
-    predicate left after a find from ``marked`` and ``items``, so a search
-    never goes back to the database.
+    ``marked``, the marked addresses in ascending order.  Which items they
+    hold is the caller's to know; :meth:`scan` finds the marked addresses
+    of a subdomain from the database.
     """
 
-    __slots__ = ("size", "marked", "items")
+    __slots__ = ("size", "marked")
 
-    def __init__(self, db, targets, size: int, marked):
+    def __init__(self, size: int, marked):
         marked = np.asarray(marked, dtype=np.int64)
         if marked.ndim != 1 or marked.size > size:
             raise ValueError(f"need at most size={size} marked addresses")
-        held = marked.tolist()
-        if any(a >= b for a, b in zip(held, held[1:])):
+        if (marked[1:] <= marked[:-1]).any():
             raise ValueError("marked addresses must be distinct and ascending")
-        items = db.items_at(marked)
-        if not frozenset(targets).issuperset(items.tolist()):
-            raise ValueError("a marked address holds no target item")
         self.size = int(size)
         self.marked = marked
-        self.items = items
 
     @classmethod
     def scan(cls, db, targets, subdomain) -> "MarkedPredicate":
         """The predicate over the addresses in *subdomain*, from one scan."""
         sub = np.asarray(subdomain, dtype=np.int64)
-        return cls(db, targets, sub.size, marked_addresses(db, targets, sub))
+        return cls(sub.size, marked_addresses(db, targets, sub))
 
     @property
     def mask(self) -> np.ndarray:
@@ -259,21 +258,14 @@ class MarkedPredicate:
         return np.arange(self.size) < self.marked.size
 
     def without(self, address: int) -> "MarkedPredicate":
-        """The predicate once the item at the marked *address* is located.
-
-        The address leaves the subdomain and its item leaves the targets, so
-        any other address holding that item is unmarked too.  Raises
-        ValueError when *address* is not marked.
+        """The predicate once the item at the marked *address* is located:
+        the address leaves the subdomain, and every other marked address
+        stays marked.  Raises ValueError when *address* is not marked.
         """
-        at = np.flatnonzero(self.marked == address)
-        if not at.size:
+        keep = self.marked != address
+        if keep.all():
             raise ValueError(f"address {address} is not marked")
-        keep = self.items != self.items[at[0]]
-        shrunk = copy.copy(self)
-        shrunk.size = self.size - 1
-        shrunk.marked = self.marked[keep]
-        shrunk.items = self.items[keep]
-        return shrunk
+        return MarkedPredicate(self.size - 1, self.marked[keep])
 
 
 class StateVector:
@@ -310,15 +302,17 @@ class QueryLedger:
     iteration and the classical check of a measured address are one oracle
     query on the copy that makes it.  The searches return the queries they
     make, and :func:`~parsearch.algorithms.multi_item_search` alone charges
-    them, each to the copy that made it, on the d-copy ledger of one
-    repetition.  The copies run in lockstep, one parallel round per query,
-    and halt at the round where the check of the last missing item confirms
-    it, so no copy is charged past that round; a repetition that leaves an
-    item unlocated charges every copy its whole program.  A repetition's
-    rounds are its largest charge, and
-    :func:`~parsearch.algorithms.parallel_search` sums the repetitions on
-    the ledger of the whole search.  Checking the k claimed locations at
-    the end of a repetition costs ceil(k/d) parallel queries, kept apart as
+    them, each to the copy that made it.  The copies run in lockstep, one
+    parallel round per query, and halt at the round where the check of the
+    last missing item confirms it, so no copy is charged past that round;
+    a repetition that leaves an item unlocated charges every copy its whole
+    program.  A ledger records a whole repetition at once, one charge per
+    copy (:meth:`record_repetition`): its rounds are its largest charge,
+    and :attr:`parallel_rounds` sums them over the repetitions.
+    :func:`~parsearch.algorithms.parallel_search` records each repetition
+    that :func:`~parsearch.algorithms.multi_item_search` charged on the
+    ledger of the whole search.  Checking the k claimed locations at the
+    end of a repetition costs ceil(k/d) parallel queries, kept apart as
     verification rounds.
     """
 
@@ -329,27 +323,24 @@ class QueryLedger:
         self.oracle_counts = [0] * copies
         self.verification_rounds = 0
         self._rep_rounds: list[int] = []
-        self._snapshot = [0] * copies
 
-    def record_oracle(self, copy: int, amount: int) -> None:
-        if amount < 0:
+    def record_repetition(self, charges) -> int:
+        """Charge each copy its queries of one repetition, ``charges[c]`` to
+        copy c, and return the repetition's rounds, the largest charge."""
+        charges = [int(c) for c in charges]
+        if len(charges) != self.copies:
+            raise ValueError(f"need one charge per copy, {self.copies}, "
+                             f"got {len(charges)}")
+        if min(charges) < 0:
             raise ValueError("counts only increase")
-        self.oracle_counts[copy] += amount
+        self.oracle_counts = [a + b for a, b in zip(self.oracle_counts, charges)]
+        self._rep_rounds.append(max(charges))
+        return self._rep_rounds[-1]
 
     def record_verification(self, rounds: int) -> None:
         if rounds < 0:
             raise ValueError("counts only increase")
         self.verification_rounds += rounds
-
-    def end_repetition(self) -> int:
-        """Close the current repetition and return its parallel round count."""
-        rounds = self._open_rounds()
-        self._rep_rounds.append(rounds)
-        self._snapshot = list(self.oracle_counts)
-        return rounds
-
-    def _open_rounds(self) -> int:
-        return max(c - s for c, s in zip(self.oracle_counts, self._snapshot))
 
     @property
     def rounds_per_repetition(self) -> tuple:
@@ -357,8 +348,8 @@ class QueryLedger:
 
     @property
     def parallel_rounds(self) -> int:
-        """Lockstep rounds: per-repetition maxima summed, plus any open work."""
-        return sum(self._rep_rounds) + self._open_rounds()
+        """Lockstep rounds: the per-repetition maxima summed."""
+        return sum(self._rep_rounds)
 
 
 def init_uniform(M: int) -> StateVector:

@@ -93,7 +93,8 @@ class TestBuildDatabase:
     @given(st.integers(0, 10), st.data(), st.integers(0, 2 ** 32 - 1))
     def test_reads_match_the_explicit_table(self, n, data, seed):
         # lookup, items_at and locate of the k stored addresses against the
-        # same reads of the N-entry table
+        # same reads of the N-entry table; both refuse an address outside
+        # [0, N)
         N = 1 << n
         k = data.draw(st.integers(1, min(N, 12)))
         db, targets = build_database(n, k, seed)
@@ -102,6 +103,14 @@ class TestBuildDatabase:
         assert [db.lookup(a) for a in range(N)] == table.entries.tolist()
         some = data.draw(st.lists(st.integers(0, N - 1), max_size=20))
         np.testing.assert_array_equal(db.items_at(some), table.items_at(some))
+        outside = data.draw(st.lists(st.integers(-2, -1) | st.integers(N, N + 1),
+                                     min_size=1, max_size=4))
+        for base in (db, table):
+            for a in outside:
+                with pytest.raises(IndexError):
+                    base.lookup(a)
+            with pytest.raises(IndexError):
+                base.items_at(some + outside)
         wanted = data.draw(st.sets(st.integers(-2, N + k + 2), max_size=8))
         for items in (targets.items, wanted):
             np.testing.assert_array_equal(db.locate(items), table.locate(items))
@@ -293,7 +302,9 @@ class TestMultiItemSearch:
 
     def test_the_missing_items_are_read_once_per_call(self):
         # a predicate per cell holding a target must not rebuild the set of
-        # all k' missing items: that costs O(k' * cells) per repetition
+        # all k' missing items, nor read the items at its addresses, and a
+        # find must not look its item up: those cost O(k' * cells) per
+        # repetition
         class CountingItems(tuple):
             reads = 0
 
@@ -301,25 +312,43 @@ class TestMultiItemSearch:
                 CountingItems.reads += 1
                 return super().__iter__()
 
+        class CountingDatabase:
+            """A database that counts the reads of each of its attributes."""
+
+            def __init__(self, db):
+                self.db, self.reads = db, Counter()
+
+            def __getattr__(self, name):
+                self.reads[name] += 1
+                return getattr(self.db, name)
+
         db, targets = build_database(12, 64, seed=17)
         addresses = db.locate(targets.items)
         cells = random_partition(db.size, 64, addresses, seed=18)
         assert np.unique(cells).size >= 32
         object.__setattr__(targets, "items", CountingItems(targets.items))
-        multi_item_search(db, cell_sizes(db.size, 64), addresses, cells, targets, 2,
-                          seed=19)
+        counting = CountingDatabase(db)
+        out = multi_item_search(counting, cell_sizes(db.size, 64), addresses, cells,
+                                targets, 2, seed=19)
+        assert len(out.located) >= 32
         assert CountingItems.reads == 1
+        assert counting.reads["items_at"] == 1
+        assert counting.reads["lookup"] == 0
 
     @pytest.mark.parametrize("sizes,addresses,cells", [
         ([4, 4], [1, 2], [0]),          # one cell per address
         ([4, 4], [1, 2], [0, 2]),       # no cell 2
         ([4, 4], [1, 2], [0, -1]),
         ([1, 4], [1, 2], [0, 0]),       # two marked addresses, one-address cell
+        ([4, 4], [0, 1], [0, 1]),       # address 0 holds no target item
+        ([4, 4], [1, 3], [0, 1]),       # target 1 at two addresses
     ])
     def test_rejects_inconsistent_cells(self, sizes, addresses, cells):
-        db = Database(n=3, m=2, entries=np.array([0, 1, 1, 0, 0, 0, 0, 0]))
+        # targets 1 and 2, with 1 stored at addresses 1 and 3
+        db = Database(n=3, m=2, entries=np.array([0, 1, 2, 1, 0, 0, 0, 0]))
         with pytest.raises(ValueError):
-            multi_item_search(db, sizes, addresses, cells, TargetSet([1]), 1, seed=0)
+            multi_item_search(db, sizes, addresses, cells, TargetSet([1, 2]), 1,
+                              seed=0)
 
 
 class TestEmptyCellLaw:
@@ -329,7 +358,7 @@ class TestEmptyCellLaw:
     DRAWS = 4000
 
     def attempt_by_attempt(self, M, t, seed):
-        pred = MarkedPredicate(Database(n=1, m=2, entries=np.zeros(2)), [1], M, [])
+        pred = MarkedPredicate(M, [])
         rng = np.random.default_rng(seed)
         lengths = []
         for _ in range(self.DRAWS):
@@ -642,6 +671,13 @@ class TestParallelSearch:
         assert out.success is False
         assert out.repetitions == MAX_REPETITIONS
 
+    def test_an_item_stored_twice_is_refused(self):
+        # the search takes one address per target item: target 1 at
+        # addresses 1 and 3 of the table is refused, not searched
+        db = Database(n=3, m=3, entries=np.array([0, 1, 2, 1, 3, 4, 5, 6]))
+        with pytest.raises(ValueError, match="two addresses"):
+            parallel_search(db, 2, TargetSet([1, 2]), seed=0)
+
     def test_invalid_copy_count(self):
         db, targets = build_database(3, 1, seed=0)
         with pytest.raises(ValueError):
@@ -761,10 +797,10 @@ def per_copy_parallel_search(db, d, targets, seed):
             stop = max(when for _, times, _ in copies for when in times.values())
         else:
             stop = max(queries for _, _, queries in copies)
-        for c, (located, _, queries) in enumerate(copies):
-            outcome.ledger.record_oracle(c, min(queries, stop))
+        outcome.ledger.record_repetition(
+            [min(queries, stop) for _, _, queries in copies])
+        for located, _, _ in copies:
             outcome.located.update(located)
-        outcome.ledger.end_repetition()
         outcome.success = verify_locations(db, outcome)
         if outcome.success:
             break
@@ -855,8 +891,8 @@ class RecordingLedger(QueryLedger):
         super().__init__(copies)
         self.closed = [list(self.oracle_counts)]
 
-    def end_repetition(self) -> int:
-        rounds = super().end_repetition()
+    def record_repetition(self, charges) -> int:
+        rounds = super().record_repetition(charges)
         self.closed.append(list(self.oracle_counts))
         return rounds
 
@@ -1040,9 +1076,8 @@ class TestLedgerRule:
         assert np.minimum(cut, limits).tolist() == np.minimum(whole, limits).tolist()
 
     @settings(derandomize=True, deadline=None)
-    @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2),
-           st.booleans())
-    def test_charges_stop_at_the_lockstep_halt(self, instance, d, t, ghosts, twice):
+    @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2))
+    def test_charges_stop_at_the_lockstep_halt(self, instance, d, t, ghosts):
         # the same search twice on one seed, the second with every drawn rest
         # whole: the first charges each copy the second's program up to the
         # halt, the round of the last find once every item is located (a
@@ -1050,12 +1085,6 @@ class TestLedgerRule:
         # two targets leaves one), and finds the same items at the same times
         n, k, seed = instance
         db, targets = build_database(n, k, seed=seed)
-        if twice and k < db.size:
-            # item 1 at a second address too, whose copy may search past
-            # the halt
-            entries = db.explicit().entries.copy()
-            entries[np.flatnonzero(entries > k)[0]] = 1
-            db = Database(n=n, m=db.m, entries=entries)
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         d = min(d, db.size)

@@ -73,11 +73,10 @@ class TestMarkedPredicateConstruction:
         (1, [1, 4]),     # more marked addresses than the subdomain holds
         (3, [4, 1]),     # not ascending
         (3, [1, 1]),     # repeated
-        (3, [0]),        # holds no target item
     ])
     def test_rejects_impossible_marked_addresses(self, size, marked):
         with pytest.raises(ValueError):
-            MarkedPredicate(make_db(3, [1, 4, 6]), [1], size, marked)
+            MarkedPredicate(size, marked)
 
 
 class TestMarkedPredicateWithout:
@@ -85,25 +84,25 @@ class TestMarkedPredicateWithout:
     @given(shared_item_predicates(), st.data())
     def test_matches_a_fresh_predicate(self, case, data):
         db, pred, sub, targets = case
-        # locate marked addresses one after another until none is left
+        # locate marked addresses one after another until none is left: each
+        # leaves the subdomain, and the targets stay as they are
         while pred.marked.size:
             addr = data.draw(st.sampled_from(pred.marked.tolist()))
             shrunk = pred.without(addr)
             sub = sub[sub != addr]
-            targets = targets - {db.lookup(addr)}
             fresh = MarkedPredicate.scan(db, targets, sub)
             assert shrunk.size == fresh.size == sub.size
             np.testing.assert_array_equal(shrunk.marked, fresh.marked)
-            np.testing.assert_array_equal(shrunk.items, fresh.items)
             np.testing.assert_array_equal(shrunk.mask, fresh.mask)
             pred = shrunk
 
-    def test_every_address_of_the_found_item_is_unmarked(self):
+    def test_other_addresses_of_the_found_item_stay_marked(self):
         db = make_db(3, [1, 4, 6])
         pred = MarkedPredicate.scan(db, frozenset([1]), np.array([6, 0, 4, 1]))
         shrunk = pred.without(4)
         assert shrunk.size == 3
-        assert not shrunk.mask.any() and shrunk.marked.size == 0
+        np.testing.assert_array_equal(shrunk.marked, [1, 6])
+        np.testing.assert_array_equal(shrunk.mask, [True, True, False])
         # the original predicate is left as it was
         np.testing.assert_array_equal(pred.marked, [1, 4, 6])
 
@@ -305,19 +304,29 @@ class TestQueryLedger:
     def test_counts_only_increase(self):
         ledger = QueryLedger(2)
         with pytest.raises(ValueError):
-            ledger.record_oracle(0, -1)
+            ledger.record_repetition([3, -1])
         with pytest.raises(ValueError):
             ledger.record_verification(-1)
+        # a refused repetition charges nothing
+        assert ledger.oracle_counts == [0, 0] and ledger.parallel_rounds == 0
+
+    @pytest.mark.parametrize("charges", [[], [4], [4, 7, 5, 1]])
+    def test_needs_one_charge_per_copy(self, charges):
+        ledger = QueryLedger(3)
+        with pytest.raises(ValueError):
+            ledger.record_repetition(charges)
+        assert ledger.oracle_counts == [0, 0, 0]
+        assert ledger.rounds_per_repetition == ()
 
     def test_parallel_rounds_is_max_per_repetition(self):
         ledger = QueryLedger(3)
-        ledger.record_oracle(0, 4)
-        ledger.record_oracle(1, 7)
+        assert ledger.record_repetition([4, 7, 0]) == 7
         assert ledger.parallel_rounds == 7
-        assert ledger.end_repetition() == 7
-        ledger.record_oracle(2, 5)
+        assert ledger.record_repetition(np.array([0, 0, 5])) == 5
+        assert ledger.record_repetition([0, 0, 0]) == 0
+        assert ledger.oracle_counts == [4, 7, 5]
+        assert ledger.rounds_per_repetition == (7, 5, 0)
         assert ledger.parallel_rounds == 12
-        assert ledger.rounds_per_repetition == (7,)
 
     def test_needs_one_copy(self):
         with pytest.raises(ValueError):
