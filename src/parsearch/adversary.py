@@ -4,18 +4,22 @@ the hard-instance bipartite graph, and the degree/multiplicity bound formula.
 Vertices on one side are databases holding exactly k-1 of the fixed target
 items (all other locations zero); on the other side, databases holding all
 k targets.  Since every other location is zero, a vertex is stored as its
-placement, the addresses where its targets sit, so memory grows as
-vertices * k, not vertices * N.  Two databases are adjacent iff they differ
-in exactly one base location.  With d copies, an edge is labeled by every
-d-fold address that contains the differing base address in some
-coordinate; the statistics are computed per base address and combined,
-which is equivalent and far smaller than enumerating d-fold addresses.
+placement, the addresses where its targets sit: one row of an int64 array,
+so memory grows as vertices * k, not vertices * N.  Two databases are
+adjacent iff they differ in exactly one base location; the edges are rows
+of an int64 array too, and the statistics are computed from that edge list
+with numpy.  With d copies, an edge is labeled by every d-fold address
+that contains the differing base address in some coordinate; the
+statistics are computed per base address and combined, which is
+equivalent and far smaller than enumerating d-fold addresses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+
+import numpy as np
 
 FEASIBLE_VERTICES = 10 ** 6
 
@@ -64,20 +68,26 @@ class InstanceFamily:
 
 @dataclass(frozen=True)
 class AdversaryGraph:
-    """Explicit vertex sets and labeled edges at brute-force scale.
+    """Explicit vertex sets and labeled edges at brute-force scale, as int64
+    arrays with one row per vertex or edge.
 
-    A vertex is a placement.  ``v1[i]`` is a k-tuple of distinct addresses:
-    target item j+1 sits at ``v1[i][j]``.  ``v0[i]`` is a pair
-    ``(miss, p)``: target ``miss + 1`` is absent and the k-1 kept targets
-    sit, in order, at the addresses of ``p``.  Every other location holds
-    zero.  Each edge ``(i0, i1, x)`` joins ``v0[i0]`` to ``v1[i1]`` and
-    carries the single base address ``x`` where the two databases differ.
+    A vertex is a placement.  ``v1`` has shape (perm(N, k), k): row i is
+    the i-th k-permutation of the addresses in lexicographic order, and
+    target item j+1 sits at ``v1[i, j]``.  ``v0`` has shape
+    (k * perm(N, k-1), k): row ``miss * perm(N, k-1) + i`` is
+    ``[miss, *kept_i]``, where target ``miss + 1`` is absent and the k-1
+    kept targets sit, in order, at the addresses of the i-th
+    (k-1)-permutation ``kept_i``.  Every other location holds zero.
+    ``edges`` has shape (k * len(v1), 3): row ``i1 * k + j`` is
+    ``(i0, i1, x)``, joining ``v0[i0]`` to ``v1[i1]`` by removing target
+    j+1, and ``x = v1[i1, j]`` is the single base address where the two
+    databases differ.
     """
 
     family: InstanceFamily
-    v0: tuple
-    v1: tuple
-    edges: tuple
+    v0: np.ndarray
+    v1: np.ndarray
+    edges: np.ndarray
 
     @property
     def v0_count_factored(self) -> tuple:
@@ -110,6 +120,15 @@ def estimated_size(fam: InstanceFamily) -> int:
     return v0 + v1
 
 
+def _placement_codes(rows: np.ndarray, N: int) -> np.ndarray:
+    """Each row read as a base-N number, first column most significant, so
+    rows in lexicographic order get ascending codes.  Under the
+    FEASIBLE_VERTICES cap a code is below N**(k-1) <= 2**21 (at N = k = 8),
+    far inside int64."""
+    weights = N ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return rows @ weights
+
+
 def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     """Enumerate both vertex sets and all edges explicitly.
 
@@ -132,14 +151,46 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
             f"instance would enumerate {size} vertices "
             f"(cutoff {FEASIBLE_VERTICES})"
         )
-    addrs = range(fam.N)
-    v1 = tuple(permutations(addrs, fam.k))
-    kept = tuple(permutations(addrs, fam.k - 1))
-    v0 = tuple((miss, p) for miss in range(fam.k) for p in kept)
-    index0 = {v: i for i, v in enumerate(v0)}
-    edges = tuple((index0[(j, p[:j] + p[j + 1:])], i1, x)
-                  for i1, p in enumerate(v1) for j, x in enumerate(p))
+    N, k = fam.N, fam.k
+
+    def placements(width):
+        count = math.perm(N, width)
+        flat = np.fromiter(chain.from_iterable(permutations(range(N), width)),
+                           dtype=np.int64, count=count * width)
+        return flat.reshape(count, width)
+
+    v1 = placements(k)
+    kept = placements(k - 1)
+    v0 = np.empty((k * len(kept), k), dtype=np.int64)
+    v0[:, 0] = np.repeat(np.arange(k), len(kept))
+    v0[:, 1:] = np.tile(kept, (k, 1))
+    # kept is in lexicographic order, so its codes ascend and a v1 row
+    # minus its target j is found by binary search within block j of v0
+    kept_codes = _placement_codes(kept, N)
+    edges = np.empty((k * len(v1), 3), dtype=np.int64)
+    for j in range(k):
+        rank = np.searchsorted(kept_codes,
+                               _placement_codes(np.delete(v1, j, axis=1), N))
+        edges[j::k, 0] = j * len(kept) + rank
+    edges[:, 1] = np.repeat(np.arange(len(v1)), k)
+    edges[:, 2] = v1.ravel()
     return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
+
+
+def _max_label_multiplicity(vertex: np.ndarray, addr: np.ndarray, N: int,
+                            d: int) -> int:
+    """Largest, over vertices, sum of the top-d per-address edge counts."""
+    keys, counts = np.unique(vertex * N + addr, return_counts=True)
+    owner = keys // N
+    # keys ascend, so each vertex's addresses are contiguous; sort each
+    # group by descending count and keep the first d of it
+    order = np.lexsort((-counts, owner))
+    owner, counts = owner[order], counts[order]
+    position = np.arange(len(owner))
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    top = position - np.maximum.accumulate(np.where(first, position, 0)) < d
+    sums = np.bincount(owner[top], weights=counts[top])
+    return int(sums.max())
 
 
 def compute_stats(g: AdversaryGraph) -> AdversaryStats:
@@ -150,32 +201,15 @@ def compute_stats(g: AdversaryGraph) -> AdversaryStats:
     at that vertex, so it equals the sum of the top-d per-address edge
     counts.
     """
-    if not g.edges:
+    if len(g.edges) == 0:
         raise ValueError("adversary graph has no edges")
-    d = g.family.d
-    deg0 = [0] * len(g.v0)
-    deg1 = [0] * len(g.v1)
-    by_addr0 = [dict() for _ in g.v0]
-    by_addr1 = [dict() for _ in g.v1]
-    for i0, i1, x in g.edges:
-        deg0[i0] += 1
-        deg1[i1] += 1
-        by_addr0[i0][x] = by_addr0[i0].get(x, 0) + 1
-        by_addr1[i1][x] = by_addr1[i1].get(x, 0) + 1
-
-    def max_label_multiplicity(per_vertex):
-        best = 0
-        for counts in per_vertex:
-            if counts:
-                top = sorted(counts.values(), reverse=True)[:d]
-                best = max(best, sum(top))
-        return best
-
+    fam = g.family
+    i0, i1, x = g.edges.T
     return AdversaryStats(
-        delta0=min(deg0),
-        delta1=min(deg1),
-        ell0=max_label_multiplicity(by_addr0),
-        ell1=max_label_multiplicity(by_addr1),
+        delta0=int(np.bincount(i0, minlength=len(g.v0)).min()),
+        delta1=int(np.bincount(i1, minlength=len(g.v1)).min()),
+        ell0=_max_label_multiplicity(i0, x, fam.N, fam.d),
+        ell1=_max_label_multiplicity(i1, x, fam.N, fam.d),
     )
 
 

@@ -1,10 +1,13 @@
 """Tests for the lower-bound module: formulas and brute-force enumeration."""
 import math
 import tracemalloc
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from parsearch.adversary import (
+    AdversaryGraph,
     AdversaryStats,
     InfeasibleInstanceError,
     InstanceFamily,
@@ -74,7 +77,7 @@ class TestBuildGraph:
             g = build_adversary_graph(fam)
             t = fam.targets
             dbs0 = [database(fam.N, t[:miss] + t[miss + 1:], p)
-                    for miss, p in g.v0]
+                    for miss, *p in g.v0]
             dbs1 = [database(fam.N, t, p) for p in g.v1]
             expected = set()
             for i0, f0 in enumerate(dbs0):
@@ -82,8 +85,25 @@ class TestBuildGraph:
                     diffs = [a for a in range(fam.N) if f0[a] != f1[a]]
                     if len(diffs) == 1:
                         expected.add((i0, i1, diffs[0]))
-            assert len(set(g.edges)) == len(g.edges)
-            assert set(g.edges) == expected
+            edges = set(map(tuple, g.edges.tolist()))
+            assert len(edges) == len(g.edges)
+            assert edges == expected
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_arrays_match_tuple_enumeration(self, n, k):
+        # reference: the same vertices and edges built one tuple at a time
+        fam = InstanceFamily(n=n, m=k.bit_length() + 1, d=1, k=k)
+        addrs = range(fam.N)
+        v1 = tuple(permutations(addrs, k))
+        kept = tuple(permutations(addrs, k - 1))
+        v0 = tuple((miss, p) for miss in range(k) for p in kept)
+        index0 = {v: i for i, v in enumerate(v0)}
+        edges = tuple((index0[(j, p[:j] + p[j + 1:])], i1, x)
+                      for i1, p in enumerate(v1) for j, x in enumerate(p))
+        g = build_adversary_graph(fam)
+        assert g.v1.tolist() == [list(p) for p in v1]
+        assert g.v0.tolist() == [[miss, *p] for miss, p in v0]
+        assert g.edges.tolist() == [list(e) for e in edges]
 
     def test_memory_grows_with_k_not_n(self):
         # a vertex holds its k target addresses, not an N-entry database
@@ -115,6 +135,40 @@ class TestComputeStats:
         assert stats.delta1 == 2
         assert stats.ell0 <= 2
         assert stats.ell1 <= 2
+
+    @staticmethod
+    def repeated_label_graph(d, side, isolated=False):
+        """Vertex 0 of one side has six edges at addresses 0, 0, 0, 1, 1, 2:
+        per-address counts (3, 2, 1).  Each vertex of the other side has
+        one edge, and *isolated* adds one vertex with none."""
+        fam = InstanceFamily(n=2, m=2, d=d, k=2)
+        addrs = [0, 0, 0, 1, 1, 2]
+        hub = [0] * len(addrs)
+        leaves = list(range(len(addrs)))
+        i0, i1 = (hub, leaves) if side == 0 else (leaves, hub)
+        edges = np.array(list(zip(i0, i1, addrs)), dtype=np.int64)
+        n0, n1 = max(i0) + 1, max(i1) + 1
+        if isolated:
+            n0, n1 = (n0, n1 + 1) if side == 0 else (n0 + 1, n1)
+        v0 = np.zeros((n0, fam.k), dtype=np.int64)
+        v1 = np.zeros((n1, fam.k), dtype=np.int64)
+        return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("d,ell", [(1, 3), (2, 5), (4, 6)])
+    def test_repeated_label_takes_top_d_counts(self, side, d, ell):
+        # the top-d sum over counts (3, 2, 1): 3, 3+2, and all six edges
+        stats = compute_stats(self.repeated_label_graph(d, side))
+        expected = (6, 1, ell, 1) if side == 0 else (1, 6, 1, ell)
+        got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
+        assert got == expected
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_vertex_without_edge_is_refused(self, side):
+        g = self.repeated_label_graph(2, side, isolated=True)
+        with pytest.raises(ValueError, match="must be positive"):
+            compute_stats(g)
 
     def test_stats_validation(self):
         with pytest.raises(ValueError):
