@@ -28,6 +28,20 @@ from .core import (
 #: growth factor of the unknown-count search's iteration cutoff
 CUTOFF_GROWTH = 6 / 5
 
+#: CUTOFF_GROWTH**s for s = 0..120; entry 120 is the first past
+#: sqrt(2**63), so every later stage of any int64 cell size M has the
+#: cutoff sqrt(M)
+_GROWTH = np.array([CUTOFF_GROWTH ** s for s in range(121)])
+
+#: unknown-count stages drawn at once per cell: a block costs two numpy
+#: draws for all the cells still searching, and most searches end within
+#: one or two blocks
+STAGE_BLOCK = 32
+
+#: cells drawn at once: a block's arrays hold BLOCK_ROWS * STAGE_BLOCK
+#: entries, 1 MB each, however many copies a repetition has
+BLOCK_ROWS = 1 << 12
+
 #: repetitions of the parallel algorithm before reporting failure
 MAX_REPETITIONS = 10
 
@@ -137,8 +151,14 @@ def bbht_schedule(M: int) -> tuple:
     budget = math.ceil(9 / 4 * sqrt_m)
     if M > 1:
         budget += 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH))
-    caps = (int(min(CUTOFF_GROWTH ** s, sqrt_m)) for s in itertools.count())
-    return budget, caps
+    caps = _cutoffs(sqrt_m).tolist()
+    return budget, itertools.chain(caps, itertools.repeat(caps[-1]))
+
+
+def _cutoffs(sqrt_m, stages=slice(None)) -> np.ndarray:
+    """Stage cutoffs int(min(CUTOFF_GROWTH**s, sqrt(M))) of the given
+    *stages*, all of ``_GROWTH``'s by default, for the given sqrt(M)."""
+    return np.minimum(_GROWTH[stages], sqrt_m).astype(np.int64)
 
 
 def bbht_search_unknown(pred: MarkedPredicate, seed):
@@ -169,48 +189,81 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
             return addr, queries
 
 
-def _empty_programs(sizes, steps, rng, *, limits=None) -> np.ndarray:
-    """Program lengths of copies with no marked address left in cells of
-    the given *sizes*, and *steps* steps of :func:`multi_item_search` left,
-    each drawn up to the stage that reaches its limit.
+def _draw_hits(r, theta, full, rng) -> np.ndarray:
+    """Whether Grover attempts of r iterations hit, in cells with
+    theta = asin(sqrt(j/M)): each with probability sin^2((2r + 1) theta),
+    or 1 where every address is marked (``full``).  A batch with nothing
+    marked misses every attempt, and draws nothing."""
+    if not theta.any():
+        return np.zeros(r.shape, dtype=bool)
+    mass = np.where(full, 1.0, np.sin((2 * r + 1) * theta) ** 2)
+    return rng.random(r.shape) < mass
 
-    Every attempt there misses, so the rest of a copy's program is fixed:
-    with s >= 1 steps left, one known-count attempt of r + 1 queries,
-    r = optimal_iterations(M, min(s, M)), then the stages of
-    :func:`bbht_search_unknown` until its budget runs out, each costing
-    one more query than its uniform draw from [0, cap]; with none left,
-    nothing.  *steps* and *limits* are one count for all cells or one per
-    cell; without *limits* every program is whole.  One stage loop draws
-    the stages of all the cells at once from *rng*, one draw per cell per
-    stage, and adds nothing to a cell that has reached its limit; it ends
-    once no cell under its limit fits its next stage.  So a length below
-    its limit is the whole program, one at or past it is cut by the caller,
-    and the draws that decide it are those of the whole program.
+
+def _draw_steps(sizes, marked, assumed, rng, limits=None):
+    """One step of :func:`multi_item_search` for each cell of a batch, with
+    ``marked[c]`` of its ``sizes[c]`` addresses marked, assuming
+    ``assumed[c]`` are.
+
+    A step is the known-count attempt of :func:`grover_search_known`, then,
+    on a miss, the stages of :func:`bbht_search_unknown`, in the same law:
+    an attempt of r iterations costs r + 1 queries and hits with the
+    marked mass of :func:`~parsearch.core.sample_after`; the known-count
+    attempt takes r = ``optimal_iterations(M, assumed)``, and stage s draws
+    r uniformly from [0, cap_s] and runs while the stages' queries so far
+    plus cap_s + 1 stay within the budget of :func:`bbht_schedule`.  The
+    cells are drawn ``BLOCK_ROWS`` at a time, all on *rng*, so a call's
+    arrays stay small whatever the batch.  Their stages are drawn
+    ``STAGE_BLOCK`` at a time, one block for each cell still searching,
+    until no such cell is below its entry of *limits* (none by default).
+    Which cells draw a block does not depend on *limits*, so a step cut at
+    its limit has the draws of the whole step up to the last block drawn,
+    and the caller cuts it there.  With no marked address every attempt
+    misses, so the step is the rest of a copy's program.
+
+    Returns ``(hits, queries)``: whether each cell's step found a marked
+    address, and the queries it made.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    steps = np.broadcast_to(np.asarray(steps, dtype=np.int64), sizes.shape)
-    kinds = sorted(set(sizes.tolist()))
-    which = np.searchsorted(kinds, sizes)
-    schedules = [bbht_schedule(M) for M in kinds]
-    first = {(M, s): optimal_iterations(M, min(s, M)) + 1 if s else 0
-             for M, s in set(zip(sizes.tolist(), steps.tolist()))}
-    known = np.array([first[cell] for cell in zip(sizes.tolist(), steps.tolist())],
-                     dtype=np.int64)
-    # a copy with no step left fits no stage
-    room = np.where(steps > 0, np.array([budget - 1 for budget, _ in schedules],
-                                        dtype=np.int64)[which], -1)
-    if limits is None:
-        limits = np.iinfo(np.int64).max
-    limits = np.asarray(limits, dtype=np.int64)
-    spent = np.zeros(sizes.size, dtype=np.int64)
-    for caps in zip(*(caps for _, caps in schedules)):
-        cap = np.array(caps, dtype=np.int64)[which]
-        # cutoffs never shrink, so a cell whose stage did not fit stays done
-        running = (spent + cap <= room) & (known + spent < limits)
-        if not running.any():
-            break
-        spent += np.where(running, rng.integers(0, cap + 1) + 1, 0)
-    return known + spent
+    rows = [np.asarray(a) for a in (sizes, marked, assumed)]
+    rows.append(np.broadcast_to(np.inf if limits is None else limits, rows[0].shape))
+    parts = [_draw_rows(rng, *(a[lo:lo + BLOCK_ROWS] for a in rows))
+             for lo in range(0, rows[0].size, BLOCK_ROWS)]
+    return tuple(np.concatenate(drawn) for drawn in zip(*parts))
+
+
+def _draw_rows(rng, sizes, marked, assumed, limits):
+    """:func:`_draw_steps` for at most ``BLOCK_ROWS`` cells."""
+    # the budget once per distinct M, and r once per distinct (M, assumed)
+    kinds, which = np.unique(sizes, return_inverse=True)
+    budget = np.array([bbht_schedule(M)[0] for M in kinds.tolist()],
+                      dtype=np.int64)[which]
+    base = int(assumed.max()) + 1
+    pairs, pair = np.unique(which * base + assumed, return_inverse=True)
+    r = np.array([optimal_iterations(int(kinds[p // base]), p % base)
+                  for p in pairs.tolist()], dtype=np.int64)[pair]
+    theta = np.arcsin(np.sqrt(marked / sizes))
+    full = marked == sizes
+    hits = _draw_hits(r, theta, full, rng)
+    queries = r + 1
+    spent = np.zeros_like(queries)      # by the unknown-count stages
+    searching = ~hits
+    stages = np.arange(STAGE_BLOCK)
+    while (searching & (queries + spent < limits)).any():
+        at = np.flatnonzero(searching)
+        cap = _cutoffs(np.sqrt(sizes[at, None]), stages)
+        r = rng.integers(0, cap + 1)
+        cost = r + 1
+        # a stage runs if the queries before it plus cap + 1 fit the
+        # budget, up to the first hit
+        fits = np.cumsum(cost, axis=1) - r + cap <= (budget[at] - spent[at])[:, None]
+        hit = fits & _draw_hits(r, theta[at, None], full[at, None], rng)
+        spent[at] += (cost * (fits & (np.cumsum(hit, axis=1) <= hit))).sum(axis=1)
+        found = hit.any(axis=1)
+        hits[at] = found
+        searching[at] = ~found & fits[:, -1]
+        # the stages past the table's last entry share its cutoff, sqrt(M)
+        stages = np.minimum(stages + STAGE_BLOCK, _GROWTH.size - 1)
+    return hits, queries + spent
 
 
 def multi_item_search(
@@ -230,32 +283,38 @@ def multi_item_search(
     in cell ``cells[i]``, one address per item: the items stored there are
     read once, with one ``db.items_at`` call, and an address that holds no
     target item, or a target item at two of them, is refused with
-    ValueError.  Every copy runs the same program on its cell: step i
-    (i = 1..t) searches with assumed marked count t-i+1; a found item is
-    removed from the target set and its address from the search space.  A
-    failed step falls back to the unknown-count search, since fewer than
-    the assumed number may be present; when the fallback also finds
-    nothing the cell is treated as exhausted.  A copy that has located
-    every target item stops.
+    ValueError, as is a cell with more marked addresses than addresses.
+    Every copy runs the same program on its cell: step i (i = 1..t)
+    searches with assumed marked count t-i+1; a found item is removed from
+    the target set and its address from the search space.  A failed step
+    falls back to the unknown-count search, since fewer than the assumed
+    number may be present; when the fallback also finds nothing the cell
+    is treated as exhausted.  A copy that has located every target item
+    stops.
 
-    All of the copies' randomness comes from the one stream *seed*.  The
-    cells with marked addresses are searched on it step by step, in
-    ascending cell order, each over one predicate of its size and ascending
-    marked addresses that each find shrinks with
-    :meth:`~parsearch.core.MarkedPredicate.without`.  Where no marked
-    address is left every attempt misses, so the rest of a copy's program
-    is fixed in law: it is drawn from the first step at which its cell holds
-    none, unless the copy has stopped.  Then one :func:`_empty_programs`
-    call on the same stream draws all those rests at once.
+    All of the copies' randomness comes from the one stream *seed*.  A
+    hit picks a uniform marked address, so a cell's finds come in a
+    uniform order of its marked addresses: one key per address, drawn in
+    (cell, address) order, fixes it.  Then every cell that still holds a
+    marked address makes its step i, in ascending cell order, with one
+    :func:`_draw_steps` call per step; a copy leaves the step loop when
+    both of a step's searches miss, or with its last marked address found.
+    Where no marked address is left every attempt misses, so the rest of a
+    copy's program is one step at j = 0: with s steps left, the known-count
+    attempt assumes min(s, M') of the M' addresses left, and the
+    unknown-count stages run until the budget does.  A cell with no marked
+    address has a rest of t steps, and a copy that finds its last one at
+    step i a rest of t - i, unless it has stopped.  One :func:`_draw_steps`
+    call after the step loop draws all the rests at once.
 
     The copies run in lockstep and halt once every target item is located,
     at the round of the last find; the outcome's d-copy ledger charges each
     copy its program up to that halt, by the rule of
     :class:`~parsearch.core.QueryLedger`: every charge is cut at the halt.
-    A drawn rest is drawn only up to the stage that reaches the halt, so
-    no later stage is drawn.  A searched copy has made its last query by
-    then.  A repetition that leaves an item unlocated charges whole
-    programs.
+    A searched copy has made its last query by then, and the rests are
+    drawn block by block only while one of them is short of the halt, so
+    no block after the one that reaches it is drawn.  A repetition that
+    leaves an item unlocated charges whole programs.
     ``find_times`` gives, for each located item, the queries its copy had
     made when its check confirmed it.  ``success`` means no marked address
     is left in any cell.
@@ -267,69 +326,56 @@ def multi_item_search(
         raise ValueError("need one cell per address")
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
+    loads = np.bincount(cells, minlength=sizes.size)
+    if (loads > sizes).any():
+        raise ValueError("a cell holds more marked addresses than addresses")
     items = db.items_at(addresses)
     if not np.isin(items, targets.items).all():
         raise ValueError("an address holds no target item")
     ordered = np.sort(items)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("a target item is stored at two addresses")
-    item_at = dict(zip(addresses.tolist(), items.tolist()))
     rng = as_generator(seed)
-    spent = [0] * sizes.size    # the queries each copy has made
-    located: dict = {}
-    find_times: dict = {}
-    left = 0
+    order = np.lexsort((addresses, cells))
+    order = order[np.lexsort((rng.random(order.size), cells[order]))]
+    addresses, items, cells = addresses[order], items[order], cells[order]
+    first = np.cumsum(loads) - loads    # each cell's first address in that order
+    found_at = np.full(order.size, -1, dtype=np.int64)  # queries at each find
+    spent = np.zeros(sizes.size, dtype=np.int64)
+    # step i + 1 of a copy still searching follows i finds, one per step
+    going = np.flatnonzero(loads)
+    for i in range(t):
+        if not going.size:
+            break
+        left = sizes[going] - i
+        hits, queries = _draw_steps(left, loads[going] - i, np.minimum(t - i, left), rng)
+        spent[going] += queries
+        going = going[hits]
+        found_at[first[going] + i] = spent[going]
+        going = going[loads[going] > i + 1]
 
-    held: dict = {}     # cell -> its ascending marked addresses, cells ascending
-    for c, addr in sorted(zip(cells.tolist(), addresses.tolist())):
-        held.setdefault(c, []).append(addr)
-    # each copy's cell size and steps left once its cell holds no marked
-    # address: all t steps of a cell with none, and none of a stopped copy
-    left_sizes = sizes.copy()
-    steps = np.full(sizes.size, t, dtype=np.int64)
-    for c, marked in held.items():
-        pred = MarkedPredicate(int(sizes[c]), marked)
-        steps[c] = 0
-        for i in range(1, t + 1):
-            # step i follows i - 1 finds, one item each
-            if i > targets.k or pred.size == 0:
-                break
-            if not pred.marked.size:
-                left_sizes[c], steps[c] = pred.size, t - i + 1
-                break
-            assumed = min(t - i + 1, pred.size)
-            addr, queries = grover_search_known(pred, assumed, rng)
-            spent[c] += queries
-            if addr is None:
-                addr, queries = bbht_search_unknown(pred, rng)
-                spent[c] += queries
-                if addr is None:
-                    break
-            y = item_at[addr]
-            located[y] = addr
-            find_times[y] = spent[c]
-            pred = pred.without(addr)
-        left += pred.marked.size
-
-    charges = np.array(spent, dtype=np.int64)
+    found = found_at >= 0
     # lockstep halt: the round where the last missing item was confirmed
-    stop = max(find_times.values()) if len(located) == targets.k else None
-    which = np.flatnonzero(steps)
+    stop = found_at.max() if found.sum() == targets.k else None
+    # a copy whose cell holds no marked address left, with steps left,
+    # items to find and addresses to search, draws its rest
+    which = np.flatnonzero((np.bincount(cells[found], minlength=sizes.size) == loads)
+                           & (loads < min(t, targets.k)) & (loads < sizes))
     if which.size:
-        limits = None if stop is None else stop - charges[which]
-        charges[which] += _empty_programs(left_sizes[which], steps[which], rng,
-                                          limits=limits)
-    if stop is not None:
-        charges = np.minimum(charges, stop)
+        left = sizes[which] - loads[which]
+        limits = None if stop is None else stop - spent[which]
+        _, rests = _draw_steps(left, np.zeros_like(left),
+                               np.minimum(t - loads[which], left), rng, limits)
+        spent[which] += rests
     ledger = QueryLedger(sizes.size)
-    ledger.record_repetition(charges.tolist())
+    ledger.record_repetition(spent if stop is None else np.minimum(spent, stop))
 
     return SearchOutcome(
         targets=targets,
-        located=located,
-        success=left == 0,
+        located=dict(zip(items[found].tolist(), addresses[found].tolist())),
+        success=bool(found.all()),
         ledger=ledger,
-        find_times=find_times,
+        find_times=dict(zip(items[found].tolist(), found_at[found].tolist())),
     )
 
 
@@ -495,15 +541,17 @@ def verify_locations(db, outcome: SearchOutcome) -> bool:
     """Classically check a claimed item -> address map against the database.
 
     True iff all k target items are claimed and every claimed pair satisfies
-    f(address) = item.  Costs ceil(k/d) verification rounds (k lookups spread
-    over the d copies), tallied on the outcome's ledger.
+    f(address) = item, read with one ``db.items_at`` call.  Costs ceil(k/d)
+    verification rounds (k lookups spread over the d copies), tallied on the
+    outcome's ledger.
     """
     k = outcome.targets.k
     d = outcome.ledger.copies
     outcome.ledger.record_verification(math.ceil(k / d))
-    if set(outcome.located) != set(outcome.targets.items):
+    claimed = outcome.located
+    if set(claimed) != set(outcome.targets.items):
         return False
-    return all(db.lookup(addr) == item for item, addr in outcome.located.items())
+    return bool(np.array_equal(db.items_at(list(claimed.values())), list(claimed)))
 
 
 def parallel_search(

@@ -4,13 +4,15 @@ A search starts from the uniform superposition over an address subdomain
 and applies a phase oracle, so its state never leaves the 2-d span of the
 uniform marked and the uniform unmarked states.  :func:`sample_after` uses
 that to measure the state after r iterations in O(1) from the closed form
-of :func:`success_probability`; the searches run on it.  A search's state is
-therefore only its subdomain size M and its marked addresses, which is all
-:class:`MarkedPredicate` keeps; :func:`marked_addresses` finds those
-addresses.  A database answers ``lookup``, ``items_at`` and ``locate``, and
-refuses an address outside [0, N) with IndexError: :class:`Database` from
-an N-entry table, :class:`PlantedDatabase` from its k target addresses
-alone, at any N that int64 addresses allow.
+of :func:`success_probability`; the per-attempt searches run on it, and
+``algorithms.multi_item_search`` draws the same law for many cells at
+once.  A search's state is therefore only its subdomain size M and its
+marked addresses, which is all :class:`MarkedPredicate` keeps;
+:func:`marked_addresses` finds those addresses.  A database answers
+``lookup``, ``items_at`` and ``locate``, and refuses an address outside
+[0, N) with IndexError: :class:`Database` from an N-entry table,
+:class:`PlantedDatabase` from its k target addresses alone, at any N that
+int64 addresses allow.
 
 The dense simulator (:class:`StateVector`, :func:`init_uniform`,
 :func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
@@ -27,7 +29,6 @@ d copies' searches.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -132,28 +133,30 @@ class PlantedDatabase:
 
     Target item i sits at ``addresses[i - 1]``; every other address a holds
     the filler k + 1 + a - (targets below a), so the fillers are the
-    distinct items k + 1, ..., N in ascending address order.  Lookups cost
-    O(log k) and locating targets O(k) each, whatever N is, so n may be as
-    large as int64 addresses allow.  :meth:`explicit` builds the same
-    database as an N-entry :class:`Database`.
+    distinct items k + 1, ..., N in ascending address order.  The k
+    addresses are kept as int64 arrays, as drawn and ascending, and every
+    read is a ``searchsorted`` on them: a lookup or the location of an item
+    costs O(log k), whatever N is, so n may be as large as int64 addresses
+    allow.  :meth:`explicit` builds the same database as an N-entry
+    :class:`Database`.
     """
 
-    __slots__ = ("n", "m", "_drawn", "_ascending", "_ascending_array",
-                 "_ascending_items")
+    __slots__ = ("n", "m", "_drawn", "_ascending", "_ascending_items")
 
     def __init__(self, n: int, addresses):
         if n < 0:
             raise ValueError("need n >= 0")
-        self._drawn = [int(a) for a in addresses]
-        if len(set(self._drawn)) != len(self._drawn):
+        drawn = np.array(addresses, dtype=np.int64).reshape(-1)
+        order = np.argsort(drawn)
+        ascending = drawn[order]
+        if (ascending[1:] == ascending[:-1]).any():
             raise ValueError("target addresses must be distinct")
-        if any(not 0 <= a < 1 << n for a in self._drawn):
+        if ascending.size and not (0 <= ascending[0] and int(ascending[-1]) < 1 << n):
             raise ValueError(f"target addresses must lie in [0, {1 << n})")
         self.n = n
         self.m = n + 1
-        order = np.argsort(self._drawn)
-        self._ascending_array = np.array(self._drawn, dtype=np.int64)[order]
-        self._ascending = self._ascending_array.tolist()
+        self._drawn = drawn
+        self._ascending = ascending
         self._ascending_items = order + 1
 
     @property
@@ -162,42 +165,31 @@ class PlantedDatabase:
 
     @property
     def k(self) -> int:
-        return len(self._drawn)
+        return self._drawn.size
 
     def lookup(self, address: int) -> int:
-        address = int(address)
-        if not 0 <= address < self.size:
-            raise IndexError(f"address {address} outside [0, {self.size})")
-        below = bisect.bisect_left(self._ascending, address)
-        if below < self.k and self._ascending[below] == address:
-            return int(self._ascending_items[below])
-        return self.k + 1 + address - below
+        return int(self.items_at([address])[0])
 
     def items_at(self, addresses) -> np.ndarray:
         """The items stored at *addresses*, in their order."""
         addresses = _in_range(addresses, self.size)
-        below = self._ascending_array.searchsorted(addresses)
+        below = self._ascending.searchsorted(addresses)
         items = addresses + (self.k + 1) - below
         if self.k:
-            hits = self._ascending_array.take(below, mode="clip") == addresses
+            hits = self._ascending.take(below, mode="clip") == addresses
             items[hits] = self._ascending_items[below[hits]]
         return items
 
     def locate(self, targets) -> np.ndarray:
         """The addresses holding an item of *targets*, in ascending order."""
-        k, found = self.k, []
-        for y in {int(y) for y in targets}:
-            if 1 <= y <= k:
-                found.append(self._drawn[y - 1])
-            elif k < y <= self.size:
-                # the filler y sits at the (y - k - 1)-th non-target address
-                a = y - k - 1
-                for b in self._ascending:
-                    if b > a:
-                        break
-                    a += 1
-                found.append(a)
-        return np.array(sorted(found), dtype=np.int64)
+        k = self.k
+        wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
+        planted = wanted[(1 <= wanted) & (wanted <= k)]
+        # the filler y sits at the (y - k - 1)-th non-target address, past
+        # every target address b whose b - (targets below b) is at most that
+        rank = wanted[(k < wanted) & (wanted <= self.size)] - (k + 1)
+        fillers = rank + (self._ascending - np.arange(k)).searchsorted(rank, "right")
+        return np.sort(np.concatenate([self._drawn[planted - 1], fillers]))
 
     def explicit(self) -> Database:
         """The same database as an N-entry table; refuses n above

@@ -57,7 +57,7 @@ MAX_TRIALS = 1 << 16
 
 #: largest k a search takes.  A trial holds its k target addresses, never
 #: O(N) numbers, but several structures per target: the database's address
-#: lists, the target set and the found items' maps.  That memory is freed
+#: arrays, the target set and the found items' maps.  That memory is freed
 #: after each trial, so it adds to the record's.  Peak RSS of
 #: ``search --n 40 --d 1048576`` (d at its limit), measured on a 2-core
 #: host:
@@ -66,11 +66,13 @@ MAX_TRIALS = 1 << 16
 #: - 4 trials (trials * d at its limit): k = 2**17: 631 MB; past the
 #:   limit, k = 2**18: 737 MB.
 #:
-#: With d = 64 a trial at k = 2**17 takes about 17 s and peaks at 116 MB
+#: With d = 64 a trial at k = 2**17 took about 17 s and peaked at 116 MB
 #: over 1 trial, 145 MB over 4 and 149 MB over 8, against 36 MB at
 #: k = 64: it holds about 110 MB on top of the record.  So the corner
-#: d = 64, 2**16 trials, k = 2**17, which was not run (about two weeks),
-#: would peak between the record's 679 MB and about 0.8 GB.
+#: d = 64, 2**16 trials, k = 2**17, which was not run, would peak between
+#: the record's 679 MB and about 0.8 GB.  Since ``multi_item_search``
+#: draws its steps in batches, a d = 64, k = 2**17 trial takes 1.4 s and
+#: peaks at 102 MB, and 4 trials at d = 2**20, k = 2**17 peak at 661 MB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).

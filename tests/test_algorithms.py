@@ -1,4 +1,5 @@
 """Tests for the search algorithms and partition machinery."""
+import copy
 import inspect
 import itertools
 import math
@@ -351,9 +352,20 @@ class TestMultiItemSearch:
                               seed=0)
 
 
+def draw_rests(sizes, steps, rng, limits=None):
+    """The rests of copies whose cells hold no marked address, with *steps*
+    steps left each: the step sampler at j = 0, which never hits."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    hits, lengths = algorithms._draw_steps(sizes, np.zeros_like(sizes),
+                                           np.minimum(steps, sizes), rng, limits)
+    assert not hits.any()
+    return lengths
+
+
 class TestEmptyCellLaw:
-    """The programs of copies whose cells hold no target, drawn at once,
-    against the same program run attempt by attempt on an empty predicate."""
+    """The programs of copies whose cells hold no target, drawn at once by
+    the step sampler, against the same program run attempt by attempt on an
+    empty predicate."""
 
     DRAWS = 4000
 
@@ -370,16 +382,15 @@ class TestEmptyCellLaw:
 
     @pytest.mark.parametrize("M,t", [(1, 3), (2, 1), (37, 5), (500, 35), (1024, 2)])
     def test_matches_the_attempt_by_attempt_program(self, M, t):
-        drawn = algorithms._empty_programs(np.full(self.DRAWS, M), t,
-                                           np.random.default_rng([71, M, t]))
+        drawn = draw_rests(np.full(self.DRAWS, M), t, np.random.default_rng([71, M, t]))
         reference = self.attempt_by_attempt(M, t, [72, M, t])
         assert drawn.min() == reference.min() and drawn.max() == reference.max()
         assert within_four_pooled_errors(drawn, reference)
 
     def test_two_sizes_in_one_draw_keep_their_own_laws(self):
-        # parallel_search's cells have two sizes, drawn in one stage loop
+        # parallel_search's cells have two sizes, drawn in one call
         sizes = np.tile([1049, 1048], self.DRAWS)
-        drawn = algorithms._empty_programs(sizes, 2, np.random.default_rng(73))
+        drawn = draw_rests(sizes, 2, np.random.default_rng(73))
         for M in (1048, 1049):
             reference = self.attempt_by_attempt(M, 2, [74, M])
             mine = drawn[sizes == M]
@@ -388,10 +399,10 @@ class TestEmptyCellLaw:
 
     def test_steps_per_cell_in_one_draw_keep_their_own_laws(self):
         # the rest of a copy emptied by its last find at step i has
-        # t - i + 1 steps, fewer than t, drawn with the other cells
+        # t - i steps, fewer than t, drawn with the other cells
         cells = [(31, 1), (31, 2), (6, 3), (500, 4), (1023, 1)]
         sizes, steps = (np.tile(column, self.DRAWS) for column in zip(*cells))
-        drawn = algorithms._empty_programs(sizes, steps, np.random.default_rng(77))
+        drawn = draw_rests(sizes, steps, np.random.default_rng(77))
         for M, s in cells:
             reference = self.attempt_by_attempt(M, s, [78, M, s])
             mine = drawn[(sizes == M) & (steps == s)]
@@ -399,8 +410,42 @@ class TestEmptyCellLaw:
             assert within_four_pooled_errors(mine, reference)
 
     def test_zero_cap_programs_are_empty(self):
-        drawn = algorithms._empty_programs([1, 37, 1024], 0, np.random.default_rng(0))
-        assert drawn.tolist() == [0, 0, 0]
+        # a copy with no step left draws no rest and is charged nothing
+        db, targets = build_database(4, 1, seed=0)
+        with mock.patch.object(algorithms, "_draw_steps",
+                               side_effect=AssertionError("a rest was drawn")):
+            out = multi_item_search(db, [1, 37, 1024], [], [], targets, 0, seed=0)
+        assert out.ledger.oracle_counts == [0, 0, 0]
+
+
+class TestStepLaw:
+    """One step of the sampler on cells that hold marked addresses, against
+    the known-count attempt and its unknown-count fallback run attempt by
+    attempt on a predicate with the same marked count."""
+
+    DRAWS = 4000
+
+    # (M, j, assumed): one marked of one, every address marked, the assumed
+    # count above, at and below the true one, and a fallback at large M
+    @pytest.mark.parametrize("M,j,assumed", [(1, 1, 1), (6, 6, 2), (64, 1, 2),
+                                             (37, 3, 5), (37, 3, 3), (1024, 2, 1),
+                                             (2048, 8, 60)])
+    def test_matches_the_attempt_by_attempt_step(self, M, j, assumed):
+        pred = MarkedPredicate(M, np.arange(j))
+        rng = np.random.default_rng([79, M, j, assumed])
+        hits, queries = [], []
+        for _ in range(self.DRAWS):
+            addr, known = grover_search_known(pred, assumed, rng)
+            unknown = 0
+            if addr is None:
+                addr, unknown = bbht_search_unknown(pred, rng)
+            hits.append(addr is not None)
+            queries.append(known + unknown)
+        drawn_hits, drawn_queries = algorithms._draw_steps(
+            np.full(self.DRAWS, M), np.full(self.DRAWS, j),
+            np.full(self.DRAWS, assumed), np.random.default_rng([80, M, j, assumed]))
+        assert within_four_pooled_errors(drawn_hits, hits)
+        assert within_four_pooled_errors(drawn_queries, queries)
 
 
 class TestRandomPartition:
@@ -731,25 +776,26 @@ def within_four_pooled_errors(a, b):
 
 
 class TestDenseReference:
-    """The closed-form attempt against the dense state-vector attempt."""
+    """The engine against the per-copy reference engine run on the dense
+    state-vector attempt."""
 
     @pytest.mark.parametrize("n,d,k", [(8, 4, 4), (10, 16, 16)])
     def test_parallel_search_matches_dense_reference(self, n, d, k, monkeypatch):
-        def run():
+        def run(search):
             rounds, wins, reps, charged = [], [], [], []
             for s in range(200):
                 db, targets = build_database(n, k, seed=[61, n, s])
-                out = parallel_search(db, d, targets, seed=[62, n, s])
+                out = search(db, d, targets, [62, n, s])
                 rounds.append(out.parallel_rounds)
                 wins.append(out.success)
                 reps.append(out.repetitions)
                 charged.append(sum(out.ledger.oracle_counts))
             return rounds, wins, reps, charged
 
-        fast = run()
+        fast = run(parallel_search)
         monkeypatch.setattr(algorithms, "_grover_attempt",
                             algorithms._dense_grover_attempt)
-        dense = run()
+        dense = run(per_copy_parallel_search)
         for a, b in zip(fast, dense):
             assert within_four_pooled_errors(a, b)
 
@@ -938,151 +984,157 @@ class TestLedgerRule:
         addresses = marked_addresses(db, targets.items)
         cells = random_partition(db.size, d, addresses, seed)
         sizes = cell_sizes(db.size, d)
-        events = []
+        calls = []
+        draw = algorithms._draw_steps
 
-        def recording(name, fn):
-            def run(*args, **kwargs):
-                events.append((name, args, kwargs, fn(*args, **kwargs)))
-                return events[-1][3]
-            return run
+        def recording(*args):
+            calls.append((args, draw(*args)))
+            return calls[-1][1]
 
-        with mock.patch.object(algorithms, "MarkedPredicate",
-                               recording("cell", MarkedPredicate)), \
-                mock.patch.object(algorithms, "grover_search_known",
-                                  recording("search", grover_search_known)), \
-                mock.patch.object(algorithms, "bbht_search_unknown",
-                                  recording("search", bbht_search_unknown)), \
-                mock.patch.object(algorithms, "_empty_programs",
-                                  recording("drawn", algorithms._empty_programs)):
+        with mock.patch.object(algorithms, "_draw_steps", recording):
             out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
-        # a predicate for each cell holding a target, in cell order, then
-        # the searches on it; then, if some copy has steps left, one draw
-        # for every copy with no marked address left: each empty cell from
-        # its first step, and each cell whose last find emptied it while
-        # items and steps are left
-        held = np.unique(cells).tolist()
-        names = [name for name, _, _, _ in events]
-        assert names.count("cell") == len(held)
-        charged, finds, found, order = {}, {}, Counter(), iter(held)
-        rest = {c: (int(sizes[c]), t) for c in range(d) if c not in held}
-        draws = []
-        for name, args, kwargs, result in events:
-            if name == "cell":
-                c = next(order)
-                charged[c] = 0
-            elif name == "search":
-                addr, queries = result
-                charged[c] += queries
-                if addr is not None:
-                    finds[db.lookup(addr)] = charged[c]
-                    found[c] += 1
+        # step i is one call for every copy whose cell still holds a marked
+        # address, in cell order, each assuming min(t - i + 1, M) marked;
+        # each copy is charged what its calls return, and a hit is a find
+        # at the copy's queries so far
+        loads = np.bincount(cells, minlength=d)
+        left, marked = sizes.copy(), loads.copy()
+        charged = np.zeros(d, dtype=np.int64)
+        times = {c: [] for c in range(d)}
+        rest = {c: t for c in range(d) if not loads[c]}
+        going = np.flatnonzero(loads)
+        calls = iter(calls)
+        for i in range(1, t + 1):
+            if not going.size:
+                break
+            (cell_sizes_, cell_marked, assumed, _), (hits, queries) = next(calls)
+            assert cell_sizes_.tolist() == left[going].tolist()
+            assert cell_marked.tolist() == marked[going].tolist()
+            assert assumed.tolist() == np.minimum(t - i + 1, left[going]).tolist()
+            charged[going] += queries
+            going = going[hits]
+            for c in going.tolist():
+                times[c].append(int(charged[c]))
+            left[going] -= 1
+            marked[going] -= 1
+            # a copy that has found every item stops; one whose cell is
+            # empty with steps left has a rest
+            if i < k:
+                rest.update((c, t - i) for c in going[marked[going] == 0].tolist())
+            going = going[marked[going] > 0]
+        rest = {c: s for c, s in sorted(rest.items()) if s and left[c]}
+        drawn = list(calls)
+        assert len(drawn) == bool(rest)
+        stop = max(out.find_times.values()) if len(out.located) == k else None
+        if drawn:
+            # one call at j = 0 draws every rest, each up to the lockstep
+            # halt less the queries its copy has made, or whole
+            (cell_sizes_, cell_marked, assumed, _, limits), (hits, queries) = drawn[0]
+            order = list(rest)
+            assert cell_sizes_.tolist() == left[order].tolist()
+            assert not cell_marked.any() and not hits.any()
+            assert assumed.tolist() == [min(rest[c], left[c]) for c in order]
+            if stop is None:
+                assert limits is None
             else:
-                draws.append((args, kwargs, result))
-        for c in held:
-            f = found[c]
-            if f == np.count_nonzero(cells == c) and f < min(t, k, sizes[c]):
-                rest[c] = (int(sizes[c]) - f, t - f)
-        assert len(draws) == any(steps for _, steps in rest.values())
-        if draws:
-            (drawn_sizes, drawn_steps, _), kwargs, lengths = draws[0]
-            assert list(zip(drawn_sizes.tolist(), drawn_steps.tolist())) == \
-                [rest[c] for c in sorted(rest)]
-            # once every item is located, each rest is drawn up to the
-            # lockstep halt less the queries its copy has made; else whole
-            if len(finds) == k:
-                stop = max(finds.values())
-                assert kwargs["limits"].tolist() == \
-                    [stop - charged.get(c, 0) for c in sorted(rest)]
-            else:
-                assert kwargs["limits"] is None
-            # such a copy is charged its searches so far plus its drawn rest
-            for c, length in zip(sorted(rest), lengths.tolist()):
-                charged[c] = charged.get(c, 0) + length
-        # and every charge is cut at the halt
-        stop = max(finds.values()) if len(finds) == k else math.inf
-        assert out.ledger.oracle_counts == [min(charged.get(c, 0), stop)
-                                            for c in range(d)]
-        assert out.find_times == finds
+                assert limits.tolist() == (stop - charged[order]).tolist()
+            charged[order] += queries
+        # every charge is cut at the halt, and each copy's finds are items
+        # of its cell at the times of its hits
+        assert out.ledger.oracle_counts == [
+            int(c) if stop is None else min(int(c), stop) for c in charged]
+        assert out.success == (len(out.located) == addresses.size)
+        cell_of = dict(zip(addresses.tolist(), cells.tolist()))
+        for c in range(d):
+            mine = [y for y, a in out.located.items() if cell_of[a] == c]
+            assert all(db.lookup(out.located[y]) == y for y in mine)
+            assert sorted(out.find_times[y] for y in mine) == times[c]
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
         # two cells of 32 addresses hold one target each, with t = 3: after
-        # its find, a copy's two steps left are drawn, not walked, and cut
+        # its find at step 1, a copy's rest has t - 1 = 2 steps over the 31
+        # addresses left, drawn in one call with the other copy's, and cut
         # at the lockstep halt
         db, targets = build_database(6, 2, seed=75)
         addresses = db.locate(targets.items)
+        draw = algorithms._draw_steps
+        first = optimal_iterations(31, 2) + 1
         both = 0
         for s in range(20):
-            known, draws = [], []
+            calls = []
 
-            def recording(calls, fn):
-                def run(*args, **kwargs):
-                    calls.append((args, fn(*args, **kwargs)))
-                    return calls[-1][1]
-                return run
+            def recording(*args):
+                # keep the stream as the call found it
+                start = copy.deepcopy(args[3])
+                calls.append((args, start, draw(*args)))
+                return calls[-1][2]
 
-            with mock.patch.object(algorithms, "grover_search_known",
-                                   recording(known, grover_search_known)), \
-                    mock.patch.object(algorithms, "_empty_programs",
-                                      recording(draws, algorithms._empty_programs)):
+            with mock.patch.object(algorithms, "_draw_steps", recording):
                 out = multi_item_search(db, [32, 32], addresses, [0, 1], targets, 3,
                                         [76, s])
             if len(out.located) < 2:
                 continue
             both += 1
-            assert len(known) == 2      # one known-count attempt per copy
-            assert len(draws) == 1
-            (sizes, steps, _), lengths = draws[0]
-            assert sizes.tolist() == [31, 31] and steps.tolist() == [2, 2]
+            assert len(calls) == 2      # step 1 of both copies, then both rests
+            (sizes, marked, steps, _, _), start, (_, lengths) = calls[1]
+            assert sizes.tolist() == [31, 31] and marked.tolist() == [0, 0]
+            assert steps.tolist() == [2, 2]
             items = [db.lookup(a) for a in addresses.tolist()]
             # both items are found, so the copies halt at the later find:
-            # each is charged its find plus its rest, cut there, and the
-            # rest is at least one known-count attempt
+            # each is charged its find plus its rest, cut there
             stop = max(out.find_times.values())
             assert out.ledger.oracle_counts == [
                 min(out.find_times[y] + length, stop)
                 for y, length in zip(items, lengths.tolist())]
             assert max(out.ledger.oracle_counts) == stop
-            first = optimal_iterations(31, 2) + 1
+            # a rest starts with its known-count attempt: the same draws
+            # with limits of 0 make that attempt alone
+            _, alone = draw(sizes, marked, steps, start, np.zeros(2, dtype=np.int64))
+            assert alone.tolist() == [first, first]
             assert all(length >= first for length in lengths.tolist())
         assert both >= 15
 
     def test_no_stage_is_drawn_past_the_limits(self):
-        # a cell at its limit adds nothing, and once every cell is there
-        # the stage loop draws no further stage
+        # the known-count attempt is made whatever the limit; a block of
+        # stages is drawn only while some copy is below its limit
         class CountingGenerator:
             def __init__(self, seed):
-                self.rng, self.draws = np.random.default_rng(seed), 0
+                self.rng, self.blocks = np.random.default_rng(seed), 0
+
+            def random(self, *args, **kwargs):
+                return self.rng.random(*args, **kwargs)
 
             def integers(self, *args, **kwargs):
-                self.draws += 1
+                self.blocks += 1
                 return self.rng.integers(*args, **kwargs)
 
         def draw(limits):
             rng = CountingGenerator(81)
-            lengths = algorithms._empty_programs([37, 1024], 3, rng, limits=limits)
-            return lengths.tolist(), rng.draws
+            lengths = draw_rests([37, 1 << 20], 3, rng, limits)
+            return lengths.tolist(), rng.blocks
 
-        known = [optimal_iterations(M, 3) + 1 for M in (37, 1024)]
-        whole, stages = draw(None)
-        assert stages > 1
-        # with limits of 0 no stage is drawn: each copy has made only its
+        known = [optimal_iterations(M, 3) + 1 for M in (37, 1 << 20)]
+        whole, blocks = draw(None)
+        assert blocks > 1
+        # with limits of 0 no block is drawn: each copy has made only its
         # known-count attempt, which the caller cuts at the limit
         assert draw(0) == (known, 0)
-        # one stage takes every copy past its known-count attempt, so a
-        # limit one above it stops the loop after one draw
+        # one block takes every copy past its known-count attempt, so a
+        # limit one above it stops the draws after one block
         limits = np.array(known) + 1
-        cut, draws = draw(limits)
-        assert draws == 1
+        cut, blocks = draw(limits)
+        assert blocks == 1
         assert np.minimum(cut, limits).tolist() == np.minimum(whole, limits).tolist()
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2))
     def test_charges_stop_at_the_lockstep_halt(self, instance, d, t, ghosts):
-        # the same search twice on one seed, the second with every drawn rest
-        # whole: the first charges each copy the second's program up to the
-        # halt, the round of the last find once every item is located (a
-        # ghost target, stored nowhere, never is; with t = 1 a cell holding
-        # two targets leaves one), and finds the same items at the same times
+        # the same search twice on one seed, the second with the limits of
+        # the drawn rests ignored: the first charges each copy the second's
+        # program up to the halt, the round of the last find once every item
+        # is located (a ghost target, stored nowhere, never is; with t = 1 a
+        # cell holding two targets leaves one), and finds the same items at
+        # the same times
         n, k, seed = instance
         db, targets = build_database(n, k, seed=seed)
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
@@ -1092,10 +1144,10 @@ class TestLedgerRule:
         cells = random_partition(db.size, d, addresses, seed)
         sizes = cell_sizes(db.size, d)
         out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
-        draw = algorithms._empty_programs
-        with mock.patch.object(algorithms, "_empty_programs",
-                               lambda sizes, steps, rng, limits=None:
-                               draw(sizes, steps, rng)):
+        draw = algorithms._draw_steps
+        with mock.patch.object(algorithms, "_draw_steps",
+                               lambda sizes, marked, assumed, rng, limits=None:
+                               draw(sizes, marked, assumed, rng)):
             whole = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
         assert out.located == whole.located
         assert out.find_times == whole.find_times

@@ -15,26 +15,26 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "a169f9cc4acd12a95feb6bf74e7eec57b256ed807ac3236763621d5a9e65d6f1"),
+     "3710d8b4fd6dc8fbf57c6314cc301a954edebc44f659bdbd9d8c79a2514c4a24"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "e00edf46b85a3b195557c18178409029c212ec310e22db36e1d7ed6e8c344cfe"),
+     "b1b673f2ad4fe3f4f37e71fad5f8c46a32dda0f7258f900dc6866344e9d9cf8b"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "a82cdd2fde405045f8d0bb5518358ee817f48c62d241eb3a53e41db1372f64cf"),
+     "c34d9ddd1ce0d109bfcfe194dc798fd71a523ff1f9e925e84e81cda49a07e0f5"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "941660e18d7e0903c624aa8e1db6c757841ec683dd4b946362d3e0fae3825c90"),
+     "e0a530d6307a10aa473de7fad2cdb720983ac7066cf15d98ecf8b57a31e31a09"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "a1778b82a6f593323ed3206d6fe5ca191b43cfb3a242acf42064c857b1cbb031"),
+     "87ed401c0f816b66b61e5264bc3b38f59288a4c97194e380962123cec503f596"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "9842c2fb0aa624fd6af9a12733a150aa1358d74f959a5cdf34c62b39be69ae47"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "7a9c230290c4e1f60a2ca28c8e109007e7ce3537b59e34fd72e707507a5d4bc0"),
+     "8115919e6bf7a7491eeed1eddaedb2aa39163149731389c113fc41991eecd295"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "75ff4c6cf099d0b33c943aab0df8508c25b1bf3262575e37d17f2f943ad21cad"),
+     "8e2efc866582ff05ba19a20dfef2d4d365fc7daf21adde916b2751de805eaa0a"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
