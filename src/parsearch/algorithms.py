@@ -295,17 +295,23 @@ def multi_item_search(
     All of the copies' randomness comes from the one stream *seed*.  A
     hit picks a uniform marked address, so a cell's finds come in a
     uniform order of its marked addresses: one key per address, drawn in
-    (cell, address) order, fixes it.  Then every cell that still holds a
-    marked address makes its step i, in ascending cell order, with one
-    :func:`_draw_steps` call per step; a copy leaves the step loop when
-    both of a step's searches miss, or with its last marked address found.
+    (cell, address) order, fixes it.  Then one :func:`_draw_steps` call
+    draws every step a copy could make: for cell c, in ascending cell
+    order, a row for each step i = 1..min(loads[c], t), over the
+    sizes[c] - i + 1 addresses left, loads[c] - i + 1 of them marked.
+    Given that a copy reaches step i, that step's law depends on i alone,
+    so each row is drawn whether or not its copy reaches it: a copy makes
+    its steps up to its first miss, where both of a step's searches miss,
+    and is charged none of the rows after it.  Its finds are at its
+    queries summed over its rows up to each hit.
     Where no marked address is left every attempt misses, so the rest of a
     copy's program is one step at j = 0: with s steps left, the known-count
     attempt assumes min(s, M') of the M' addresses left, and the
     unknown-count stages run until the budget does.  A cell with no marked
     address has a rest of t steps, and a copy that finds its last one at
-    step i a rest of t - i, unless it has stopped.  One :func:`_draw_steps`
-    call after the step loop draws all the rests at once.
+    step i a rest of t - i, unless it has stopped.  A second
+    :func:`_draw_steps` call draws all the rests at once, after the steps,
+    whose finds fix the rests' limits (below).
 
     The copies run in lockstep and halt once every target item is located,
     at the round of the last find; the outcome's d-copy ledger charges each
@@ -340,19 +346,28 @@ def multi_item_search(
     order = order[np.lexsort((rng.random(order.size), cells[order]))]
     addresses, items, cells = addresses[order], items[order], cells[order]
     first = np.cumsum(loads) - loads    # each cell's first address in that order
+    # one row per step i < min(load, t) a copy could make, in (cell, step)
+    # order: step i + 1 follows i finds, one per step
+    steps = np.minimum(loads, t)
+    start = np.cumsum(steps) - steps    # each cell's first row
+    row_cell = np.repeat(np.arange(sizes.size), steps)
+    head = start[row_cell]              # each row's cell's first row
+    step = np.arange(row_cell.size) - head
+    hits, queries = np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    if row_cell.size:
+        left = sizes[row_cell] - step
+        hits, queries = _draw_steps(left, loads[row_cell] - step,
+                                    np.minimum(t - step, left), rng)
+    # a copy makes its rows up to and including its first miss, and the
+    # rows after it are dropped; total[r] is the made rows' queries before r
+    missed = ~hits
+    before = np.cumsum(missed) - missed     # misses in the rows before each
+    made = before == before[head]
+    total = np.concatenate(([0], np.cumsum(np.where(made, queries, 0))))
+    spent = total[start + steps] - total[start]
     found_at = np.full(order.size, -1, dtype=np.int64)  # queries at each find
-    spent = np.zeros(sizes.size, dtype=np.int64)
-    # step i + 1 of a copy still searching follows i finds, one per step
-    going = np.flatnonzero(loads)
-    for i in range(t):
-        if not going.size:
-            break
-        left = sizes[going] - i
-        hits, queries = _draw_steps(left, loads[going] - i, np.minimum(t - i, left), rng)
-        spent[going] += queries
-        going = going[hits]
-        found_at[first[going] + i] = spent[going]
-        going = going[loads[going] > i + 1]
+    find = np.flatnonzero(made & hits)
+    found_at[first[row_cell[find]] + step[find]] = total[find + 1] - total[head[find]]
 
     found = found_at >= 0
     # lockstep halt: the round where the last missing item was confirmed
@@ -399,7 +414,8 @@ def random_partition(N: int, d: int, addresses, seed) -> np.ndarray:
     if d < 1 or d > N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
     addresses = np.asarray(addresses, dtype=np.int64)
-    if len(set(addresses.tolist())) != addresses.size:
+    ordered = np.sort(addresses)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("addresses must be distinct")
     positions = as_generator(seed).choice(N, size=addresses.size, replace=False)
     base, extra = divmod(N, d)

@@ -875,6 +875,29 @@ class TestPerCopyReference:
             assert within_four_pooled_errors(a, b)
 
 
+class TestManyStepsPerCell:
+    """The engine, which draws every step a copy could make at once and
+    cuts each copy at its first miss, against the per-copy reference, which
+    stops a copy there, at cells where a copy makes several steps: d = 2
+    with k > d lg d, and d = 1."""
+
+    @pytest.mark.parametrize("n,d,k", [(10, 2, 12), (8, 1, 6)])
+    def test_parallel_search_matches_per_copy_reference(self, n, d, k):
+        def run(search):
+            rounds, wins, reps, charged = [], [], [], []
+            for s in range(600):
+                db, targets = build_database(n, k, seed=[87, n, d, s])
+                out = search(db, d, targets, [88, n, d, s])
+                rounds.append(out.parallel_rounds)
+                wins.append(out.success)
+                reps.append(out.repetitions)
+                charged.append(sum(out.ledger.oracle_counts))
+            return rounds, wins, reps, charged
+
+        for a, b in zip(run(parallel_search), run(per_copy_parallel_search)):
+            assert within_four_pooled_errors(a, b)
+
+
 class TestStreamIndependence:
     @staticmethod
     def record_seeds(monkeypatch, module, name, seen):
@@ -976,8 +999,9 @@ class TestLedgerRule:
         assert addr is None or db.lookup(addr) in targets.items
 
     @settings(derandomize=True, deadline=None)
-    @given(instances(), st.integers(1, 8), st.integers(0, 6))
-    def test_multi_item_search_charges_what_the_searches_return(self, instance, d, t):
+    @given(instances(), st.integers(1, 8), st.integers(0, 6), st.booleans())
+    def test_multi_item_search_charges_what_the_searches_return(self, instance, d, t,
+                                                                 rigged):
         n, k, seed = instance
         db, targets = build_database(n, k, seed=seed)
         d = min(d, db.size)
@@ -988,40 +1012,49 @@ class TestLedgerRule:
         draw = algorithms._draw_steps
 
         def recording(*args):
-            calls.append((args, draw(*args)))
-            return calls[-1][1]
+            hits, queries = draw(*args)
+            if rigged and len(args) == 4:
+                # misses are rare at these sizes: make about a third of the
+                # steps miss, so that copies stop before their last row
+                hits = hits & (np.random.default_rng(seed).random(hits.size) > 1 / 3)
+            calls.append((args, (hits, queries)))
+            return hits, queries
 
         with mock.patch.object(algorithms, "_draw_steps", recording):
             out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
-        # step i is one call for every copy whose cell still holds a marked
-        # address, in cell order, each assuming min(t - i + 1, M) marked;
-        # each copy is charged what its calls return, and a hit is a find
-        # at the copy's queries so far
+        # one call draws a row for each step i = 1..min(load, t) of every
+        # copy, in (cell, step) order, over the M = size - i + 1 addresses
+        # left, load - i + 1 of them marked, each assuming min(t - i + 1, M);
+        # a copy is charged its rows up to and including its first miss, and
+        # each hit before that miss is a find at the copy's queries so far
         loads = np.bincount(cells, minlength=d)
+        rows = [(c, i) for c in range(d) for i in range(1, min(loads[c], t) + 1)]
         left, marked = sizes.copy(), loads.copy()
         charged = np.zeros(d, dtype=np.int64)
         times = {c: [] for c in range(d)}
         rest = {c: t for c in range(d) if not loads[c]}
-        going = np.flatnonzero(loads)
         calls = iter(calls)
-        for i in range(1, t + 1):
-            if not going.size:
-                break
-            (cell_sizes_, cell_marked, assumed, _), (hits, queries) = next(calls)
-            assert cell_sizes_.tolist() == left[going].tolist()
-            assert cell_marked.tolist() == marked[going].tolist()
-            assert assumed.tolist() == np.minimum(t - i + 1, left[going]).tolist()
-            charged[going] += queries
-            going = going[hits]
-            for c in going.tolist():
+        if rows:
+            (row_sizes, row_marked, assumed, _), (hits, queries) = next(calls)
+            assert row_sizes.tolist() == [sizes[c] - i + 1 for c, i in rows]
+            assert row_marked.tolist() == [loads[c] - i + 1 for c, i in rows]
+            assert assumed.tolist() == [min(t - i + 1, sizes[c] - i + 1)
+                                        for c, i in rows]
+            missed = set()
+            for (c, i), hit, q in zip(rows, hits.tolist(), queries.tolist()):
+                if c in missed:
+                    continue
+                charged[c] += q
+                if not hit:
+                    missed.add(c)
+                    continue
                 times[c].append(int(charged[c]))
-            left[going] -= 1
-            marked[going] -= 1
-            # a copy that has found every item stops; one whose cell is
-            # empty with steps left has a rest
-            if i < k:
-                rest.update((c, t - i) for c in going[marked[going] == 0].tolist())
-            going = going[marked[going] > 0]
+                left[c] -= 1
+                marked[c] -= 1
+                # a copy that has found every item stops; one whose cell is
+                # empty with steps left has a rest
+                if not marked[c] and i < k:
+                    rest[c] = t - i
         rest = {c: s for c, s in sorted(rest.items()) if s and left[c]}
         drawn = list(calls)
         assert len(drawn) == bool(rest)
@@ -1049,6 +1082,63 @@ class TestLedgerRule:
             mine = [y for y, a in out.located.items() if cell_of[a] == c]
             assert all(db.lookup(out.located[y]) == y for y in mine)
             assert sorted(out.find_times[y] for y in mine) == times[c]
+
+    # (n, d, k, t): d = 1 with k = t = 32, 32 steps in one cell; then the
+    # three acceptance cells
+    @pytest.mark.parametrize("n,d,k,t", [(8, 1, 32, 32), (12, 64, 4, None),
+                                         (12, 16, 16, None), (14, 8, 64, None)])
+    def test_at_most_two_sampler_calls_per_search(self, n, d, k, t):
+        # one call for every copy's steps, then one for the rests
+        db, targets = build_database(n, k, seed=[82, n, d, k])
+        if t is None:
+            t = choose_regime(db.size, d, k).t
+        addresses = db.locate(targets.items)
+        sizes = cell_sizes(db.size, d)
+        draw = algorithms._draw_steps
+        for s in range(10):
+            cells = random_partition(db.size, d, addresses, [83, s])
+            with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
+                multi_item_search(db, sizes, addresses, cells, targets, t, [84, s])
+            assert 1 <= calls.call_count <= 2
+            # the first call holds a row for every step a copy could make
+            assert calls.call_args_list[0].args[0].size == np.minimum(
+                np.bincount(cells, minlength=d), t).sum()
+
+    def test_a_copy_is_charged_nothing_past_its_first_miss(self):
+        # cells 0 and 1 hold three targets each and cell 2 none, t = 3: the
+        # steps' call is made to miss at cell 0's step 2 and hit at every
+        # other row, with row r costing 10 (r + 1) queries
+        db, targets = build_database(7, 6, seed=85)
+        addresses = db.locate(targets.items)
+        cells = np.array([0, 0, 0, 1, 1, 1])
+        draw = algorithms._draw_steps
+        calls = []
+
+        def rigged(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                return draw(*args)
+            hits = np.ones(6, dtype=bool)
+            hits[1] = False
+            return hits, 10 * np.arange(1, 7)
+
+        with mock.patch.object(algorithms, "_draw_steps", rigged):
+            out = multi_item_search(db, [32, 32, 32], addresses, cells, targets, 3,
+                                    seed=86)
+        cell_of = dict(zip(addresses.tolist(), cells.tolist()))
+        times = {c: sorted(out.find_times[y] for y, a in out.located.items()
+                           if cell_of[a] == c) for c in range(3)}
+        # cell 0 is charged its rows 1 and 2, and finds only at row 1; its
+        # row 3 is neither charged nor a find
+        assert times == {0: [10], 1: [40, 90, 150], 2: []}
+        assert not out.success
+        # only cell 2 has a rest: cell 0 still holds marked addresses, and
+        # cell 1 has found all it may; with an item unlocated, it is whole
+        assert len(calls) == 2
+        sizes, marked, assumed, _, limits = calls[1]
+        assert sizes.tolist() == [32] and marked.tolist() == [0]
+        assert assumed.tolist() == [3] and limits is None
+        assert out.ledger.oracle_counts[:2] == [30, 150]
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
         # two cells of 32 addresses hold one target each, with t = 3: after

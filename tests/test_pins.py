@@ -17,11 +17,11 @@ PINS = [
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
      "3710d8b4fd6dc8fbf57c6314cc301a954edebc44f659bdbd9d8c79a2514c4a24"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "b1b673f2ad4fe3f4f37e71fad5f8c46a32dda0f7258f900dc6866344e9d9cf8b"),
+     "53aa620e418dcc881a624bd70cf381d71636609aab4b751393ba2a1bac619ce6"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "c34d9ddd1ce0d109bfcfe194dc798fd71a523ff1f9e925e84e81cda49a07e0f5"),
+     "66278d11df88b23bb0cdcf87e25d993654986dc3d7de00d84e9684ee84f18f4f"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "e0a530d6307a10aa473de7fad2cdb720983ac7066cf15d98ecf8b57a31e31a09"),
+     "cca6c6c96cffba427bc972ef7d0f9413afca1bed727bef062915f6ca7b48efa7"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
@@ -32,9 +32,9 @@ PINS = [
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "8115919e6bf7a7491eeed1eddaedb2aa39163149731389c113fc41991eecd295"),
+     "6f60e3bad9c58d6bad7ddde5af9a959da209c681766fb4999fbd9f0452e3ced7"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "8e2efc866582ff05ba19a20dfef2d4d365fc7daf21adde916b2751de805eaa0a"),
+     "4e54735809d75a62f16dab6401c35d6e17bedc7fa2eb3738fecb5d899aa7f1c5"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
