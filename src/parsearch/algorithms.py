@@ -138,21 +138,27 @@ def grover_search_known(pred: MarkedPredicate, j: int, seed):
     return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed))
 
 
-def bbht_schedule(M: int) -> tuple:
-    """Query budget and stage cutoffs of the unknown-count search over M
-    addresses.
-
-    Returns ``(budget, caps)``.  The budget is ceil(9/4 sqrt(M)) +
-    2 ceil(log_lambda sqrt(M)) queries, without the log term at M = 1, for
-    lambda = ``CUTOFF_GROWTH``.  ``caps`` is the endless iterator of stage
-    cutoffs, int(min(lambda**s, sqrt(M))) for stage s = 0, 1, ...
-    """
+def bbht_budget(M: int) -> int:
+    """Query budget of the unknown-count search over M addresses:
+    ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) queries, without the log
+    term at M = 1, for lambda = ``CUTOFF_GROWTH``."""
     sqrt_m = math.sqrt(M)
     budget = math.ceil(9 / 4 * sqrt_m)
     if M > 1:
         budget += 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH))
-    caps = _cutoffs(sqrt_m).tolist()
-    return budget, itertools.chain(caps, itertools.repeat(caps[-1]))
+    return budget
+
+
+def bbht_schedule(M: int) -> tuple:
+    """Query budget and stage cutoffs of the unknown-count search over M
+    addresses.
+
+    Returns ``(budget, caps)``: the budget of :func:`bbht_budget`, and the
+    endless iterator of stage cutoffs, int(min(lambda**s, sqrt(M))) for
+    stage s = 0, 1, ..., lambda = ``CUTOFF_GROWTH``.
+    """
+    caps = _cutoffs(math.sqrt(M)).tolist()
+    return bbht_budget(M), itertools.chain(caps, itertools.repeat(caps[-1]))
 
 
 def _cutoffs(sqrt_m, stages=slice(None)) -> np.ndarray:
@@ -191,16 +197,18 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
 
 def _draw_hits(r, theta, full, rng) -> np.ndarray:
     """Whether Grover attempts of r iterations hit, in cells with
-    theta = asin(sqrt(j/M)): each with probability sin^2((2r + 1) theta),
-    or 1 where every address is marked (``full``).  A batch with nothing
-    marked misses every attempt, and draws nothing."""
-    if not theta.any():
-        return np.zeros(r.shape, dtype=bool)
-    mass = np.where(full, 1.0, np.sin((2 * r + 1) * theta) ** 2)
-    return rng.random(r.shape) < mass
+    theta = asin(sqrt(j/M)), one entry per row of r: each with probability
+    sin^2((2r + 1) theta), or 1 where every address is marked (``full``).
+    A row with nothing marked misses every attempt, and draws nothing."""
+    live = np.flatnonzero(theta)
+    hits = np.zeros(r.shape, dtype=bool)
+    r = r[live]
+    mass = np.where(full[live], 1.0, np.sin((2 * r + 1) * theta[live]) ** 2)
+    hits[live] = rng.random(r.shape) < mass
+    return hits
 
 
-def _draw_steps(sizes, marked, assumed, rng, limits=None):
+def _draw_steps(sizes, marked, assumed, rng):
     """One step of :func:`multi_item_search` for each cell of a batch, with
     ``marked[c]`` of its ``sizes[c]`` addresses marked, assuming
     ``assumed[c]`` are.
@@ -211,32 +219,27 @@ def _draw_steps(sizes, marked, assumed, rng, limits=None):
     marked mass of :func:`~parsearch.core.sample_after`; the known-count
     attempt takes r = ``optimal_iterations(M, assumed)``, and stage s draws
     r uniformly from [0, cap_s] and runs while the stages' queries so far
-    plus cap_s + 1 stay within the budget of :func:`bbht_schedule`.  The
+    plus cap_s + 1 stay within the budget of :func:`bbht_budget`.  The
     cells are drawn ``BLOCK_ROWS`` at a time, all on *rng*, so a call's
     arrays stay small whatever the batch.  Their stages are drawn
-    ``STAGE_BLOCK`` at a time, one block for each cell still searching,
-    until no such cell is below its entry of *limits* (none by default).
-    Which cells draw a block does not depend on *limits*, so a step cut at
-    its limit has the draws of the whole step up to the last block drawn,
-    and the caller cuts it there.  With no marked address every attempt
-    misses, so the step is the rest of a copy's program.
+    ``STAGE_BLOCK`` at a time, one block for each cell still searching.
+    With no marked address every attempt misses and no hit is drawn, so
+    the step is the rest of a copy's program.
 
     Returns ``(hits, queries)``: whether each cell's step found a marked
     address, and the queries it made.
     """
     rows = [np.asarray(a) for a in (sizes, marked, assumed)]
-    rows.append(np.broadcast_to(np.inf if limits is None else limits, rows[0].shape))
     parts = [_draw_rows(rng, *(a[lo:lo + BLOCK_ROWS] for a in rows))
              for lo in range(0, rows[0].size, BLOCK_ROWS)]
     return tuple(np.concatenate(drawn) for drawn in zip(*parts))
 
 
-def _draw_rows(rng, sizes, marked, assumed, limits):
+def _draw_rows(rng, sizes, marked, assumed):
     """:func:`_draw_steps` for at most ``BLOCK_ROWS`` cells."""
     # the budget once per distinct M, and r once per distinct (M, assumed)
     kinds, which = np.unique(sizes, return_inverse=True)
-    budget = np.array([bbht_schedule(M)[0] for M in kinds.tolist()],
-                      dtype=np.int64)[which]
+    budget = np.array([bbht_budget(M) for M in kinds.tolist()], dtype=np.int64)[which]
     base = int(assumed.max()) + 1
     pairs, pair = np.unique(which * base + assumed, return_inverse=True)
     r = np.array([optimal_iterations(int(kinds[p // base]), p % base)
@@ -248,7 +251,7 @@ def _draw_rows(rng, sizes, marked, assumed, limits):
     spent = np.zeros_like(queries)      # by the unknown-count stages
     searching = ~hits
     stages = np.arange(STAGE_BLOCK)
-    while (searching & (queries + spent < limits)).any():
+    while searching.any():
         at = np.flatnonzero(searching)
         cap = _cutoffs(np.sqrt(sizes[at, None]), stages)
         r = rng.integers(0, cap + 1)
@@ -299,28 +302,25 @@ def multi_item_search(
     draws every step a copy could make: for cell c, in ascending cell
     order, a row for each step i = 1..min(loads[c], t), over the
     sizes[c] - i + 1 addresses left, loads[c] - i + 1 of them marked.
-    Given that a copy reaches step i, that step's law depends on i alone,
-    so each row is drawn whether or not its copy reaches it: a copy makes
-    its steps up to its first miss, where both of a step's searches miss,
-    and is charged none of the rows after it.  Its finds are at its
-    queries summed over its rows up to each hit.
     Where no marked address is left every attempt misses, so the rest of a
-    copy's program is one step at j = 0: with s steps left, the known-count
-    attempt assumes min(s, M') of the M' addresses left, and the
-    unknown-count stages run until the budget does.  A cell with no marked
-    address has a rest of t steps, and a copy that finds its last one at
-    step i a rest of t - i, unless it has stopped.  A second
-    :func:`_draw_steps` call draws all the rests at once, after the steps,
-    whose finds fix the rests' limits (below).
+    copy's program is one more step, at j = 0: with s steps left, the
+    known-count attempt assumes min(s, M') of the M' addresses left, and
+    the unknown-count stages run until the budget does.  So a cell with
+    loads[c] < min(t, k) and addresses to spare has one more row, its
+    rest: t - loads[c] steps over the sizes[c] - loads[c] addresses left,
+    none of them marked.  Given that a copy reaches step i, that step's
+    law depends on i alone, so each row is drawn whether or not its copy
+    reaches it: a copy makes its steps up to its first miss, where both of
+    a step's searches miss, and is charged none of the rows after it.  A
+    rest never hits, so a copy is charged its rest only when it has found
+    every marked address of its cell.  Its finds are at its queries summed
+    over its rows up to each hit.
 
     The copies run in lockstep and halt once every target item is located,
     at the round of the last find; the outcome's d-copy ledger charges each
     copy its program up to that halt, by the rule of
     :class:`~parsearch.core.QueryLedger`: every charge is cut at the halt.
-    A searched copy has made its last query by then, and the rests are
-    drawn block by block only while one of them is short of the halt, so
-    no block after the one that reaches it is drawn.  A repetition that
-    leaves an item unlocated charges whole programs.
+    A repetition that leaves an item unlocated charges whole programs.
     ``find_times`` gives, for each located item, the queries its copy had
     made when its check confirmed it.  ``success`` means no marked address
     is left in any cell.
@@ -346,11 +346,11 @@ def multi_item_search(
     order = order[np.lexsort((rng.random(order.size), cells[order]))]
     addresses, items, cells = addresses[order], items[order], cells[order]
     first = np.cumsum(loads) - loads    # each cell's first address in that order
-    # one row per step i < min(load, t) a copy could make, in (cell, step)
-    # order: step i + 1 follows i finds, one per step
-    steps = np.minimum(loads, t)
-    start = np.cumsum(steps) - steps    # each cell's first row
-    row_cell = np.repeat(np.arange(sizes.size), steps)
+    # one row per step i < min(load, t) a copy could make, then its rest if
+    # it has one, in (cell, step) order: row i follows i finds, one per row
+    rows = np.minimum(loads, t) + ((loads < min(t, targets.k)) & (loads < sizes))
+    start = np.cumsum(rows) - rows      # each cell's first row
+    row_cell = np.repeat(np.arange(sizes.size), rows)
     head = start[row_cell]              # each row's cell's first row
     step = np.arange(row_cell.size) - head
     hits, queries = np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
@@ -364,7 +364,7 @@ def multi_item_search(
     before = np.cumsum(missed) - missed     # misses in the rows before each
     made = before == before[head]
     total = np.concatenate(([0], np.cumsum(np.where(made, queries, 0))))
-    spent = total[start + steps] - total[start]
+    spent = total[start + rows] - total[start]
     found_at = np.full(order.size, -1, dtype=np.int64)  # queries at each find
     find = np.flatnonzero(made & hits)
     found_at[first[row_cell[find]] + step[find]] = total[find + 1] - total[head[find]]
@@ -372,16 +372,6 @@ def multi_item_search(
     found = found_at >= 0
     # lockstep halt: the round where the last missing item was confirmed
     stop = found_at.max() if found.sum() == targets.k else None
-    # a copy whose cell holds no marked address left, with steps left,
-    # items to find and addresses to search, draws its rest
-    which = np.flatnonzero((np.bincount(cells[found], minlength=sizes.size) == loads)
-                           & (loads < min(t, targets.k)) & (loads < sizes))
-    if which.size:
-        left = sizes[which] - loads[which]
-        limits = None if stop is None else stop - spent[which]
-        _, rests = _draw_steps(left, np.zeros_like(left),
-                               np.minimum(t - loads[which], left), rng, limits)
-        spent[which] += rests
     ledger = QueryLedger(sizes.size)
     ledger.record_repetition(spent if stop is None else np.minimum(spent, stop))
 

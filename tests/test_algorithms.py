@@ -1,5 +1,4 @@
 """Tests for the search algorithms and partition machinery."""
-import copy
 import inspect
 import itertools
 import math
@@ -18,6 +17,8 @@ from parsearch.algorithms import (
     MAX_REPETITIONS,
     SearchOutcome,
     TargetSet,
+    bbht_budget,
+    bbht_schedule,
     bbht_search_unknown,
     cell_sizes,
     choose_regime,
@@ -178,11 +179,21 @@ class TestGroverSearchKnown:
                                 9, seed=0)
 
 
+def budget_formula(M):
+    """ceil(9/4 sqrt(M)) + 2 ceil(log_1.2 sqrt(M)), without the log term at
+    M = 1: the unknown-count search's query budget, written out."""
+    sqrt_m = math.sqrt(M)
+    budget = math.ceil(9 / 4 * sqrt_m)
+    if M > 1:
+        budget += 2 * math.ceil(math.log(sqrt_m) / math.log(6 / 5))
+    return budget
+
+
 class TestBbhtSearchUnknown:
     def test_nothing_to_find(self):
         db, _ = build_database(8, 1, seed=1)
         absent = TargetSet([500])
-        cutoff = math.ceil(9 / 4 * 16) + 2 * math.ceil(math.log(16) / math.log(6 / 5))
+        cutoff = budget_formula(256)
         addr, queries = bbht_search_unknown(
             MarkedPredicate.scan(db, absent.items, np.arange(256)), seed=2)
         assert addr is None
@@ -218,6 +229,11 @@ class TestBbhtSearchUnknown:
             bbht_search_unknown(
                 MarkedPredicate.scan(db, targets.items, np.array([], dtype=np.int64)),
                 seed=0)
+
+    def test_the_budget_has_one_formula(self):
+        # every M up to 4096, and the largest cells `search` takes
+        for M in [*range(1, 4097), 2 ** 62 - 2, 2 ** 62 - 1, 2 ** 62]:
+            assert bbht_budget(M) == bbht_schedule(M)[0] == budget_formula(M)
 
 
 class TestMultiItemSearch:
@@ -352,12 +368,12 @@ class TestMultiItemSearch:
                               seed=0)
 
 
-def draw_rests(sizes, steps, rng, limits=None):
+def draw_rests(sizes, steps, rng):
     """The rests of copies whose cells hold no marked address, with *steps*
     steps left each: the step sampler at j = 0, which never hits."""
     sizes = np.asarray(sizes, dtype=np.int64)
     hits, lengths = algorithms._draw_steps(sizes, np.zeros_like(sizes),
-                                           np.minimum(steps, sizes), rng, limits)
+                                           np.minimum(steps, sizes), rng)
     assert not hits.any()
     return lengths
 
@@ -775,27 +791,32 @@ def within_four_pooled_errors(a, b):
     return abs(a.mean() - b.mean()) <= 4 * stderr
 
 
+def run_trials(search, n, d, k, trials, db_seed, search_seed):
+    """Per-trial parallel rounds, successes, repetitions and total charges
+    of *search* with d copies: trial s builds its database of k targets in
+    2**n addresses on ``[*db_seed, s]`` and searches it on
+    ``[*search_seed, s]``."""
+    rounds, wins, reps, charged = [], [], [], []
+    for s in range(trials):
+        db, targets = build_database(n, k, seed=[*db_seed, s])
+        out = search(db, d, targets, [*search_seed, s])
+        rounds.append(out.parallel_rounds)
+        wins.append(out.success)
+        reps.append(out.repetitions)
+        charged.append(sum(out.ledger.oracle_counts))
+    return rounds, wins, reps, charged
+
+
 class TestDenseReference:
     """The engine against the per-copy reference engine run on the dense
     state-vector attempt."""
 
     @pytest.mark.parametrize("n,d,k", [(8, 4, 4), (10, 16, 16)])
     def test_parallel_search_matches_dense_reference(self, n, d, k, monkeypatch):
-        def run(search):
-            rounds, wins, reps, charged = [], [], [], []
-            for s in range(200):
-                db, targets = build_database(n, k, seed=[61, n, s])
-                out = search(db, d, targets, [62, n, s])
-                rounds.append(out.parallel_rounds)
-                wins.append(out.success)
-                reps.append(out.repetitions)
-                charged.append(sum(out.ledger.oracle_counts))
-            return rounds, wins, reps, charged
-
-        fast = run(parallel_search)
+        fast = run_trials(parallel_search, n, d, k, 200, [61, n], [62, n])
         monkeypatch.setattr(algorithms, "_grover_attempt",
                             algorithms._dense_grover_attempt)
-        dense = run(per_copy_parallel_search)
+        dense = run_trials(per_copy_parallel_search, n, d, k, 200, [61, n], [62, n])
         for a, b in zip(fast, dense):
             assert within_four_pooled_errors(a, b)
 
@@ -860,18 +881,9 @@ class TestPerCopyReference:
 
     @pytest.mark.parametrize("n,d,k", [(8, 4, 4), (10, 16, 16), (12, 64, 4), (8, 2, 6)])
     def test_parallel_search_matches_per_copy_reference(self, n, d, k):
-        def run(search):
-            rounds, wins, reps, charged = [], [], [], []
-            for s in range(600):
-                db, targets = build_database(n, k, seed=[63, n, d, s])
-                out = search(db, d, targets, [64, n, d, s])
-                rounds.append(out.parallel_rounds)
-                wins.append(out.success)
-                reps.append(out.repetitions)
-                charged.append(sum(out.ledger.oracle_counts))
-            return rounds, wins, reps, charged
-
-        for a, b in zip(run(parallel_search), run(per_copy_parallel_search)):
+        runs = [run_trials(search, n, d, k, 600, [63, n, d], [64, n, d])
+                for search in (parallel_search, per_copy_parallel_search)]
+        for a, b in zip(*runs):
             assert within_four_pooled_errors(a, b)
 
 
@@ -883,18 +895,9 @@ class TestManyStepsPerCell:
 
     @pytest.mark.parametrize("n,d,k", [(10, 2, 12), (8, 1, 6)])
     def test_parallel_search_matches_per_copy_reference(self, n, d, k):
-        def run(search):
-            rounds, wins, reps, charged = [], [], [], []
-            for s in range(600):
-                db, targets = build_database(n, k, seed=[87, n, d, s])
-                out = search(db, d, targets, [88, n, d, s])
-                rounds.append(out.parallel_rounds)
-                wins.append(out.success)
-                reps.append(out.repetitions)
-                charged.append(sum(out.ledger.oracle_counts))
-            return rounds, wins, reps, charged
-
-        for a, b in zip(run(parallel_search), run(per_copy_parallel_search)):
+        runs = [run_trials(search, n, d, k, 600, [87, n, d], [88, n, d])
+                for search in (parallel_search, per_copy_parallel_search)]
+        for a, b in zip(*runs):
             assert within_four_pooled_errors(a, b)
 
 
@@ -989,21 +992,22 @@ class TestLedgerRule:
             targets = TargetSet([db.size + 1])
         addr, queries = bbht_search_unknown(
             MarkedPredicate.scan(db, targets.items, np.arange(db.size)), seed)
-        sqrt_m = math.sqrt(db.size)
-        budget = math.ceil(9 / 4 * sqrt_m)
-        if db.size > 1:
-            budget += 2 * math.ceil(math.log(sqrt_m) / math.log(6 / 5))
-        assert 0 <= queries <= budget
+        assert 0 <= queries <= budget_formula(db.size)
         if absent:
             assert addr is None
         assert addr is None or db.lookup(addr) in targets.items
 
     @settings(derandomize=True, deadline=None)
-    @given(instances(), st.integers(1, 8), st.integers(0, 6), st.booleans())
+    @given(instances(), st.integers(1, 8), st.integers(0, 6), st.booleans(),
+           st.integers(0, 2))
     def test_multi_item_search_charges_what_the_searches_return(self, instance, d, t,
-                                                                 rigged):
+                                                                 rigged, ghosts):
+        # a ghost target, stored nowhere, is never located, so a search with
+        # one never halts; with t = 1 a cell holding two targets leaves one
         n, k, seed = instance
         db, targets = build_database(n, k, seed=seed)
+        targets = TargetSet(targets.items + tuple(range(db.size + 1,
+                                                        db.size + 1 + ghosts)))
         d = min(d, db.size)
         addresses = marked_addresses(db, targets.items)
         cells = random_partition(db.size, d, addresses, seed)
@@ -1013,7 +1017,7 @@ class TestLedgerRule:
 
         def recording(*args):
             hits, queries = draw(*args)
-            if rigged and len(args) == 4:
+            if rigged:
                 # misses are rare at these sizes: make about a third of the
                 # steps miss, so that copies stop before their last row
                 hits = hits & (np.random.default_rng(seed).random(hits.size) > 1 / 3)
@@ -1024,56 +1028,41 @@ class TestLedgerRule:
             out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
         # one call draws a row for each step i = 1..min(load, t) of every
         # copy, in (cell, step) order, over the M = size - i + 1 addresses
-        # left, load - i + 1 of them marked, each assuming min(t - i + 1, M);
-        # a copy is charged its rows up to and including its first miss, and
-        # each hit before that miss is a find at the copy's queries so far
+        # left, load - i + 1 of them marked, each assuming min(t - i + 1, M).
+        # A copy that would still have steps, items and addresses left once
+        # it has found its cell's every marked address has one more row,
+        # its rest, at i = load + 1 with nothing marked.  A copy is charged
+        # its rows up to and including its first miss, and each hit before
+        # that miss is a find at the copy's queries so far
         loads = np.bincount(cells, minlength=d)
-        rows = [(c, i) for c in range(d) for i in range(1, min(loads[c], t) + 1)]
-        left, marked = sizes.copy(), loads.copy()
+        rest = [loads[c] < t and loads[c] < targets.k and loads[c] < sizes[c]
+                for c in range(d)]
+        rows = [(c, i) for c in range(d)
+                for i in range(1, min(loads[c], t) + rest[c] + 1)]
         charged = np.zeros(d, dtype=np.int64)
         times = {c: [] for c in range(d)}
-        rest = {c: t for c in range(d) if not loads[c]}
-        calls = iter(calls)
+        assert len(calls) == bool(rows)
         if rows:
-            (row_sizes, row_marked, assumed, _), (hits, queries) = next(calls)
+            (row_sizes, row_marked, assumed, _), (hits, queries) = calls[0]
             assert row_sizes.tolist() == [sizes[c] - i + 1 for c, i in rows]
             assert row_marked.tolist() == [loads[c] - i + 1 for c, i in rows]
             assert assumed.tolist() == [min(t - i + 1, sizes[c] - i + 1)
                                         for c, i in rows]
+            assert not hits[row_marked == 0].any()
             missed = set()
             for (c, i), hit, q in zip(rows, hits.tolist(), queries.tolist()):
                 if c in missed:
                     continue
                 charged[c] += q
-                if not hit:
+                if hit:
+                    times[c].append(int(charged[c]))
+                else:
                     missed.add(c)
-                    continue
-                times[c].append(int(charged[c]))
-                left[c] -= 1
-                marked[c] -= 1
-                # a copy that has found every item stops; one whose cell is
-                # empty with steps left has a rest
-                if not marked[c] and i < k:
-                    rest[c] = t - i
-        rest = {c: s for c, s in sorted(rest.items()) if s and left[c]}
-        drawn = list(calls)
-        assert len(drawn) == bool(rest)
-        stop = max(out.find_times.values()) if len(out.located) == k else None
-        if drawn:
-            # one call at j = 0 draws every rest, each up to the lockstep
-            # halt less the queries its copy has made, or whole
-            (cell_sizes_, cell_marked, assumed, _, limits), (hits, queries) = drawn[0]
-            order = list(rest)
-            assert cell_sizes_.tolist() == left[order].tolist()
-            assert not cell_marked.any() and not hits.any()
-            assert assumed.tolist() == [min(rest[c], left[c]) for c in order]
-            if stop is None:
-                assert limits is None
-            else:
-                assert limits.tolist() == (stop - charged[order]).tolist()
-            charged[order] += queries
-        # every charge is cut at the halt, and each copy's finds are items
-        # of its cell at the times of its hits
+        # once every target is located the copies halt at the last find, and
+        # every charge is cut there; each copy's finds are items of its cell
+        # at the times of its hits
+        finds = [when for c in range(d) for when in times[c]]
+        stop = max(finds) if len(finds) == targets.k else None
         assert out.ledger.oracle_counts == [
             int(c) if stop is None else min(int(c), stop) for c in charged]
         assert out.success == (len(out.located) == addresses.size)
@@ -1088,7 +1077,8 @@ class TestLedgerRule:
     @pytest.mark.parametrize("n,d,k,t", [(8, 1, 32, 32), (12, 64, 4, None),
                                          (12, 16, 16, None), (14, 8, 64, None)])
     def test_at_most_two_sampler_calls_per_search(self, n, d, k, t):
-        # one call for every copy's steps, then one for the rests
+        # exactly one call, with a row for every step a copy could make and
+        # one for every rest
         db, targets = build_database(n, k, seed=[82, n, d, k])
         if t is None:
             t = choose_regime(db.size, d, k).t
@@ -1099,28 +1089,25 @@ class TestLedgerRule:
             cells = random_partition(db.size, d, addresses, [83, s])
             with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
                 multi_item_search(db, sizes, addresses, cells, targets, t, [84, s])
-            assert 1 <= calls.call_count <= 2
-            # the first call holds a row for every step a copy could make
-            assert calls.call_args_list[0].args[0].size == np.minimum(
-                np.bincount(cells, minlength=d), t).sum()
+            assert calls.call_count == 1
+            loads = np.bincount(cells, minlength=d)
+            rests = (loads < min(t, k)) & (loads < sizes)
+            assert calls.call_args.args[0].size == (np.minimum(loads, t) + rests).sum()
 
     def test_a_copy_is_charged_nothing_past_its_first_miss(self):
         # cells 0 and 1 hold three targets each and cell 2 none, t = 3: the
-        # steps' call is made to miss at cell 0's step 2 and hit at every
-        # other row, with row r costing 10 (r + 1) queries
+        # one call is made to miss at cell 0's step 2 and at cell 2's rest,
+        # and to hit at every other row, with row r costing 10 (r + 1) queries
         db, targets = build_database(7, 6, seed=85)
         addresses = db.locate(targets.items)
         cells = np.array([0, 0, 0, 1, 1, 1])
-        draw = algorithms._draw_steps
         calls = []
 
         def rigged(*args):
             calls.append(args)
-            if len(calls) > 1:
-                return draw(*args)
-            hits = np.ones(6, dtype=bool)
-            hits[1] = False
-            return hits, 10 * np.arange(1, 7)
+            hits = np.ones(7, dtype=bool)
+            hits[[1, 6]] = False
+            return hits, 10 * np.arange(1, 8)
 
         with mock.patch.object(algorithms, "_draw_steps", rigged):
             out = multi_item_search(db, [32, 32, 32], addresses, cells, targets, 3,
@@ -1132,21 +1119,23 @@ class TestLedgerRule:
         # row 3 is neither charged nor a find
         assert times == {0: [10], 1: [40, 90, 150], 2: []}
         assert not out.success
-        # only cell 2 has a rest: cell 0 still holds marked addresses, and
-        # cell 1 has found all it may; with an item unlocated, it is whole
-        assert len(calls) == 2
-        sizes, marked, assumed, _, limits = calls[1]
-        assert sizes.tolist() == [32] and marked.tolist() == [0]
-        assert assumed.tolist() == [3] and limits is None
-        assert out.ledger.oracle_counts[:2] == [30, 150]
+        # only cell 2 has a rest, its one row: cells 0 and 1 have no step
+        # left after their three; with an item unlocated, it is whole
+        assert len(calls) == 1
+        sizes, marked, assumed, _ = calls[0]
+        assert sizes.tolist() == [32, 31, 30, 32, 31, 30, 32]
+        assert marked.tolist() == [3, 2, 1, 3, 2, 1, 0]
+        assert assumed.tolist() == [3, 2, 1, 3, 2, 1, 3]
+        assert out.ledger.oracle_counts == [30, 150, 70]
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
         # two cells of 32 addresses hold one target each, with t = 3: after
         # its find at step 1, a copy's rest has t - 1 = 2 steps over the 31
-        # addresses left, drawn in one call with the other copy's, and cut
+        # addresses left, drawn in the one call after that step, and is cut
         # at the lockstep halt
         db, targets = build_database(6, 2, seed=75)
         addresses = db.locate(targets.items)
+        items = [db.lookup(a) for a in addresses.tolist()]
         draw = algorithms._draw_steps
         first = optimal_iterations(31, 2) + 1
         both = 0
@@ -1154,99 +1143,63 @@ class TestLedgerRule:
             calls = []
 
             def recording(*args):
-                # keep the stream as the call found it
-                start = copy.deepcopy(args[3])
-                calls.append((args, start, draw(*args)))
-                return calls[-1][2]
+                calls.append((args, draw(*args)))
+                return calls[-1][1]
 
             with mock.patch.object(algorithms, "_draw_steps", recording):
                 out = multi_item_search(db, [32, 32], addresses, [0, 1], targets, 3,
                                         [76, s])
+            assert len(calls) == 1      # step 1 and the rest of each copy
+            (sizes, marked, steps, _), (_, queries) = calls[0]
+            assert sizes.tolist() == [32, 31, 32, 31]
+            assert marked.tolist() == [1, 0, 1, 0] and steps.tolist() == [3, 2, 3, 2]
             if len(out.located) < 2:
                 continue
             both += 1
-            assert len(calls) == 2      # step 1 of both copies, then both rests
-            (sizes, marked, steps, _, _), start, (_, lengths) = calls[1]
-            assert sizes.tolist() == [31, 31] and marked.tolist() == [0, 0]
-            assert steps.tolist() == [2, 2]
-            items = [db.lookup(a) for a in addresses.tolist()]
+            finds, lengths = queries[0::2].tolist(), queries[1::2].tolist()
+            assert [out.find_times[y] for y in items] == finds
             # both items are found, so the copies halt at the later find:
             # each is charged its find plus its rest, cut there
-            stop = max(out.find_times.values())
+            stop = max(finds)
             assert out.ledger.oracle_counts == [
-                min(out.find_times[y] + length, stop)
-                for y, length in zip(items, lengths.tolist())]
-            assert max(out.ledger.oracle_counts) == stop
-            # a rest starts with its known-count attempt: the same draws
-            # with limits of 0 make that attempt alone
-            _, alone = draw(sizes, marked, steps, start, np.zeros(2, dtype=np.int64))
-            assert alone.tolist() == [first, first]
-            assert all(length >= first for length in lengths.tolist())
+                min(find + length, stop) for find, length in zip(finds, lengths)]
+            # a rest is its known-count attempt, then unknown-count stages
+            # within their budget
+            assert all(first <= length <= first + bbht_budget(31) for length in lengths)
         assert both >= 15
 
-    def test_no_stage_is_drawn_past_the_limits(self):
-        # the known-count attempt is made whatever the limit; a block of
-        # stages is drawn only while some copy is below its limit
+    def test_rows_with_nothing_marked_draw_no_hit(self):
+        # rows with j = 2 of M = 2^20, whose known-count attempts, assuming
+        # 60, mostly miss, interleaved in one batch with rows with j = 0 of
+        # M = 37: `random` returns one variate for each attempt of a row
+        # with j >= 1, its known-count attempt and every stage of the
+        # blocks it draws, and none for a row with j = 0.  From stage 12 on
+        # the cutoffs of M = 2^20 pass sqrt(37), so the last column of a
+        # block of stages tells its rows apart
         class CountingGenerator:
             def __init__(self, seed):
-                self.rng, self.blocks = np.random.default_rng(seed), 0
+                self.rng = np.random.default_rng(seed)
+                self.variates = self.live = self.empty = 0
 
             def random(self, *args, **kwargs):
-                return self.rng.random(*args, **kwargs)
+                out = self.rng.random(*args, **kwargs)
+                self.variates += out.size
+                return out
 
-            def integers(self, *args, **kwargs):
-                self.blocks += 1
-                return self.rng.integers(*args, **kwargs)
+            def integers(self, low, high):
+                live = high[:, -1] > math.isqrt(37) + 1
+                self.live += int(live.sum()) * high.shape[1]
+                self.empty += int((~live).sum())
+                return self.rng.integers(low, high)
 
-        def draw(limits):
-            rng = CountingGenerator(81)
-            lengths = draw_rests([37, 1 << 20], 3, rng, limits)
-            return lengths.tolist(), rng.blocks
-
-        known = [optimal_iterations(M, 3) + 1 for M in (37, 1 << 20)]
-        whole, blocks = draw(None)
-        assert blocks > 1
-        # with limits of 0 no block is drawn: each copy has made only its
-        # known-count attempt, which the caller cuts at the limit
-        assert draw(0) == (known, 0)
-        # one block takes every copy past its known-count attempt, so a
-        # limit one above it stops the draws after one block
-        limits = np.array(known) + 1
-        cut, blocks = draw(limits)
-        assert blocks == 1
-        assert np.minimum(cut, limits).tolist() == np.minimum(whole, limits).tolist()
-
-    @settings(derandomize=True, deadline=None)
-    @given(instances(), st.integers(1, 8), st.integers(1, 6), st.integers(0, 2))
-    def test_charges_stop_at_the_lockstep_halt(self, instance, d, t, ghosts):
-        # the same search twice on one seed, the second with the limits of
-        # the drawn rests ignored: the first charges each copy the second's
-        # program up to the halt, the round of the last find once every item
-        # is located (a ghost target, stored nowhere, never is; with t = 1 a
-        # cell holding two targets leaves one), and finds the same items at
-        # the same times
-        n, k, seed = instance
-        db, targets = build_database(n, k, seed=seed)
-        targets = TargetSet(targets.items + tuple(range(db.size + 1,
-                                                        db.size + 1 + ghosts)))
-        d = min(d, db.size)
-        addresses = marked_addresses(db, targets.items)
-        cells = random_partition(db.size, d, addresses, seed)
-        sizes = cell_sizes(db.size, d)
-        out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
-        draw = algorithms._draw_steps
-        with mock.patch.object(algorithms, "_draw_steps",
-                               lambda sizes, marked, assumed, rng, limits=None:
-                               draw(sizes, marked, assumed, rng)):
-            whole = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
-        assert out.located == whole.located
-        assert out.find_times == whole.find_times
-        programs = whole.ledger.oracle_counts
-        if len(whole.located) == targets.k:
-            stop = max(whole.find_times.values())
-        else:
-            stop = max(programs)
-        assert out.ledger.oracle_counts == [min(p, stop) for p in programs]
+        half = 32
+        sizes = np.tile([1 << 20, 37], half)
+        marked = np.tile([2, 0], half)
+        rng = CountingGenerator(89)
+        hits, _ = algorithms._draw_steps(sizes, marked, np.tile([60, 3], half), rng)
+        assert not hits[marked == 0].any()
+        assert rng.live and rng.empty       # both kinds of row drew stages
+        assert rng.variates == half + rng.live
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(0, 3))

@@ -17,15 +17,15 @@ PINS = [
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
      "3710d8b4fd6dc8fbf57c6314cc301a954edebc44f659bdbd9d8c79a2514c4a24"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "53aa620e418dcc881a624bd70cf381d71636609aab4b751393ba2a1bac619ce6"),
+     "fc0a22faca7ba5489620a830ec00fbe13186f7176f69f4bf2969a9da2d192fb2"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "66278d11df88b23bb0cdcf87e25d993654986dc3d7de00d84e9684ee84f18f4f"),
+     "63dd101b5ac99af3ac9dfbc1dafa33fb94acbc792f6112dc43d4ef7b47534492"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "cca6c6c96cffba427bc972ef7d0f9413afca1bed727bef062915f6ca7b48efa7"),
+     "89625bdaa41d4d0dccd9c08b38007942e99b72425deffaa278afd4a989a340e2"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "87ed401c0f816b66b61e5264bc3b38f59288a4c97194e380962123cec503f596"),
+     "954ad9ca5632f5ac56420159a9b84f9676410ad1418642a687a3ed681e389b8e"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "9842c2fb0aa624fd6af9a12733a150aa1358d74f959a5cdf34c62b39be69ae47"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
@@ -34,7 +34,7 @@ PINS = [
       "--seed", "19"],
      "6f60e3bad9c58d6bad7ddde5af9a959da209c681766fb4999fbd9f0452e3ced7"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "4e54735809d75a62f16dab6401c35d6e17bedc7fa2eb3738fecb5d899aa7f1c5"),
+     "371042e04aa8e7093384c248246fe863e98f7eccf9060accbaa4f5059cd5989f"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
