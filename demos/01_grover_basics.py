@@ -24,12 +24,14 @@ entries = np.zeros(16, dtype=np.int64)
 entries[10] = 7
 db = Database(n=4, m=3, entries=entries)
 pred = MarkedPredicate.scan(db, frozenset([7]), np.arange(16))
+# the dense vector's first j positions stand for the j marked addresses
+j = pred.marked.size
 
 state = init_uniform(16)
 print("iter  simulated P(marked)  closed form")
 for r in range(1, 8):
     state = grover_iterate(state, pred)
-    sim = state.marked_mass(pred.mask)
+    sim = np.sum(np.abs(state[:j]) ** 2)
     ref = success_probability(16, 1, r)
     print(f"{r:4d}  {sim:19.12f}  {ref:.12f}")
 
@@ -38,13 +40,11 @@ print(f"\noptimal iteration count for 1 of 16: {best_r}")
 print(f"oracle queries: {r}, one per Grover iteration")
 
 # Measure a freshly amplified state a few times; the marked address
-# dominates with probability ~0.96 at the optimal iteration count.  The
-# vector's first j positions stand for the j marked addresses, so index i
-# is a hit at pred.marked[i] when i < j and a miss otherwise.
+# dominates with probability ~0.96 at the optimal iteration count.  Index
+# i is a hit at pred.marked[i] when i < j and a miss otherwise.
 state = init_uniform(16)
 for _ in range(best_r):
     state = grover_iterate(state, pred)
-j = pred.marked.size
 indices = [measure(state, seed=[42, i]) for i in range(10)]
 outcomes = [int(pred.marked[i]) if i < j else None for i in indices]
 print(f"ten seeded measurements (None: unmarked): {outcomes}")

@@ -24,7 +24,7 @@ print(f"regime: {params.regime}, per-cell cap t={params.t}")
 outcome = parallel_search(db, d, targets, seed=2024)
 print(f"\nsuccess: {outcome.success} after {outcome.repetitions} repetition(s)")
 print(f"located: {outcome.located}")
-print(f"per-copy oracle queries: {outcome.ledger.oracle_counts}")
+print(f"per-copy oracle queries: {outcome.ledger.oracle_counts.tolist()}")
 print(f"parallel rounds: {outcome.parallel_rounds}")
 print(f"verification rounds: {outcome.ledger.verification_rounds}")
 

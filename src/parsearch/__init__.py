@@ -6,7 +6,6 @@ from .core import (
     MarkedPredicate,
     PlantedDatabase,
     QueryLedger,
-    StateVector,
     grover_iterate,
     init_uniform,
     measure,
@@ -20,12 +19,12 @@ from .algorithms import (
     bbht_search_unknown,
     choose_regime,
     grover_search_known,
-    maxload_bound,
     maxload_exceedance,
     multi_item_search,
     parallel_search,
     random_partition,
     theorem_envelope,
+    union_bound,
     verify_locations,
 )
 from .adversary import (

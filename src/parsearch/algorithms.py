@@ -115,7 +115,7 @@ def _dense_grover_attempt(pred: MarkedPredicate, r: int, rng):
     """Reference for :func:`_grover_attempt` on the dense simulator: the
     same attempt and return, with r iterations of an M-entry state vector
     and a measurement over all M positions, of which the first j stand for
-    the marked addresses (see :attr:`~parsearch.core.MarkedPredicate.mask`)."""
+    the marked addresses (see :func:`~parsearch.core.grover_iterate`)."""
     state = init_uniform(pred.size)
     for _ in range(r):
         state = grover_iterate(state, pred)
@@ -149,18 +149,6 @@ def bbht_budget(M: int) -> int:
     return budget
 
 
-def bbht_schedule(M: int) -> tuple:
-    """Query budget and stage cutoffs of the unknown-count search over M
-    addresses.
-
-    Returns ``(budget, caps)``: the budget of :func:`bbht_budget`, and the
-    endless iterator of stage cutoffs, int(min(lambda**s, sqrt(M))) for
-    stage s = 0, 1, ..., lambda = ``CUTOFF_GROWTH``.
-    """
-    caps = _cutoffs(math.sqrt(M)).tolist()
-    return bbht_budget(M), itertools.chain(caps, itertools.repeat(caps[-1]))
-
-
 def _cutoffs(sqrt_m, stages=slice(None)) -> np.ndarray:
     """Stage cutoffs int(min(CUTOFF_GROWTH**s, sqrt(M))) of the given
     *stages*, all of ``_GROWTH``'s by default, for the given sqrt(M)."""
@@ -173,8 +161,10 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
 
     Stage s draws an iteration count uniformly from [0, cap_s] and makes
     one Grover attempt with it, while the queries so far plus cap_s + 1
-    stay within the budget; budget and cutoffs are those of
-    :func:`bbht_schedule`.
+    stay within the budget of :func:`bbht_budget`.  The cutoff of stage s
+    is int(min(lambda**s, sqrt(M))), lambda = ``CUTOFF_GROWTH``, from
+    :func:`_cutoffs`; the stages past its table's last entry share that
+    entry.
 
     Returns ``(address, queries)``: address None when nothing was found,
     and ``queries`` the oracle queries of all its stages.
@@ -183,9 +173,10 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
     if M == 0:
         raise ValueError("cannot search an empty subdomain")
     rng = as_generator(seed)
-    budget, caps = bbht_schedule(M)
+    budget, caps = bbht_budget(M), _cutoffs(math.sqrt(M))
     queries = 0
-    for cap in caps:
+    for s in itertools.count():
+        cap = int(caps[min(s, caps.size - 1)])
         if queries + cap + 1 > budget:
             return None, queries
         r = int(rng.integers(0, cap + 1))
@@ -463,18 +454,19 @@ def theorem_envelope(N: int, d: int, k: int) -> float:
     return math.sqrt(N * k * lg_d / (d * min(k, d)))
 
 
-def maxload_bound(k: int, t: int, d: int) -> float:
-    """Probability bound min(1, C(k, t) * d**(-t)) that one cell holds at
-    least t items; the clamp is decided on integers, so no quotient
-    overflows."""
+def union_bound(k: int, t: int, d: int) -> float:
+    """Union bound over the d cells on the probability that some cell holds
+    more than t of k uniform targets: min(1, d * C(k, t + 1) * d**(-(t + 1))).
+    The clamp is decided on integers, so no quotient overflows, and 0 where
+    t >= k."""
     if d < 1:
         raise ValueError("need d >= 1")
     if t < 0:
         raise ValueError("need t >= 0")
-    if t > k:
+    if t >= k:
         return 0.0
-    overloads, placements = math.comb(k, t), d ** t
-    return 1.0 if overloads >= placements else overloads / placements
+    overloads, placements = math.comb(k, t + 1), d ** (t + 1)
+    return 1.0 if d * overloads >= placements else d * (overloads / placements)
 
 
 def maxload_exceedance(N: int, d: int, k: int, t: int) -> float:

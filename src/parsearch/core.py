@@ -8,18 +8,18 @@ of :func:`success_probability`; the per-attempt searches run on it, and
 ``algorithms.multi_item_search`` draws the same law for many cells at
 once.  A search's state is therefore only its subdomain size M and its
 marked addresses, which is all :class:`MarkedPredicate` keeps;
-:func:`marked_addresses` finds those addresses.  A database answers
+:func:`marked_addresses` finds those of a subdomain.  A database answers
 ``lookup``, ``items_at`` and ``locate``, and refuses an address outside
 [0, N) with IndexError: :class:`Database` from an N-entry table,
 :class:`PlantedDatabase` from its k target addresses alone, at any N that
 int64 addresses allow.
 
-The dense simulator (:class:`StateVector`, :func:`init_uniform`,
-:func:`grover_iterate`, :func:`measure`) keeps an M-entry amplitude vector
-whose first j basis positions stand for the j marked addresses, and is the
-reference the closed form is checked against.  Its oracle is a phase flip on
-those positions (the standard phase-kickback form of the XOR oracle); each
-application is one query, which its caller counts by the rule of
+The dense simulator (:func:`init_uniform`, :func:`grover_iterate`,
+:func:`measure`) runs on a plain M-entry complex128 amplitude vector whose
+first j basis positions stand for the j marked addresses, and is the
+reference the closed form is checked against.  Its oracle is a phase flip
+on those positions (the standard phase-kickback form of the XOR oracle);
+each application is one query, which its caller counts by the rule of
 :class:`QueryLedger`.
 
 Every random stream of a run is a child of its seed made by
@@ -201,12 +201,10 @@ class PlantedDatabase:
                         entries=self.items_at(np.arange(self.size, dtype=np.int64)))
 
 
-def marked_addresses(db, targets, subdomain=None) -> np.ndarray:
-    """The addresses of *subdomain* (all of *db* by default) whose items
-    are in *targets*, in ascending order: ``db.locate(targets)``, or one
-    scan of the subdomain's items."""
-    if subdomain is None:
-        return db.locate(targets)
+def marked_addresses(db, targets, subdomain) -> np.ndarray:
+    """The addresses of *subdomain* whose items are in *targets*, in
+    ascending order: one scan of the subdomain's items.  All of *db*'s are
+    ``db.locate(targets)``."""
     wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
     sub = np.asarray(subdomain, dtype=np.int64)
     if sub.ndim != 1:
@@ -241,14 +239,6 @@ class MarkedPredicate:
         sub = np.asarray(subdomain, dtype=np.int64)
         return cls(sub.size, marked_addresses(db, targets, sub))
 
-    @property
-    def mask(self) -> np.ndarray:
-        """Boolean marked/unmarked flags over the M basis positions of the
-        dense reference: the j marked addresses take the first j positions,
-        in ascending order.  Grover dynamics do not depend on how basis
-        states are labelled, so any placement gives the same law."""
-        return np.arange(self.size) < self.marked.size
-
     def without(self, address: int) -> "MarkedPredicate":
         """The predicate once the item at the marked *address* is located:
         the address leaves the subdomain, and every other marked address
@@ -258,33 +248,6 @@ class MarkedPredicate:
         if keep.all():
             raise ValueError(f"address {address} is not marked")
         return MarkedPredicate(self.size - 1, self.marked[keep])
-
-
-class StateVector:
-    """A normalized complex amplitude vector over M basis states."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes, *, _skip_check: bool = False):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a non-empty 1-d vector")
-        if not _skip_check:
-            norm = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm - 1.0) > NORM_TOL:
-                raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
-        self.amplitudes = amps
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def marked_mass(self, mask: np.ndarray) -> float:
-        """Total probability on basis states selected by *mask*."""
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
 
 
 class QueryLedger:
@@ -299,7 +262,8 @@ class QueryLedger:
     last missing item confirms it, so no copy is charged past that round;
     a repetition that leaves an item unlocated charges every copy its whole
     program.  A ledger records a whole repetition at once, one charge per
-    copy (:meth:`record_repetition`): its rounds are its largest charge,
+    copy (:meth:`record_repetition`), added to :attr:`oracle_counts`, an
+    int64 vector of the per-copy counts: its rounds are its largest charge,
     and :attr:`parallel_rounds` sums them over the repetitions.
     :func:`~parsearch.algorithms.parallel_search` records each repetition
     that :func:`~parsearch.algorithms.multi_item_search` charged on the
@@ -312,21 +276,21 @@ class QueryLedger:
         if copies < 1:
             raise ValueError("need at least one copy")
         self.copies = copies
-        self.oracle_counts = [0] * copies
+        self.oracle_counts = np.zeros(copies, dtype=np.int64)
         self.verification_rounds = 0
         self._rep_rounds: list[int] = []
 
     def record_repetition(self, charges) -> int:
         """Charge each copy its queries of one repetition, ``charges[c]`` to
         copy c, and return the repetition's rounds, the largest charge."""
-        charges = [int(c) for c in charges]
-        if len(charges) != self.copies:
+        charges = np.asarray(charges, dtype=np.int64)
+        if charges.shape != (self.copies,):
             raise ValueError(f"need one charge per copy, {self.copies}, "
-                             f"got {len(charges)}")
-        if min(charges) < 0:
+                             f"got shape {charges.shape}")
+        if charges.min() < 0:
             raise ValueError("counts only increase")
-        self.oracle_counts = [a + b for a, b in zip(self.oracle_counts, charges)]
-        self._rep_rounds.append(max(charges))
+        self.oracle_counts += charges
+        self._rep_rounds.append(int(charges.max()))
         return self._rep_rounds[-1]
 
     def record_verification(self, rounds: int) -> None:
@@ -344,39 +308,40 @@ class QueryLedger:
         return sum(self._rep_rounds)
 
 
-def init_uniform(M: int) -> StateVector:
-    """Uniform superposition over M basis states."""
+def init_uniform(M: int) -> np.ndarray:
+    """Uniform superposition over M basis states, as a complex128 vector."""
     if M < 1:
         raise ValueError("search-space size must be at least 1")
-    amps = np.full(M, 1.0 / math.sqrt(M), dtype=np.complex128)
-    return StateVector(amps, _skip_check=True)
+    return np.full(M, 1.0 / math.sqrt(M), dtype=np.complex128)
 
 
-def grover_iterate(state: StateVector, marked: MarkedPredicate) -> StateVector:
-    """One Grover iteration: phase-flip marked addresses, reflect about mean.
+def grover_iterate(state: np.ndarray, marked: MarkedPredicate) -> np.ndarray:
+    """One Grover iteration of an M-entry *state*: phase-flip its first j
+    positions, which stand for the j marked addresses of *marked*, then
+    reflect about the mean.  Grover dynamics do not depend on how basis
+    states are labelled, so any placement gives the same law.
 
     It is one oracle query, which its caller counts (see
     :class:`QueryLedger`).
     """
-    if state.dim != marked.size:
+    amps = np.array(state, dtype=np.complex128)
+    if amps.shape != (marked.size,):
         raise ValueError(
-            f"state dim {state.dim} != subdomain size {marked.size}"
+            f"state shape {amps.shape} != subdomain size {marked.size}"
         )
-    amps = state.amplitudes.copy()
-    amps[marked.mask] *= -1.0
-    amps = 2.0 * amps.mean() - amps
-    return StateVector(amps, _skip_check=True)
+    amps[:marked.marked.size] *= -1.0
+    return 2.0 * amps.mean() - amps
 
 
-def measure(state: StateVector, seed) -> int:
+def measure(state: np.ndarray, seed) -> int:
     """Sample a basis index from |amplitude|^2; deterministic given the seed."""
-    probs = state.probabilities()
+    probs = np.abs(state) ** 2
     total = float(probs.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"cannot measure unnormalized state: sum |a|^2 = {total!r}")
     rng = as_generator(seed)
     # renormalize exactly so the sampler sees a proper distribution
-    return int(rng.choice(state.dim, p=probs / total))
+    return int(rng.choice(probs.size, p=probs / total))
 
 
 def success_probability(M: int, j: int, r: int) -> float:

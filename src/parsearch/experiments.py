@@ -7,7 +7,6 @@ are byte-stable across runs.
 """
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -16,10 +15,10 @@ from .algorithms import (
     RegimeParams,
     TargetSet,
     choose_regime,
-    maxload_bound,
     maxload_exceedance,
     parallel_search,
     theorem_envelope,
+    union_bound,
 )
 from .core import (
     STREAM_DATABASE,
@@ -168,7 +167,7 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
             "trial": trial,
             "success": bool(outcome.success),
             "parallel_rounds": int(outcome.parallel_rounds),
-            "per_copy_queries": [int(c) for c in outcome.ledger.oracle_counts],
+            "per_copy_queries": outcome.ledger.oracle_counts.tolist(),
             "rounds_per_repetition": [int(r) for r in
                                       outcome.ledger.rounds_per_repetition],
             "verification_rounds": int(outcome.ledger.verification_rounds),
@@ -207,7 +206,7 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
     Dropping k target addresses into a uniform random equipartition of [N]
     into d cells, the largest cell load exceeds t with the probability
     :func:`~parsearch.algorithms.maxload_exceedance`, which the union bound
-    over the cells, min(1, d * C(k, t + 1) * d**(-(t + 1))), must not
+    over the cells, :func:`~parsearch.algorithms.union_bound`, must not
     undercut.  Refuses n above
     ``MAX_SEARCH_BITS`` and k above ``MAX_MAXLOAD_K`` before computing
     anything.
@@ -223,10 +222,7 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
         raise adversary.InfeasibleInstanceError(
             f"k={k} exceeds the max-load limit k <= {MAX_MAXLOAD_K}")
     exceedance = maxload_exceedance(N, d, k, t)
-    # some cell holds at least t + 1 targets; the clamp is decided on
-    # integers: d * C(k, t + 1) >= d**(t + 1)
-    per_cell = maxload_bound(k, t + 1, d)
-    bound = 1.0 if per_cell and math.comb(k, t + 1) >= d ** t else d * per_cell
+    bound = union_bound(k, t, d)
     return {
         "spec_version": SPEC_VERSION,
         "command": "maxload",

@@ -18,18 +18,17 @@ from parsearch.algorithms import (
     SearchOutcome,
     TargetSet,
     bbht_budget,
-    bbht_schedule,
     bbht_search_unknown,
     cell_sizes,
     choose_regime,
     grover_search_known,
-    maxload_bound,
     maxload_exceedance,
     multi_item_search,
     optimal_iterations,
     parallel_search,
     random_partition,
     theorem_envelope,
+    union_bound,
     verify_locations,
 )
 from parsearch.core import (
@@ -135,7 +134,8 @@ class TestBuildDatabase:
             assert stored.find_times == table.find_times
             assert stored.success == table.success
             assert stored.repetitions == table.repetitions
-            assert stored.ledger.oracle_counts == table.ledger.oracle_counts
+            np.testing.assert_array_equal(stored.ledger.oracle_counts,
+                                          table.ledger.oracle_counts)
             assert (stored.ledger.rounds_per_repetition
                     == table.ledger.rounds_per_repetition)
             assert (stored.ledger.verification_rounds
@@ -233,7 +233,7 @@ class TestBbhtSearchUnknown:
     def test_the_budget_has_one_formula(self):
         # every M up to 4096, and the largest cells `search` takes
         for M in [*range(1, 4097), 2 ** 62 - 2, 2 ** 62 - 1, 2 ** 62]:
-            assert bbht_budget(M) == bbht_schedule(M)[0] == budget_formula(M)
+            assert bbht_budget(M) == budget_formula(M)
 
 
 class TestMultiItemSearch:
@@ -243,9 +243,9 @@ class TestMultiItemSearch:
         assert out.located == {}
         assert out.ledger.oracle_counts[0] == 0
         # and so is every copy of several cells, with or without targets
-        out = multi_item_search(db, [4, 4, 4, 4], marked_addresses(db, targets.items),
+        out = multi_item_search(db, [4, 4, 4, 4], db.locate(targets.items),
                                 [1, 1], targets, 0, seed=0)
-        assert out.located == {} and out.ledger.oracle_counts == [0, 0, 0, 0]
+        assert out.located == {} and out.ledger.oracle_counts.tolist() == [0, 0, 0, 0]
 
     def test_two_of_sixteen(self):
         successes, totals = 0, []
@@ -300,7 +300,7 @@ class TestMultiItemSearch:
         # so the order in which the (address, cell) pairs come is no input
         for s in range(200):
             db, targets = build_database(6, 4, seed=[17, s])
-            addresses = marked_addresses(db, targets.items)
+            addresses = db.locate(targets.items)
             cells = np.random.default_rng([18, s]).integers(0, 3, addresses.size)
             shuffle = np.random.default_rng([18, s]).permutation(addresses.size)
             shuffled, ordered = (
@@ -308,7 +308,8 @@ class TestMultiItemSearch:
                 for a, c in ((addresses[shuffle], cells[shuffle]), (addresses, cells)))
             assert shuffled.located == ordered.located
             assert shuffled.find_times == ordered.find_times
-            assert shuffled.ledger.oracle_counts == ordered.ledger.oracle_counts
+            np.testing.assert_array_equal(shuffled.ledger.oracle_counts,
+                                          ordered.ledger.oracle_counts)
 
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
@@ -431,7 +432,7 @@ class TestEmptyCellLaw:
         with mock.patch.object(algorithms, "_draw_steps",
                                side_effect=AssertionError("a rest was drawn")):
             out = multi_item_search(db, [1, 37, 1024], [], [], targets, 0, seed=0)
-        assert out.ledger.oracle_counts == [0, 0, 0]
+        assert out.ledger.oracle_counts.tolist() == [0, 0, 0]
 
 
 class TestStepLaw:
@@ -564,18 +565,40 @@ class TestTheoremEnvelope:
 
 
 class TestMaxloadBound:
+    @pytest.mark.parametrize("d", range(1, 70))
+    def test_union_bound_grid(self, d):
+        # min(1, d * C(k, t + 1) * d**(-(t + 1))) against the exact rational:
+        # 0 from t = k on, 1 exactly where the integers clamp it, and
+        # otherwise below 1 by at most the float value's rounding
+        for k in range(45):
+            for t in range(k + 2):
+                bound = union_bound(k, t, d)
+                if t >= k:
+                    assert bound == 0.0
+                    continue
+                exact = Fraction(d * math.comb(k, t + 1), d ** (t + 1))
+                if exact >= 1:
+                    assert bound == 1.0
+                else:
+                    assert bound < 1
+                    assert abs(Fraction(bound) - exact) <= Fraction(1e-15) * exact
+
     def test_direct_values(self):
-        assert maxload_bound(2, 2, 4) == pytest.approx(0.0625)
-        assert maxload_bound(1, 1, 1) == pytest.approx(1.0)
-        assert maxload_bound(4, 2, 64) == pytest.approx(6 / 4096)
+        # d * C(k, t + 1) / d**(t + 1), worked by hand
+        assert union_bound(2, 1, 4) == 4 * 1 / 16
+        assert union_bound(4, 1, 64) == 64 * 6 / 4096
+        assert union_bound(8, 4, 4) == 4 * 56 / 1024
 
     def test_cap_above_k_is_zero(self):
-        assert maxload_bound(16, 20, 16) == 0.0
+        assert union_bound(16, 16, 16) == union_bound(16, 20, 16) == 0.0
 
     def test_clamped_to_one_without_overflow(self):
         # C(2000, 1000) alone exceeds every float
-        assert maxload_bound(2000, 1000, 1) == 1.0
-        assert maxload_bound(4, 1, 2) == 1.0
+        assert union_bound(2000, 999, 1) == 1.0
+        bound = union_bound(2000, 999, 4)
+        exact = Fraction(4 * math.comb(2000, 1000), 4 ** 1000)
+        assert 0 < bound < 1
+        assert abs(Fraction(bound) - exact) <= Fraction(1e-15) * exact
 
     def test_union_bound_is_on_a_cell_above_the_cap(self):
         # d * C(k, t + 1) * d**(-(t + 1)): P(some cell holds at least t + 1)
@@ -961,11 +984,11 @@ class RecordingLedger(QueryLedger):
 
     def __init__(self, copies: int = 1):
         super().__init__(copies)
-        self.closed = [list(self.oracle_counts)]
+        self.closed = [self.oracle_counts.tolist()]
 
     def record_repetition(self, charges) -> int:
         rounds = super().record_repetition(charges)
-        self.closed.append(list(self.oracle_counts))
+        self.closed.append(self.oracle_counts.tolist())
         return rounds
 
 
@@ -1009,7 +1032,7 @@ class TestLedgerRule:
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         d = min(d, db.size)
-        addresses = marked_addresses(db, targets.items)
+        addresses = db.locate(targets.items)
         cells = random_partition(db.size, d, addresses, seed)
         sizes = cell_sizes(db.size, d)
         calls = []
@@ -1063,7 +1086,7 @@ class TestLedgerRule:
         # at the times of its hits
         finds = [when for c in range(d) for when in times[c]]
         stop = max(finds) if len(finds) == targets.k else None
-        assert out.ledger.oracle_counts == [
+        assert out.ledger.oracle_counts.tolist() == [
             int(c) if stop is None else min(int(c), stop) for c in charged]
         assert out.success == (len(out.located) == addresses.size)
         cell_of = dict(zip(addresses.tolist(), cells.tolist()))
@@ -1126,7 +1149,7 @@ class TestLedgerRule:
         assert sizes.tolist() == [32, 31, 30, 32, 31, 30, 32]
         assert marked.tolist() == [3, 2, 1, 3, 2, 1, 0]
         assert assumed.tolist() == [3, 2, 1, 3, 2, 1, 3]
-        assert out.ledger.oracle_counts == [30, 150, 70]
+        assert out.ledger.oracle_counts.tolist() == [30, 150, 70]
 
     def test_a_cell_emptied_by_its_last_find_is_charged_a_drawn_rest(self):
         # two cells of 32 addresses hold one target each, with t = 3: after
@@ -1161,7 +1184,7 @@ class TestLedgerRule:
             # both items are found, so the copies halt at the later find:
             # each is charged its find plus its rest, cut there
             stop = max(finds)
-            assert out.ledger.oracle_counts == [
+            assert out.ledger.oracle_counts.tolist() == [
                 min(find + length, stop) for find, length in zip(finds, lengths)]
             # a rest is its known-count attempt, then unknown-count stages
             # within their budget
@@ -1224,7 +1247,7 @@ class TestLedgerRule:
 
         closed = 0
         for i, (rounds, run) in enumerate(zip(reps, runs)):
-            programs = run.ledger.oracle_counts
+            programs = run.ledger.oracle_counts.tolist()
             assert len(programs) == d
             charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
             assert rounds == max(charges)

@@ -37,6 +37,10 @@ PINS = [
      "371042e04aa8e7093384c248246fe863e98f7eccf9060accbaa4f5059cd5989f"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
+    # a union bound that is neither clamped nor exact in binary, so the
+    # pin sees the order of its float operations
+    (["maxload", "--d", "12", "--k", "16", "--t", "4"],
+     "c9ecc712f456a45eb076ede79690f29ac318102e3a57dbee8ddc40018f326aaf"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
      "cffdba120acfb59ebd489b96189b575082b39efbfd73c2b06074b6b224c7e47e"),
 ]
