@@ -82,11 +82,15 @@ class SearchOutcome:
     success: bool
     ledger: QueryLedger
     find_times: dict = field(default_factory=dict)  # item -> oracle round of find
-    repetitions: int = 1
 
     @property
     def parallel_rounds(self) -> int:
         return self.ledger.parallel_rounds
+
+    @property
+    def repetitions(self) -> int:
+        """The repetitions recorded on the ledger, one per partition drawn."""
+        return len(self.ledger.rounds_per_repetition)
 
 
 def optimal_iterations(M: int, j: int) -> int:
@@ -139,14 +143,13 @@ def grover_search_known(pred: MarkedPredicate, j: int, seed):
 
 
 def bbht_budget(M: int) -> int:
-    """Query budget of the unknown-count search over M addresses:
-    ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) queries, without the log
-    term at M = 1, for lambda = ``CUTOFF_GROWTH``."""
+    """Query budget of the unknown-count search over M >= 1 addresses:
+    ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) queries, for lambda =
+    ``CUTOFF_GROWTH``.  At M = 1 the log term is 0, since log 1 is exactly
+    0, so the formula needs no case of its own."""
     sqrt_m = math.sqrt(M)
-    budget = math.ceil(9 / 4 * sqrt_m)
-    if M > 1:
-        budget += 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH))
-    return budget
+    return (math.ceil(9 / 4 * sqrt_m)
+            + 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH)))
 
 
 def _cutoffs(sqrt_m, stages=slice(None)) -> np.ndarray:
@@ -381,24 +384,20 @@ def cell_sizes(N: int, d: int) -> np.ndarray:
     return np.repeat(np.array([base + 1, base], dtype=np.int64), [extra, d - extra])
 
 
-def random_partition(N: int, d: int, addresses, seed) -> np.ndarray:
-    """The cell of each of the distinct *addresses* in a uniformly random
+def random_partition(N: int, d: int, count: int, seed) -> np.ndarray:
+    """The cells of *count* distinct addresses in a uniformly random
     equipartition of [N] into d cells.
 
     The partition is a uniform permutation of [N] cut into d contiguous
     blocks of :func:`cell_sizes`, the larger first.  Only the addresses'
     positions in that permutation matter, and those are a uniform ordered
-    sample of distinct positions, one ``rng.choice`` without replacement;
-    no N-entry permutation is made.  Returns the cell of ``addresses[i]``
-    at index i.
+    sample of *count* distinct positions, one ``rng.choice`` without
+    replacement, whatever the addresses are; no N-entry permutation is
+    made.  Returns the cell of the i-th address at index i.
     """
     if d < 1 or d > N:
         raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
-    addresses = np.asarray(addresses, dtype=np.int64)
-    ordered = np.sort(addresses)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("addresses must be distinct")
-    positions = as_generator(seed).choice(N, size=addresses.size, replace=False)
+    positions = as_generator(seed).choice(N, size=count, replace=False)
     base, extra = divmod(N, d)
     big = extra * (base + 1)    # positions in the larger blocks
     return np.where(positions < big, positions // (base + 1),
@@ -566,18 +565,18 @@ def parallel_search(
     :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
     targets cost.  Each repetition then draws a fresh random equipartition
     of the address space, of which it places only the addresses of
-    still-missing items (:func:`random_partition`), dedicates one copy to
-    each cell, and runs
-    the iterated multi-item search with the per-cell cap *t* (by default
-    the regime cap of :func:`choose_regime`) on all d copies in one
-    :func:`multi_item_search` call.  Copies run in lockstep, one parallel
-    round per oracle query; that call charges each copy up to the halt by
-    the rule of :class:`~parsearch.core.QueryLedger`, and this one records
-    its charges.  A repetition that leaves items unlocated costs the
-    longest copy program and triggers another repetition (fresh partition,
-    already-located items excluded) up to ``MAX_REPETITIONS``.
-    ``find_times`` count parallel rounds from the start of the search,
-    across repetitions.
+    still-missing items (:func:`random_partition`, given their number),
+    dedicates one copy to each cell, and runs the iterated multi-item
+    search with the per-cell cap *t* (by default the regime cap of
+    :func:`choose_regime`) on all d copies in one :func:`multi_item_search`
+    call.  Copies run in lockstep, one parallel round per oracle query;
+    that call charges each copy up to the halt by the rule of
+    :class:`~parsearch.core.QueryLedger`, and this one records its charges,
+    one ledger repetition per repetition.  A repetition that leaves items
+    unlocated costs the longest copy program and triggers another
+    repetition (fresh partition, already-located items excluded) up to
+    ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from the
+    start of the search, across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence.  Each
     repetition derives two streams from it with
@@ -590,25 +589,19 @@ def parallel_search(
     if t is None:
         t = choose_regime(N, d, targets.k).t
 
-    outcome = SearchOutcome(
-        targets=targets,
-        located={},
-        success=False,
-        ledger=QueryLedger(d),
-        repetitions=0,
-    )
+    outcome = SearchOutcome(targets=targets, located={}, success=False,
+                            ledger=QueryLedger(d))
     ledger = outcome.ledger
     sizes = cell_sizes(N, d)
     where = db.locate(targets.items)
     items = db.items_at(where)
 
     for rep in range(MAX_REPETITIONS):
-        outcome.repetitions += 1
         closed = ledger.parallel_rounds
         missing = TargetSet([y for y in targets.items if y not in outcome.located])
         addresses = where[np.isin(items, missing.items)]
         cells = random_partition(
-            N, d, addresses, seed=derive_stream(seed, STREAM_PARTITION, rep)
+            N, d, addresses.size, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
         copies = multi_item_search(db, sizes, addresses, cells, missing, t,
                                    seed=derive_stream(seed, STREAM_COPY, rep))

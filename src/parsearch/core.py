@@ -7,8 +7,8 @@ that to measure the state after r iterations in O(1) from the closed form
 of :func:`success_probability`; the per-attempt searches run on it, and
 ``algorithms.multi_item_search`` draws the same law for many cells at
 once.  A search's state is therefore only its subdomain size M and its
-marked addresses, which is all :class:`MarkedPredicate` keeps;
-:func:`marked_addresses` finds those of a subdomain.  A database answers
+marked addresses, which is all :class:`MarkedPredicate` keeps, and
+:meth:`MarkedPredicate.scan` finds those of a subdomain.  A database answers
 ``lookup``, ``items_at`` and ``locate``, and refuses an address outside
 [0, N) with IndexError: :class:`Database` from an N-entry table,
 :class:`PlantedDatabase` from its k target addresses alone, at any N that
@@ -201,17 +201,6 @@ class PlantedDatabase:
                         entries=self.items_at(np.arange(self.size, dtype=np.int64)))
 
 
-def marked_addresses(db, targets, subdomain) -> np.ndarray:
-    """The addresses of *subdomain* whose items are in *targets*, in
-    ascending order: one scan of the subdomain's items.  All of *db*'s are
-    ``db.locate(targets)``."""
-    wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
-    sub = np.asarray(subdomain, dtype=np.int64)
-    if sub.ndim != 1:
-        raise ValueError("subdomain must be a 1-d address array")
-    return np.sort(sub[np.isin(db.items_at(sub), wanted)])
-
-
 class MarkedPredicate:
     """Membership test ``f(x) in targets`` restricted to a subdomain.
 
@@ -235,9 +224,15 @@ class MarkedPredicate:
 
     @classmethod
     def scan(cls, db, targets, subdomain) -> "MarkedPredicate":
-        """The predicate over the addresses in *subdomain*, from one scan."""
+        """The predicate over the addresses in *subdomain*, a 1-d address
+        array, from one scan of its items: its addresses whose items are in
+        *targets*, in ascending order.  All of *db*'s are
+        ``db.locate(targets)``."""
+        wanted = np.fromiter({int(y) for y in targets}, dtype=np.int64)
         sub = np.asarray(subdomain, dtype=np.int64)
-        return cls(sub.size, marked_addresses(db, targets, sub))
+        if sub.ndim != 1:
+            raise ValueError("subdomain must be a 1-d address array")
+        return cls(sub.size, np.sort(sub[np.isin(db.items_at(sub), wanted)]))
 
     def without(self, address: int) -> "MarkedPredicate":
         """The predicate once the item at the marked *address* is located:

@@ -235,8 +235,14 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
 
 def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     """Sweep (n, d, k) cells: measured mean rounds vs both bound formulas."""
-    _check_seed(seed)  # also when the sweep is empty
-    # every cell's limits are checked before the first one runs
+    # every value, also of a sweep with no cell, and every cell's limits are
+    # checked before the first cell runs
+    _check_seed(seed)
+    for n in ns:
+        address_count(n, MAX_SEARCH_BITS, "search")
+    for name, values in (("d", ds), ("k", ks), ("trials", [trials])):
+        if min(values, default=1) < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={min(values)}")
     cells = [ExperimentConfig(n=n, d=d, k=k, trials=trials, seed=seed)
              for n in ns for d in ds for k in ks
              if max(d, k) <= address_count(n, MAX_SEARCH_BITS, "search")]

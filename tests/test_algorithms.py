@@ -40,7 +40,6 @@ from parsearch.core import (
     PlantedDatabase,
     QueryLedger,
     derive_stream,
-    marked_addresses,
 )
 from parsearch.experiments import (
     ExperimentConfig,
@@ -59,7 +58,7 @@ def instances(draw):
 
 def search_one_cell(db, subdomain, targets, t, seed):
     """``multi_item_search`` with one copy, whose cell is *subdomain*."""
-    marked = marked_addresses(db, targets.items, subdomain)
+    marked = MarkedPredicate.scan(db, targets.items, subdomain).marked
     return multi_item_search(db, [len(subdomain)], marked, np.zeros_like(marked),
                              targets, t, seed)
 
@@ -247,6 +246,15 @@ class TestMultiItemSearch:
                                 [1, 1], targets, 0, seed=0)
         assert out.located == {} and out.ledger.oracle_counts.tolist() == [0, 0, 0, 0]
 
+    def test_a_call_is_one_repetition(self):
+        # an outcome's repetitions are those on its ledger: a call records
+        # one, whether it locates every item, some or none
+        db, targets = build_database(6, 4, seed=13)
+        for t in (0, 1, 4):
+            out = search_one_cell(db, np.arange(32), targets, t, seed=t)
+            assert out.repetitions == 1
+            assert len(out.ledger.rounds_per_repetition) == 1
+
     def test_two_of_sixteen(self):
         successes, totals = 0, []
         for s in range(10 ** 4):
@@ -342,7 +350,7 @@ class TestMultiItemSearch:
 
         db, targets = build_database(12, 64, seed=17)
         addresses = db.locate(targets.items)
-        cells = random_partition(db.size, 64, addresses, seed=18)
+        cells = random_partition(db.size, 64, addresses.size, seed=18)
         assert np.unique(cells).size >= 32
         object.__setattr__(targets, "items", CountingItems(targets.items))
         counting = CountingDatabase(db)
@@ -467,11 +475,11 @@ class TestStepLaw:
 
 class TestRandomPartition:
     def test_single_cell(self):
-        cells = random_partition(8, 1, [3, 5, 0], seed=0)
+        cells = random_partition(8, 1, 3, seed=0)
         assert cells.tolist() == [0, 0, 0]
 
     def test_eight_into_four(self):
-        cells = random_partition(8, 4, np.arange(8), seed=1)
+        cells = random_partition(8, 4, 8, seed=1)
         assert np.bincount(cells, minlength=4).tolist() == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("N,d", [(10, 3), (1024, 16), (100, 7)])
@@ -481,9 +489,9 @@ class TestRandomPartition:
         assert (np.diff(sizes) <= 0).all()
         for s in range(20):
             # every address placed: each cell is full
-            cells = random_partition(N, d, np.arange(N), seed=s)
+            cells = random_partition(N, d, N, seed=s)
             np.testing.assert_array_equal(np.bincount(cells, minlength=d), sizes)
-            some = random_partition(N, d, np.arange(0, N, 3), seed=s)
+            some = random_partition(N, d, len(range(0, N, 3)), seed=s)
             assert (np.bincount(some, minlength=d) <= sizes).all()
 
     @pytest.mark.parametrize("N,d,k", [(7, 2, 3), (10, 3, 4), (9, 4, 5), (6, 6, 3),
@@ -497,8 +505,7 @@ class TestRandomPartition:
         rng = np.random.default_rng([81, N, d, k])
         seen = Counter()
         for _ in range(draws):
-            loads = np.bincount(random_partition(N, d, np.arange(N - k, N), rng),
-                                minlength=d)
+            loads = np.bincount(random_partition(N, d, k, rng), minlength=d)
             assert loads.size == d and all(l <= s for l, s in zip(loads, sizes))
             seen[tuple(loads.tolist())] += 1
         for loads in itertools.product(*(range(s + 1) for s in sizes)):
@@ -511,11 +518,7 @@ class TestRandomPartition:
 
     def test_too_many_cells(self):
         with pytest.raises(ValueError):
-            random_partition(4, 5, [0], seed=0)
-
-    def test_repeated_address_rejected(self):
-        with pytest.raises(ValueError):
-            random_partition(8, 2, [3, 3], seed=0)
+            random_partition(4, 5, 1, seed=0)
 
 
 class TestChooseRegime:
@@ -874,9 +877,8 @@ def per_copy_parallel_search(db, d, targets, seed):
     N = db.size
     t = choose_regime(N, d, targets.k).t
     outcome = SearchOutcome(targets=targets, located={}, success=False,
-                            ledger=QueryLedger(d), repetitions=0)
+                            ledger=QueryLedger(d))
     for rep in range(MAX_REPETITIONS):
-        outcome.repetitions += 1
         missing = [y for y in targets.items if y not in outcome.located]
         perm = np.random.default_rng(
             derive_stream(seed, STREAM_PARTITION, rep)).permutation(N)
@@ -1033,7 +1035,7 @@ class TestLedgerRule:
                                                         db.size + 1 + ghosts)))
         d = min(d, db.size)
         addresses = db.locate(targets.items)
-        cells = random_partition(db.size, d, addresses, seed)
+        cells = random_partition(db.size, d, addresses.size, seed)
         sizes = cell_sizes(db.size, d)
         calls = []
         draw = algorithms._draw_steps
@@ -1109,7 +1111,7 @@ class TestLedgerRule:
         sizes = cell_sizes(db.size, d)
         draw = algorithms._draw_steps
         for s in range(10):
-            cells = random_partition(db.size, d, addresses, [83, s])
+            cells = random_partition(db.size, d, addresses.size, [83, s])
             with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
                 multi_item_search(db, sizes, addresses, cells, targets, t, [84, s])
             assert calls.call_count == 1

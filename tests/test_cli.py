@@ -184,6 +184,21 @@ def test_bounds_checks_every_cell_before_the_first_runs(capsys, monkeypatch):
     assert f"d={MAX_COPIES + 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,code,named", [
+    (["--n", "-1"], 1, "n=-1"),
+    (["--n", "63"], 2, "n=63"),
+    (["--d", "0"], 1, "d=0"),
+    (["--k", "2", "--trials", "0"], 1, "trials=0"),
+], ids=["negative-n", "n-past-int64", "zero-d", "zero-trials"])
+def test_bounds_checks_every_value_of_a_sweep_with_no_cell(argv, code, named,
+                                                           capsys):
+    # no --d or no --k leaves the (n, d, k) product empty; its values are
+    # refused all the same
+    assert main(["bounds", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
 def test_search_at_n_40_runs(capsys):
     code = main(["search", "--n", "40", "--d", "64", "--k", "64", "--trials", "1"])
     record = json.loads(capsys.readouterr().out)
