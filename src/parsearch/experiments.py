@@ -28,7 +28,7 @@ from .core import (
     derive_stream,
 )
 
-SPEC_VERSION = "3.0"
+SPEC_VERSION = "4.0"
 
 #: largest n a search runs at: its addresses are int64, and numpy's
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
@@ -38,40 +38,38 @@ MAX_SEARCH_BITS = 62
 #: array of its size is made.
 MAX_COUNT = 1 << 24
 
-#: largest d, trials * d and trials a search takes.  A run's memory grows
-#: with them, not with N: its record keeps d per-copy counts per trial,
-#: about 80-120 bytes each, and about 2.2 KB more per trial.  Peak RSS of
-#: ``search --n 40 --k 64`` (``--n 24 --k 2`` and ``--n 2 --k 1`` for the
-#: many-trial runs), measured on a 2-core host:
+#: largest d and trials a search takes.  A run's memory grows with them,
+#: not with N, and each limit bounds one value: a trial's O(d) arrays are
+#: freed when it ends, and its record keeps a fixed set of counts, about
+#: 2.1 KB per trial with the JSON text made from them.  Peak RSS here and
+#: under ``MAX_TARGETS`` is ``ru_maxrss`` of a fresh Python process that
+#: runs ``cli.main`` once with ``--seed 3 --out /dev/null``, one run each,
+#: on a 2-core host (Python 3.11.7, numpy 2.4.6):
 #:
-#: - d = 2**20, 1 trial: 342 MB; 4 trials (trials * d at its limit): 583 MB;
-#: - trials * d at its limit: d = 2**12, 1024 trials: 551 MB; d = 2**8,
-#:   16384 trials: 657 MB; d = 64, 65536 trials: 679 MB;
-#: - d = 1, 65536 trials (trials at its limit): 177 MB;
-#: - past the limits: d = 2**20, 8 trials: 1.1 GB; d = 32, 131072
-#:   trials: 818 MB; d = 1 and 2**22 trials would hold about 9 GB.
+#: - ``search --n 40 --d 1048576 --k 64``: 186 MB over 1 trial, 193 MB
+#:   over 4 and over 8;
+#: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 44 MB;
+#: - ``search --n 24 --k 2 --trials 65536``: 172 MB at d = 1, 173 MB at
+#:   d = 64.
 MAX_COPIES = 1 << 20
-MAX_COPY_TRIALS = 1 << 22
 MAX_TRIALS = 1 << 16
 
 #: largest k a search takes.  A trial holds its k target addresses, never
 #: O(N) numbers, but several structures per target: the database's address
 #: arrays, the target set and the found items' maps.  That memory is freed
-#: after each trial, so it adds to the record's.  Peak RSS of
-#: ``search --n 40 --d 1048576`` (d at its limit), measured on a 2-core
-#: host:
+#: when the trial ends.  Peak RSS, measured as under ``MAX_COPIES``:
 #:
-#: - 1 trial: k = 2**16: 385 MB; k = 2**18: 483 MB; k = 2**19: 604 MB;
-#: - 4 trials (trials * d at its limit): k = 2**17: 631 MB; past the
-#:   limit, k = 2**18: 737 MB.
+#: - ``search --n 40 --d 1048576 --k 131072`` (d and k at their limits):
+#:   245 MB over 1 trial, 303 MB over 4, 303 MB over 8;
+#: - ``search --n 40 --d 64 --k 131072``: 104 MB over 1 trial, 145 MB over
+#:   4, 150 MB over 256;
+#: - past the limit, with it lifted in the process, ``--d 1048576
+#:   --k 262144`` over 1 trial: 299 MB.
 #:
-#: With d = 64 a trial at k = 2**17 took about 17 s and peaked at 116 MB
-#: over 1 trial, 145 MB over 4 and 149 MB over 8, against 36 MB at
-#: k = 64: it holds about 110 MB on top of the record.  So the corner
-#: d = 64, 2**16 trials, k = 2**17, which was not run, would peak between
-#: the record's 679 MB and about 0.8 GB.  Since ``multi_item_search``
-#: draws its steps in batches, a d = 64, k = 2**17 trial takes 1.4 s and
-#: peaks at 102 MB, and 4 trials at d = 2**20, k = 2**17 peak at 661 MB.
+#: The corner of all three limits, 2**16 trials at d = 2**20 and k = 2**17,
+#: was not run: at about 15 s per trial it would take eleven days.  Its
+#: trials peak near 0.3 GB, and its record adds what the 2**16 trials above
+#: add, under 0.14 GB, so it would peak under about 0.45 GB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).
@@ -101,6 +99,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"need seed >= 0, got seed={seed}")
 
 
+def _check_limit(name: str, value: int, limit: int) -> None:
+    """Refuse *value* above the search limit *limit* as infeasible, naming
+    it."""
+    if value > limit:
+        raise adversary.InfeasibleInstanceError(
+            f"{name}={value} exceeds the search limit {name} <= {limit}")
+
+
 @dataclass
 class ExperimentConfig:
     """Parameters of one seeded search experiment."""
@@ -126,11 +132,8 @@ class ExperimentConfig:
             raise ValueError(f"need t >= 0, got t={t}")
         for name, value, limit in (
                 ("d", self.d, MAX_COPIES), ("k", self.k, MAX_TARGETS),
-                ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS),
-                ("trials * d", self.trials * self.d, MAX_COPY_TRIALS)):
-            if value > limit:
-                raise adversary.InfeasibleInstanceError(
-                    f"{name}={value} exceeds the search limit {name} <= {limit}")
+                ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS)):
+            _check_limit(name, value, limit)
 
 
 def build_database(n: int, k: int, seed) -> tuple:
@@ -167,7 +170,7 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
             "trial": trial,
             "success": bool(outcome.success),
             "parallel_rounds": int(outcome.parallel_rounds),
-            "per_copy_queries": outcome.ledger.oracle_counts.tolist(),
+            "total_queries": int(outcome.ledger.oracle_counts.sum()),
             "rounds_per_repetition": [int(r) for r in
                                       outcome.ledger.rounds_per_repetition],
             "verification_rounds": int(outcome.ledger.verification_rounds),
@@ -235,17 +238,19 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
 
 def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     """Sweep (n, d, k) cells: measured mean rounds vs both bound formulas."""
-    # every value, also of a sweep with no cell, and every cell's limits are
-    # checked before the first cell runs
+    # every value, also of a sweep with no cell, and then every cell, as
+    # search checks it, before the first cell runs
     _check_seed(seed)
     for n in ns:
         address_count(n, MAX_SEARCH_BITS, "search")
-    for name, values in (("d", ds), ("k", ks), ("trials", [trials])):
-        if min(values, default=1) < 1:
-            raise ValueError(f"need {name} >= 1, got {name}={min(values)}")
+    for name, values, limit in (("d", ds, MAX_COPIES), ("k", ks, MAX_TARGETS),
+                                ("trials", [trials], MAX_TRIALS)):
+        for value in values:
+            if value < 1:
+                raise ValueError(f"need {name} >= 1, got {name}={value}")
+            _check_limit(name, value, limit)
     cells = [ExperimentConfig(n=n, d=d, k=k, trials=trials, seed=seed)
-             for n in ns for d in ds for k in ks
-             if max(d, k) <= address_count(n, MAX_SEARCH_BITS, "search")]
+             for n in ns for d in ds for k in ks]
     rows = []
     for cfg in cells:
         rec = run_search_experiment(cfg)

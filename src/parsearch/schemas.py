@@ -1,119 +1,101 @@
 """JSON schemas for the CLI's output records, one per subcommand.
 
-The schemas pin the documented field names; records are validated against
-them in the test suite and may be validated by downstream consumers.
+The schemas pin the documented field names: every object requires each
+field its record writes and allows no other.  Records are validated
+against them in the test suite and may be validated by downstream
+consumers.
 """
 
-SEARCH_SCHEMA = {
-    "type": "object",
-    "required": ["spec_version", "command", "config", "regime", "reference",
-                 "trials", "aggregates"],
-    "properties": {
-        "spec_version": {"type": "string"},
-        "command": {"const": "search"},
-        "config": {
-            "type": "object",
-            "required": ["n", "d", "k", "trials", "seed"],
-        },
-        "regime": {
-            "type": "object",
-            "required": ["tag", "t"],
-            "properties": {"tag": {"type": "string"},
-                           "t": {"type": "integer", "minimum": 0}},
-        },
-        "reference": {
-            "type": "object",
-            "required": ["lower_bound", "upper_envelope"],
-        },
-        "trials": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["trial", "success", "parallel_rounds",
-                             "per_copy_queries", "verification_rounds",
-                             "repetitions"],
-                "properties": {
-                    "trial": {"type": "integer", "minimum": 0},
-                    "success": {"type": "boolean"},
-                    "parallel_rounds": {"type": "integer", "minimum": 0},
-                    "per_copy_queries": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "rounds_per_repetition": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "verification_rounds": {"type": "integer", "minimum": 0},
-                    "repetitions": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "aggregates": {
-            "type": "object",
-            "required": ["mean_rounds", "median_rounds", "success_rate"],
-            "properties": {
-                "success_rate": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-    },
-}
 
-MAXLOAD_SCHEMA = {
-    "type": "object",
-    "required": ["spec_version", "command", "config", "exceedance",
-                 "union_bound", "within_bound"],
-    "properties": {
-        "spec_version": {"type": "string"},
-        "command": {"const": "maxload"},
-        "config": {
-            "type": "object",
-            "required": ["n", "k", "d", "t"],
-        },
-        "exceedance": {"type": "number", "minimum": 0, "maximum": 1},
-        "union_bound": {"type": "number", "minimum": 0},
-        "within_bound": {"type": "boolean"},
-    },
-}
+def _object(properties: dict) -> dict:
+    """An object that requires each of *properties* and allows no other."""
+    return {"type": "object", "required": list(properties),
+            "properties": properties, "additionalProperties": False}
 
-BOUNDS_SCHEMA = {
-    "type": "object",
-    "required": ["spec_version", "command", "config", "rows"],
-    "properties": {
-        "spec_version": {"type": "string"},
-        "command": {"const": "bounds"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["N", "d", "k", "regime", "t", "mean_rounds",
-                             "lower_bound", "upper_envelope",
-                             "ratio_to_lower", "ratio_to_upper"],
-            },
-        },
-    },
-}
 
-ADVERSARY_SCHEMA = {
-    "type": "object",
-    "required": ["spec_version", "command", "config", "vertex_counts",
-                 "stats", "claims", "all_claims_match", "ambainis_bound",
-                 "closed_form_bound"],
-    "properties": {
-        "spec_version": {"type": "string"},
-        "command": {"const": "adversary"},
-        "stats": {
-            "type": "object",
-            "required": ["delta0", "delta1", "ell0", "ell1"],
-        },
-        "claims": {
-            "type": "object",
-            "required": ["delta0_equals_N_minus_k_plus_1", "delta1_equals_k",
-                         "ell0_at_most_d", "ell1_at_most_min_d_k"],
-        },
-        "all_claims_match": {"type": "boolean"},
-    },
-}
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
+
+
+INTEGER = {"type": "integer"}
+COUNT = {"type": "integer", "minimum": 0}
+NUMBER = {"type": "number"}
+NONNEGATIVE = {"type": "number", "minimum": 0}
+PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
+BOOLEAN = {"type": "boolean"}
+STRING = {"type": "string"}
+
+SEARCH_SCHEMA = _object({
+    "spec_version": STRING,
+    "command": {"const": "search"},
+    "config": _object({
+        "n": INTEGER, "d": INTEGER, "k": INTEGER, "trials": INTEGER,
+        "seed": INTEGER, "t_override": {"type": ["integer", "null"]},
+    }),
+    "regime": _object({"tag": STRING, "t": COUNT}),
+    "reference": _object({"lower_bound": NUMBER, "upper_envelope": NUMBER}),
+    "trials": _array(_object({
+        "trial": COUNT,
+        "success": BOOLEAN,
+        "parallel_rounds": COUNT,
+        "total_queries": COUNT,
+        "rounds_per_repetition": _array(COUNT),
+        "verification_rounds": COUNT,
+        "repetitions": {"type": "integer", "minimum": 1},
+    })),
+    "aggregates": _object({
+        "mean_rounds": NUMBER, "median_rounds": NUMBER,
+        "success_rate": PROBABILITY,
+    }),
+})
+
+MAXLOAD_SCHEMA = _object({
+    "spec_version": STRING,
+    "command": {"const": "maxload"},
+    "config": _object({"n": INTEGER, "k": INTEGER, "d": INTEGER,
+                       "t": INTEGER}),
+    "exceedance": PROBABILITY,
+    "union_bound": NONNEGATIVE,
+    "within_bound": BOOLEAN,
+})
+
+BOUNDS_SCHEMA = _object({
+    "spec_version": STRING,
+    "command": {"const": "bounds"},
+    "config": _object({
+        "n": _array(INTEGER), "d": _array(INTEGER), "k": _array(INTEGER),
+        "trials": INTEGER, "seed": INTEGER,
+    }),
+    "rows": _array(_object({
+        "N": INTEGER, "d": INTEGER, "k": INTEGER, "regime": STRING,
+        "t": COUNT, "mean_rounds": NUMBER, "success_rate": PROBABILITY,
+        "lower_bound": NUMBER, "upper_envelope": NUMBER,
+        "ratio_to_lower": NUMBER, "ratio_to_upper": NUMBER,
+    })),
+})
+
+ADVERSARY_SCHEMA = _object({
+    "spec_version": STRING,
+    "command": {"const": "adversary"},
+    "config": _object({"n": INTEGER, "m": INTEGER, "d": INTEGER,
+                       "k": INTEGER}),
+    "vertex_counts": _object({
+        "v0": COUNT,
+        "v0_factored": _object({"missing_item_choices": COUNT,
+                                "placements": COUNT}),
+        "v1": COUNT,
+        "edges": COUNT,
+    }),
+    "stats": _object({"delta0": COUNT, "delta1": COUNT, "ell0": COUNT,
+                      "ell1": COUNT}),
+    "claims": _object({
+        "delta0_equals_N_minus_k_plus_1": BOOLEAN, "delta1_equals_k": BOOLEAN,
+        "ell0_at_most_d": BOOLEAN, "ell1_at_most_min_d_k": BOOLEAN,
+    }),
+    "all_claims_match": BOOLEAN,
+    "ambainis_bound": NUMBER,
+    "closed_form_bound": NUMBER,
+})
 
 SCHEMAS = {
     "search": SEARCH_SCHEMA,

@@ -1,7 +1,9 @@
 """CLI surface tests: subcommands, output schemas, determinism, exit codes."""
+import copy
 import csv
 import io
 import json
+import re
 
 import jsonschema
 import pytest
@@ -26,7 +28,7 @@ def test_search_json_schema(capsys):
     assert code == 0
     record = json.loads(out)
     jsonschema.validate(record, SCHEMAS["search"])
-    assert record["spec_version"] == "3.0"
+    assert record["spec_version"] == "4.0"
 
 
 def test_search_aggregates_recomputable(capsys):
@@ -53,6 +55,38 @@ def test_search_determinism(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_trial_record_does_not_grow_with_d(capsys):
+    # the record keeps the copies' queries as one sum: at d = 1 and at
+    # d = 4096 a trial writes the same fields, and the same text once every
+    # number is written as one digit
+    trials = []
+    for d in ("1", "4096"):
+        code, out = run_cli(["search", "--n", "24", "--d", d, "--k", "2",
+                             "--trials", "1", "--seed", "3"], capsys)
+        assert code == 0
+        trials.append(json.loads(out)["trials"][0])
+    assert trials[0].keys() == trials[1].keys()
+    one_digit = [re.sub(r"\d+", "0", json.dumps(t, sort_keys=True))
+                 for t in trials]
+    assert one_digit[0] == one_digit[1]
+
+
+def test_total_queries_is_the_sum_of_the_copies_queries(monkeypatch):
+    outcomes = []
+
+    def parallel_search(*args, **kwargs):
+        outcomes.append(search(*args, **kwargs))
+        return outcomes[-1]
+
+    search = experiments.parallel_search
+    monkeypatch.setattr(experiments, "parallel_search", parallel_search)
+    record = experiments.run_search_experiment(experiments.ExperimentConfig(
+        n=10, d=8, k=4, trials=4, seed=5))
+    assert len(outcomes) == 4
+    assert [t["total_queries"] for t in record["trials"]] == [
+        int(o.ledger.oracle_counts.sum()) for o in outcomes]
 
 
 def test_search_usage_error_exit_code(capsys):
@@ -130,7 +164,6 @@ def test_search_cap_limit(t, accepted, capsys, monkeypatch):
 
 
 MAX_COPIES = experiments.MAX_COPIES
-MAX_COPY_TRIALS = experiments.MAX_COPY_TRIALS
 MAX_TRIALS = experiments.MAX_TRIALS
 
 
@@ -138,17 +171,16 @@ MAX_TRIALS = experiments.MAX_TRIALS
 @pytest.mark.parametrize("d,trials,refused_by", [
     (MAX_COPIES, 1, None),
     (MAX_COPIES + 1, 1, "d"),
-    (MAX_COPIES, MAX_COPY_TRIALS // MAX_COPIES, None),
-    (MAX_COPIES, MAX_COPY_TRIALS // MAX_COPIES + 1, "trials * d"),
-    (MAX_COPY_TRIALS // MAX_TRIALS, MAX_TRIALS, None),
-    (MAX_COPY_TRIALS // MAX_TRIALS + 1, MAX_TRIALS, "trials * d"),
+    (MAX_COPIES, 4, None),
+    (64, MAX_TRIALS, None),
+    (MAX_COPIES, MAX_TRIALS, None),     # each limit applies to one value
     (1, MAX_TRIALS, None),
     (1, MAX_TRIALS + 1, "trials"),
 ])
 def test_copy_and_trial_limits(command, d, trials, refused_by, capsys,
                                monkeypatch):
-    # d, trials * d and trials past their limits are refused before the
-    # first database is built
+    # d and trials past their limits are refused before the first database
+    # is built
     monkeypatch.setattr(experiments, "build_database", no_trial)
     argv = [command, "--n", "40", "--d", str(d), "--k", "2",
             "--trials", str(trials)]
@@ -157,7 +189,7 @@ def test_copy_and_trial_limits(command, d, trials, refused_by, capsys,
             main(argv)
         return
     assert main(argv) == 2
-    value = {"d": d, "trials": trials, "trials * d": trials * d}[refused_by]
+    value = {"d": d, "trials": trials}[refused_by]
     assert f"infeasible: {refused_by}={value} exceeds" in capsys.readouterr().err
 
 
@@ -189,11 +221,30 @@ def test_bounds_checks_every_cell_before_the_first_runs(capsys, monkeypatch):
     (["--n", "63"], 2, "n=63"),
     (["--d", "0"], 1, "d=0"),
     (["--k", "2", "--trials", "0"], 1, "trials=0"),
-], ids=["negative-n", "n-past-int64", "zero-d", "zero-trials"])
+    (["--d", str(MAX_COPIES + 1)], 2, f"d={MAX_COPIES + 1}"),
+    (["--k", str(experiments.MAX_TARGETS + 1)], 2,
+     f"k={experiments.MAX_TARGETS + 1}"),
+], ids=["negative-n", "n-past-int64", "zero-d", "zero-trials",
+        "d-past-its-limit", "k-past-its-limit"])
 def test_bounds_checks_every_value_of_a_sweep_with_no_cell(argv, code, named,
                                                            capsys):
     # no --d or no --k leaves the (n, d, k) product empty; its values are
     # refused all the same
+    assert main(["bounds", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    (["--n", "2", "--d", "100", "--k", "1", "--trials", "100000"], 2,
+     "trials=100000"),
+    (["--n", "2,12", "--d", "64", "--k", "2", "--trials", "1"], 1, "d=64"),
+], ids=["trials-past-its-limit", "d-past-N"])
+def test_bounds_refuses_what_search_refuses(argv, code, named, capsys,
+                                            monkeypatch):
+    # each value is checked against its limit, and then each cell as search
+    # checks it, before any cell runs: no cell is left out without a word
+    monkeypatch.setattr(experiments, "build_database", no_trial)
     assert main(["bounds", *argv]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
@@ -380,6 +431,47 @@ SMALL_RUNS = {
     "bounds": ["bounds", "--n", "4", "--d", "2", "--k", "2", "--trials", "1"],
     "adversary": ["adversary", "--n", "2", "--m", "2", "--d", "2", "--k", "2"],
 }
+
+
+def object_paths(value, path=()):
+    """The path of every object in a record; the first item of a list
+    stands for all of them."""
+    if isinstance(value, list) and value:
+        yield from object_paths(value[0], path + (0,))
+    elif isinstance(value, dict):
+        yield path
+        for key, item in value.items():
+            yield from object_paths(item, path + (key,))
+
+
+def at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_schema_pins_every_written_field(command, capsys):
+    # a record that loses any field it writes, or gains one it does not,
+    # fails its schema
+    code, out = run_cli(SMALL_RUNS[command], capsys)
+    assert code == 0
+    record = json.loads(out)
+    jsonschema.validate(record, SCHEMAS[command])
+    accepted = []
+    for path in object_paths(record):
+        for key in [*at(record, path), None]:
+            changed = copy.deepcopy(record)
+            if key is None:
+                at(changed, path)["unknown_field"] = 0
+            else:
+                del at(changed, path)[key]
+            try:
+                jsonschema.validate(changed, SCHEMAS[command])
+            except jsonschema.ValidationError:
+                continue
+            accepted.append((*path, key or "+unknown_field"))
+    assert accepted == []
 
 
 @pytest.mark.parametrize("command", list(SMALL_RUNS))

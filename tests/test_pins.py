@@ -15,34 +15,34 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "3710d8b4fd6dc8fbf57c6314cc301a954edebc44f659bdbd9d8c79a2514c4a24"),
+     "4bc5d06a831654edb1900ac6d30840b1b7ecdc192afb79ce94f7bffcd0c4f509"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "fc0a22faca7ba5489620a830ec00fbe13186f7176f69f4bf2969a9da2d192fb2"),
+     "635321ef9adb534e6770f2c1bb0553d0f881c6b5e5280f2b10e440989a8bd6ca"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "63dd101b5ac99af3ac9dfbc1dafa33fb94acbc792f6112dc43d4ef7b47534492"),
+     "785c623f24a2151fd9e9205681c761e2dc35c6dc8286f0479163ff955a93db6e"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "89625bdaa41d4d0dccd9c08b38007942e99b72425deffaa278afd4a989a340e2"),
+     "ca8cceb2671b99dfa18faf5e00000b9990757e04b2aafafc82bc908e113e8a7f"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "954ad9ca5632f5ac56420159a9b84f9676410ad1418642a687a3ed681e389b8e"),
+     "1c21a8519b95e5b6666d9b3b006e6c987609377a3ec1bad70296ef03857854d4"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
-     "9842c2fb0aa624fd6af9a12733a150aa1358d74f959a5cdf34c62b39be69ae47"),
+     "97d8fa6129f97b87a54d1af83603a8437a15a813ec22a75a6db1dc69c3ca870e"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "6f60e3bad9c58d6bad7ddde5af9a959da209c681766fb4999fbd9f0452e3ced7"),
+     "f89ee5288db9cd7f007ea9725e3add524ecb993e53938ac37ab69bf29b61b8c2"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "371042e04aa8e7093384c248246fe863e98f7eccf9060accbaa4f5059cd5989f"),
+     "26b991e8992c55320deb070e33c71c3e580a4a9e9545bfe9429e1cf4b4d2388a"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
-     "2cb2611d81cf65a6d6acd1deccd41a73916f1f385289f1a35e1a334b09aa258a"),
+     "2f551c5fb1e5142af50eb08ed49b5e03446e6992617bd37a3866c73b2bc42044"),
     # a union bound that is neither clamped nor exact in binary, so the
     # pin sees the order of its float operations
     (["maxload", "--d", "12", "--k", "16", "--t", "4"],
-     "c9ecc712f456a45eb076ede79690f29ac318102e3a57dbee8ddc40018f326aaf"),
+     "20a4cf5aaa1f932a0d8448fb1c6c6842a13148203b1dc86a1bd58c233f150b6a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
-     "cffdba120acfb59ebd489b96189b575082b39efbfd73c2b06074b6b224c7e47e"),
+     "7cbe0031cac08c8a6a0c58b18355175960f90fbddf25170d0bcbe757a05e5770"),
 ]
 
 
