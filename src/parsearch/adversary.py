@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations
 
 import numpy as np
 
@@ -81,7 +80,8 @@ class AdversaryGraph:
     ``edges`` has shape (k * len(v1), 3): row ``i1 * k + j`` is
     ``(i0, i1, x)``, joining ``v0[i0]`` to ``v1[i1]`` by removing target
     j+1, and ``x = v1[i1, j]`` is the single base address where the two
-    databases differ.
+    databases differ.  So ``i0`` is ``j * perm(N, k-1)`` plus the
+    lexicographic rank of ``v1[i1]`` without column j.
     """
 
     family: InstanceFamily
@@ -120,13 +120,19 @@ def estimated_size(fam: InstanceFamily) -> int:
     return v0 + v1
 
 
-def _placement_codes(rows: np.ndarray, N: int) -> np.ndarray:
-    """Each row read as a base-N number, first column most significant, so
-    rows in lexicographic order get ascending codes.  Under the
-    FEASIBLE_VERTICES cap a code is below N**(k-1) <= 2**21 (at N = k = 8),
-    far inside int64."""
-    weights = N ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return rows @ weights
+def _lex_rank(rows: np.ndarray, columns, N: int) -> np.ndarray:
+    """Rank of each row's *columns*, read as a w-permutation of range(N),
+    among all w-permutations in lexicographic order: its Lehmer code, the
+    digit at position p being the entry less the smaller entries before
+    it, weighted by perm(N-1-p, w-1-p), the placements of what follows."""
+    w = len(columns)
+    rank = np.zeros(len(rows), dtype=np.int64)
+    for p, c in enumerate(columns):
+        digit = rows[:, c].copy()
+        for q in columns[:p]:
+            digit -= rows[:, q] < rows[:, c]
+        rank += digit * math.perm(N - 1 - p, w - 1 - p)
+    return rank
 
 
 def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
@@ -135,6 +141,14 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     Two databases differ in exactly one location iff removing one target
     from the larger leaves the smaller, so each v1 vertex has one edge per
     target, labeled with that target's address.
+
+    The w-permutations of range(N) are built from the (w-1)-permutations
+    one column at a time: in each row's mask of still-free addresses, one
+    ``np.nonzero`` gives every child's parent row and new last address,
+    already in lexicographic order.  The width-(k-1) step is ``kept`` and
+    the width-k step is ``v1``, so removing v1's last target leaves its
+    parent row; removing any other target leaves a row found by its
+    lexicographic rank, with no search.
     """
     # v1 alone has perm(N, k) >= k! vertices, so a large k is refused
     # before perm(N, k) is computed.  b! > 2**b > FEASIBLE_VERTICES for its
@@ -153,25 +167,23 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
         )
     N, k = fam.N, fam.k
 
-    def placements(width):
-        count = math.perm(N, width)
-        flat = np.fromiter(chain.from_iterable(permutations(range(N), width)),
-                           dtype=np.int64, count=count * width)
-        return flat.reshape(count, width)
-
-    v1 = placements(k)
-    kept = placements(k - 1)
+    v1 = np.empty((1, 0), dtype=np.int64)
+    for width in range(1, k + 1):
+        kept = v1
+        free = np.ones((len(kept), N), dtype=bool)
+        free[np.arange(len(kept))[:, None], kept] = False
+        parent, last = np.nonzero(free)
+        v1 = np.empty((len(parent), width), dtype=np.int64)
+        v1[:, :-1] = kept[parent]
+        v1[:, -1] = last
     v0 = np.empty((k * len(kept), k), dtype=np.int64)
     v0[:, 0] = np.repeat(np.arange(k), len(kept))
     v0[:, 1:] = np.tile(kept, (k, 1))
-    # kept is in lexicographic order, so its codes ascend and a v1 row
-    # minus its target j is found by binary search within block j of v0
-    kept_codes = _placement_codes(kept, N)
     edges = np.empty((k * len(v1), 3), dtype=np.int64)
-    for j in range(k):
-        rank = np.searchsorted(kept_codes,
-                               _placement_codes(np.delete(v1, j, axis=1), N))
-        edges[j::k, 0] = j * len(kept) + rank
+    for j in range(k - 1):
+        rest = [c for c in range(k) if c != j]
+        edges[j::k, 0] = j * len(kept) + _lex_rank(v1, rest, N)
+    edges[k - 1::k, 0] = (k - 1) * len(kept) + parent
     edges[:, 1] = np.repeat(np.arange(len(v1)), k)
     edges[:, 2] = v1.ravel()
     return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
@@ -180,16 +192,20 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
 def _max_label_multiplicity(vertex: np.ndarray, addr: np.ndarray, N: int,
                             d: int) -> int:
     """Largest, over vertices, sum of the top-d per-address edge counts."""
-    keys, counts = np.unique(vertex * N + addr, return_counts=True)
-    owner = keys // N
-    # keys ascend, so each vertex's addresses are contiguous; sort each
-    # group by descending count and keep the first d of it
-    order = np.lexsort((-counts, owner))
-    owner, counts = owner[order], counts[order]
-    position = np.arange(len(owner))
-    first = np.r_[True, owner[1:] != owner[:-1]]
-    top = position - np.maximum.accumulate(np.where(first, position, 0)) < d
-    sums = np.bincount(owner[top], weights=counts[top])
+    keys = np.sort(vertex * N + addr)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    owner = keys[starts] // N
+    # a vertex's top-d sum is sum over h >= 1 of min(d, its counts >= h),
+    # constant for h between two distinct counts: one pass per distinct
+    # count.  No vertex has more than N addresses, so d is capped at N.
+    d = min(d, N)
+    sums = np.zeros(owner[-1] + 1, dtype=np.int64)
+    below = 0
+    for h in np.flatnonzero(np.bincount(counts)):
+        at_least = np.bincount(owner[counts >= h], minlength=len(sums))
+        sums += (h - below) * np.minimum(at_least, d)
+        below = h
     return int(sums.max())
 
 

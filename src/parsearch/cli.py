@@ -123,16 +123,20 @@ def _csv_rows(record: dict) -> tuple:
     return list(row), [row]
 
 
-def render(record: dict, fmt: str) -> str:
+def _write(record: dict, fh, fmt: str) -> None:
+    """Write *record* to the text stream *fh*.  JSON is streamed, so a
+    many-trial record is never held a second time as one string."""
     if fmt == "json":
-        return json.dumps(record, indent=2, sort_keys=True) + "\n"
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        return
     header, rows = _csv_rows(record)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
     if header:
         writer.writeheader()
         writer.writerows(rows)
-    return buf.getvalue()
+    fh.write(buf.getvalue())
 
 
 def _out_error(out, exc: OSError) -> int:
@@ -154,13 +158,12 @@ def _open_out(out) -> bool:
 
 
 def _emit(record: dict, out, fmt: str) -> int:
-    text = render(record, fmt)
     if not out:
-        sys.stdout.write(text)
+        _write(record, sys.stdout, fmt)
         return EXIT_OK
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            _write(record, fh, fmt)
     except OSError as exc:
         return _out_error(out, exc)
     return EXIT_OK

@@ -41,7 +41,7 @@ MAX_COUNT = 1 << 24
 #: largest d and trials a search takes.  A run's memory grows with them,
 #: not with N, and each limit bounds one value: a trial's O(d) arrays are
 #: freed when it ends, and its record keeps a fixed set of counts, about
-#: 2.1 KB per trial with the JSON text made from them.  Peak RSS here and
+#: 0.5 KB per trial; its JSON text is streamed, not held.  Peak RSS here and
 #: under ``MAX_TARGETS`` is ``ru_maxrss`` of a fresh Python process that
 #: runs ``cli.main`` once with ``--seed 3 --out /dev/null``, one run each,
 #: on a 2-core host (Python 3.11.7, numpy 2.4.6):
@@ -49,8 +49,8 @@ MAX_COUNT = 1 << 24
 #: - ``search --n 40 --d 1048576 --k 64``: 186 MB over 1 trial, 193 MB
 #:   over 4 and over 8;
 #: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 44 MB;
-#: - ``search --n 24 --k 2 --trials 65536``: 172 MB at d = 1, 173 MB at
-#:   d = 64.
+#: - ``search --n 24 --k 2 --trials 65536``: 70 MB at d = 1 and at
+#:   d = 64, against 37 MB over 1 trial.
 MAX_COPIES = 1 << 20
 MAX_TRIALS = 1 << 16
 
@@ -69,7 +69,7 @@ MAX_TRIALS = 1 << 16
 #: The corner of all three limits, 2**16 trials at d = 2**20 and k = 2**17,
 #: was not run: at about 15 s per trial it would take eleven days.  Its
 #: trials peak near 0.3 GB, and its record adds what the 2**16 trials above
-#: add, under 0.14 GB, so it would peak under about 0.45 GB.
+#: add, about 33 MB, so it would peak near 0.34 GB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).

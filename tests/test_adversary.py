@@ -1,6 +1,7 @@
 """Tests for the lower-bound module: formulas and brute-force enumeration."""
 import math
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -89,9 +90,12 @@ class TestBuildGraph:
             assert len(edges) == len(g.edges)
             assert edges == expected
 
-    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2),
+                                     (2, 3), (2, 4), (3, 4), (4, 3)])
     def test_arrays_match_tuple_enumeration(self, n, k):
-        # reference: the same vertices and edges built one tuple at a time
+        # reference: the same vertices and edges built one tuple at a time.
+        # Each v1 row's last target leads to its parent row; its other
+        # targets to lexicographic ranks, of width 2 at k = 3, 3 at k = 4
         fam = InstanceFamily(n=n, m=k.bit_length() + 1, d=1, k=k)
         addrs = range(fam.N)
         v1 = tuple(permutations(addrs, k))
@@ -162,6 +166,45 @@ class TestComputeStats:
         expected = (6, 1, ell, 1) if side == 0 else (1, 6, 1, ell)
         got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
         assert got == expected
+        assert all(type(v) is int for v in got)
+
+    @staticmethod
+    def top_d_reference(vertex, addr, d):
+        """Per vertex: a Counter of its edges' addresses, the counts in
+        descending order, the first d summed; the largest such sum."""
+        labels = {}
+        for v, a in zip(vertex, addr):
+            labels.setdefault(v, Counter())[a] += 1
+        return max(sum(sorted(c.values(), reverse=True)[:d])
+                   for c in labels.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_top_d_sum_matches_per_vertex_reference(self, d, seed):
+        # random edge lists with repeated (vertex, address) pairs, skewed
+        # toward low addresses, so counts reach 6 and more and some vertices
+        # have fewer distinct addresses than d; N = 8, so d = 8 takes all.
+        # Each side is regular, 16 and 5 edges a vertex, as AdversaryStats
+        # needs every top-d sum within the least degree
+        fam = InstanceFamily(n=3, m=2, d=d, k=2)
+        rng = np.random.default_rng(seed)
+        size, n0, n1 = 80, 5, 16
+        i0 = rng.permutation(np.repeat(np.arange(n0), size // n0))
+        i1 = rng.permutation(np.repeat(np.arange(n1), size // n1))
+        x = np.minimum(rng.geometric(0.4, size) - 1, fam.N - 1)
+        g = AdversaryGraph(family=fam, v0=np.zeros((n0, 2), dtype=np.int64),
+                           v1=np.zeros((n1, 2), dtype=np.int64),
+                           edges=np.column_stack((i0, i1, x)).astype(np.int64))
+        pairs = Counter(zip(i0.tolist(), x.tolist()))
+        assert max(pairs.values()) >= 6
+        distinct = Counter(v for v, _ in Counter(zip(i1.tolist(), x.tolist())))
+        assert min(distinct.values()) < 3     # fewer than d at d = 3 and 8
+        stats = compute_stats(g)
+        got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
+        assert got == (min(Counter(i0.tolist()).values()),
+                       min(Counter(i1.tolist()).values()),
+                       self.top_d_reference(i0.tolist(), x.tolist(), d),
+                       self.top_d_reference(i1.tolist(), x.tolist(), d))
         assert all(type(v) is int for v in got)
 
     @pytest.mark.parametrize("side", [0, 1])

@@ -43,6 +43,9 @@ PINS = [
      "20a4cf5aaa1f932a0d8448fb1c6c6842a13148203b1dc86a1bd58c233f150b6a"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
      "7cbe0031cac08c8a6a0c58b18355175960f90fbddf25170d0bcbe757a05e5770"),
+    # the benchmark's instance: k = 4 reaches lexicographic ranks of width 3
+    (["adversary", "--n", "4", "--m", "3", "--d", "5", "--k", "4"],
+     "e6847711282d064aeb7932bdf8d8b680ffcb650ede95f461d80ffd8d1c5fd0fa"),
 ]
 
 
