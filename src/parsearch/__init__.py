@@ -14,6 +14,7 @@ from .core import (
 )
 from .algorithms import (
     RegimeParams,
+    Repetition,
     SearchOutcome,
     TargetSet,
     bbht_search_unknown,

@@ -9,6 +9,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class RegimeParams:
 
 @dataclass
 class SearchOutcome:
-    """Result of a (multi-item or parallel) search run."""
+    """Result of a :func:`parallel_search` run."""
 
     targets: TargetSet
     located: dict            # item -> address
@@ -263,36 +264,38 @@ def _draw_rows(rng, sizes, marked, assumed):
     return hits, queries + spent
 
 
-def multi_item_search(
-    db,
-    sizes,
-    addresses,
-    cells,
-    targets: TargetSet,
-    t: int,
-    seed,
-) -> SearchOutcome:
-    """Iterated search for up to *t* of the target items in each of d cells,
-    one copy per cell.
+class Repetition(NamedTuple):
+    """One repetition of the copies' search, from :func:`multi_item_search`:
+    ``found_at[i]`` is the queries that ``addresses[i]``'s copy had made when
+    its check confirmed that address, or -1 where it was not found, and
+    ``ledger`` is the d-copy ledger of the repetition's charges."""
 
-    Cell c holds ``sizes[c]`` addresses.  ``addresses`` are all the
-    addresses of the cells that hold a target item, ``addresses[i]`` lying
-    in cell ``cells[i]``, one address per item: the items stored there are
-    read once, with one ``db.items_at`` call, and an address that holds no
-    target item, or a target item at two of them, is refused with
-    ValueError, as is a cell with more marked addresses than addresses.
-    Every copy runs the same program on its cell: step i (i = 1..t)
-    searches with assumed marked count t-i+1; a found item is removed from
-    the target set and its address from the search space.  A failed step
-    falls back to the unknown-count search, since fewer than the assumed
-    number may be present; when the fallback also finds nothing the cell
-    is treated as exhausted.  A copy that has located every target item
-    stops.
+    found_at: np.ndarray
+    ledger: QueryLedger
+
+
+def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetition:
+    """Iterated search for up to *t* marked addresses in each of d cells, one
+    copy per cell, while *k* target items are still sought.
+
+    Cell c holds ``sizes[c]`` addresses.  ``addresses`` are the marked
+    addresses, those that hold a sought item, ``addresses[i]`` lying in cell
+    ``cells[i]``.  No database is read: a copy's search needs only its
+    cell's size and which of its addresses are marked.  *k* counts every
+    sought item, also those stored nowhere, so it is at least the number of
+    addresses.  A repeated address, a *k* below that number or below 1, and
+    a cell with more marked addresses than addresses are refused with
+    ValueError.  Every copy runs the same program on its cell: step i
+    (i = 1..t) searches with assumed marked count t-i+1; a found address
+    leaves the search space.  A failed step falls back to the unknown-count
+    search, since fewer than the assumed number may be present; when the
+    fallback also finds nothing the cell is treated as exhausted.
 
     All of the copies' randomness comes from the one stream *seed*.  A
     hit picks a uniform marked address, so a cell's finds come in a
     uniform order of its marked addresses: one key per address, drawn in
-    (cell, address) order, fixes it.  Then one :func:`_draw_steps` call
+    (cell, address) order, fixes it, so the order in which the (address,
+    cell) pairs come is no input.  Then one :func:`_draw_steps` call
     draws every step a copy could make: for cell c, in ascending cell
     order, a row for each step i = 1..min(loads[c], t), over the
     sizes[c] - i + 1 addresses left, loads[c] - i + 1 of them marked.
@@ -310,14 +313,13 @@ def multi_item_search(
     every marked address of its cell.  Its finds are at its queries summed
     over its rows up to each hit.
 
-    The copies run in lockstep and halt once every target item is located,
-    at the round of the last find; the outcome's d-copy ledger charges each
-    copy its program up to that halt, by the rule of
-    :class:`~parsearch.core.QueryLedger`: every charge is cut at the halt.
-    A repetition that leaves an item unlocated charges whole programs.
-    ``find_times`` gives, for each located item, the queries its copy had
-    made when its check confirmed it.  ``success`` means no marked address
-    is left in any cell.
+    The copies run in lockstep and halt once all k items are found, at the
+    round of the last find; the ledger charges each copy its program up to
+    that halt, by the rule of :class:`~parsearch.core.QueryLedger`: every
+    charge is cut at the halt.  A repetition that leaves an item unfound,
+    also one stored nowhere, charges whole programs.  Returns a
+    :class:`Repetition`: each address's queries at its find, and that
+    ledger.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     addresses = np.asarray(addresses, dtype=np.int64)
@@ -326,23 +328,20 @@ def multi_item_search(
         raise ValueError("need one cell per address")
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
+    if np.unique(addresses).size < addresses.size:
+        raise ValueError("an address is listed twice")
+    if k < max(1, addresses.size):
+        raise ValueError(f"need k >= max(1, {addresses.size} addresses), got k={k}")
     loads = np.bincount(cells, minlength=sizes.size)
     if (loads > sizes).any():
         raise ValueError("a cell holds more marked addresses than addresses")
-    items = db.items_at(addresses)
-    if not np.isin(items, targets.items).all():
-        raise ValueError("an address holds no target item")
-    ordered = np.sort(items)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("a target item is stored at two addresses")
     rng = as_generator(seed)
     order = np.lexsort((addresses, cells))
     order = order[np.lexsort((rng.random(order.size), cells[order]))]
-    addresses, items, cells = addresses[order], items[order], cells[order]
     first = np.cumsum(loads) - loads    # each cell's first address in that order
     # one row per step i < min(load, t) a copy could make, then its rest if
     # it has one, in (cell, step) order: row i follows i finds, one per row
-    rows = np.minimum(loads, t) + ((loads < min(t, targets.k)) & (loads < sizes))
+    rows = np.minimum(loads, t) + ((loads < min(t, k)) & (loads < sizes))
     start = np.cumsum(rows) - rows      # each cell's first row
     row_cell = np.repeat(np.arange(sizes.size), rows)
     head = start[row_cell]              # each row's cell's first row
@@ -359,23 +358,15 @@ def multi_item_search(
     made = before == before[head]
     total = np.concatenate(([0], np.cumsum(np.where(made, queries, 0))))
     spent = total[start + rows] - total[start]
-    found_at = np.full(order.size, -1, dtype=np.int64)  # queries at each find
     find = np.flatnonzero(made & hits)
-    found_at[first[row_cell[find]] + step[find]] = total[find + 1] - total[head[find]]
-
-    found = found_at >= 0
+    found_at = np.full(addresses.size, -1, dtype=np.int64)  # queries at each find
+    at = order[first[row_cell[find]] + step[find]]  # each find's address index
+    found_at[at] = total[find + 1] - total[head[find]]
     # lockstep halt: the round where the last missing item was confirmed
-    stop = found_at.max() if found.sum() == targets.k else None
+    stop = found_at.max() if find.size == k else None
     ledger = QueryLedger(sizes.size)
     ledger.record_repetition(spent if stop is None else np.minimum(spent, stop))
-
-    return SearchOutcome(
-        targets=targets,
-        located=dict(zip(items[found].tolist(), addresses[found].tolist())),
-        success=bool(found.all()),
-        ledger=ledger,
-        find_times=dict(zip(items[found].tolist(), found_at[found].tolist())),
-    )
+    return Repetition(found_at, ledger)
 
 
 def cell_sizes(N: int, d: int) -> np.ndarray:
@@ -560,23 +551,27 @@ def parallel_search(
 ) -> SearchOutcome:
     """Locate all target items using d database copies searched in lockstep.
 
-    ``db.locate`` finds the addresses holding target items; *db* is read
-    only through ``size``, ``lookup``, ``items_at`` and ``locate``, so a
-    :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
-    targets cost.  Each repetition then draws a fresh random equipartition
-    of the address space, of which it places only the addresses of
-    still-missing items (:func:`random_partition`, given their number),
-    dedicates one copy to each cell, and runs the iterated multi-item
-    search with the per-cell cap *t* (by default the regime cap of
-    :func:`choose_regime`) on all d copies in one :func:`multi_item_search`
-    call.  Copies run in lockstep, one parallel round per oracle query;
-    that call charges each copy up to the halt by the rule of
-    :class:`~parsearch.core.QueryLedger`, and this one records its charges,
-    one ledger repetition per repetition.  A repetition that leaves items
-    unlocated costs the longest copy program and triggers another
-    repetition (fresh partition, already-located items excluded) up to
-    ``MAX_REPETITIONS``.  ``find_times`` count parallel rounds from the
-    start of the search, across repetitions.
+    The targets are this function's concern alone.  ``db.locate`` finds the
+    addresses holding target items and one ``db.items_at`` call reads their
+    items, once per search; a target item stored at two addresses is
+    refused with ValueError there, before any draw.  *db* is read only
+    through ``size``, ``locate`` and ``items_at``, here and in
+    :func:`verify_locations`, so a :class:`~parsearch.core.PlantedDatabase`
+    of any N costs what its k targets cost.  Each repetition then draws a
+    fresh random equipartition of the address space, of which it places
+    only the addresses not yet found (:func:`random_partition`, given their
+    number), dedicates one copy to each cell, and runs the iterated
+    multi-item search with the per-cell cap *t* (by default the regime cap
+    of :func:`choose_regime`) on all d copies in one
+    :func:`multi_item_search` call, given those addresses, their cells and
+    the number of items still sought, absent ones included.  Copies run in
+    lockstep, one parallel round per oracle query; that call charges each
+    copy up to the halt by the rule of :class:`~parsearch.core.QueryLedger`,
+    and this one records its charges, one ledger repetition per repetition.
+    A repetition that leaves items unlocated costs the longest copy program
+    and triggers another repetition (fresh partition, already-found
+    addresses excluded) up to ``MAX_REPETITIONS``.  ``find_times`` count
+    parallel rounds from the start of the search, across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence.  Each
     repetition derives two streams from it with
@@ -595,20 +590,24 @@ def parallel_search(
     sizes = cell_sizes(N, d)
     where = db.locate(targets.items)
     items = db.items_at(where)
+    if np.unique(items).size < items.size:
+        raise ValueError("a target item is stored at two addresses")
+    found = np.full(where.size, -1, dtype=np.int64)    # round of each find
 
     for rep in range(MAX_REPETITIONS):
-        closed = ledger.parallel_rounds
-        missing = TargetSet([y for y in targets.items if y not in outcome.located])
-        addresses = where[np.isin(items, missing.items)]
+        missing = np.flatnonzero(found < 0)
         cells = random_partition(
-            N, d, addresses.size, seed=derive_stream(seed, STREAM_PARTITION, rep)
+            N, d, missing.size, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
-        copies = multi_item_search(db, sizes, addresses, cells, missing, t,
-                                   seed=derive_stream(seed, STREAM_COPY, rep))
-        ledger.record_repetition(copies.ledger.oracle_counts)
-        outcome.located.update(copies.located)
-        for y, when in copies.find_times.items():
-            outcome.find_times[y] = closed + when
+        run = multi_item_search(sizes, where[missing], cells,
+                                targets.k - (where.size - missing.size), t,
+                                seed=derive_stream(seed, STREAM_COPY, rep))
+        hit = run.found_at >= 0
+        new = missing[hit]
+        found[new] = ledger.parallel_rounds + run.found_at[hit]
+        ledger.record_repetition(run.ledger.oracle_counts)
+        outcome.located.update(zip(items[new].tolist(), where[new].tolist()))
+        outcome.find_times.update(zip(items[new].tolist(), found[new].tolist()))
 
         outcome.success = verify_locations(db, outcome)
         if outcome.success:

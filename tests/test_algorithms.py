@@ -57,10 +57,17 @@ def instances(draw):
 
 
 def search_one_cell(db, subdomain, targets, t, seed):
-    """``multi_item_search`` with one copy, whose cell is *subdomain*."""
+    """``multi_item_search`` with one copy, whose cell is *subdomain*, for
+    all of *targets*: the cell's marked addresses, and the repetition."""
     marked = MarkedPredicate.scan(db, targets.items, subdomain).marked
-    return multi_item_search(db, [len(subdomain)], marked, np.zeros_like(marked),
-                             targets, t, seed)
+    return marked, multi_item_search([len(subdomain)], marked, np.zeros_like(marked),
+                                     targets.k, t, seed)
+
+
+def located(db, addresses, run):
+    """The item -> address map of the addresses that *run* found."""
+    found = np.asarray(addresses)[run.found_at >= 0]
+    return dict(zip(db.items_at(found).tolist(), found.tolist()))
 
 
 class TestTargetSet:
@@ -238,29 +245,29 @@ class TestBbhtSearchUnknown:
 class TestMultiItemSearch:
     def test_zero_cap_is_empty(self):
         db, targets = build_database(4, 2, seed=3)
-        out = search_one_cell(db, np.arange(16), targets, 0, seed=0)
-        assert out.located == {}
+        _, out = search_one_cell(db, np.arange(16), targets, 0, seed=0)
+        assert out.found_at.tolist() == [-1, -1]
         assert out.ledger.oracle_counts[0] == 0
         # and so is every copy of several cells, with or without targets
-        out = multi_item_search(db, [4, 4, 4, 4], db.locate(targets.items),
-                                [1, 1], targets, 0, seed=0)
-        assert out.located == {} and out.ledger.oracle_counts.tolist() == [0, 0, 0, 0]
+        out = multi_item_search([4, 4, 4, 4], db.locate(targets.items), [1, 1],
+                                targets.k, 0, seed=0)
+        assert out.found_at.tolist() == [-1, -1]
+        assert out.ledger.oracle_counts.tolist() == [0, 0, 0, 0]
 
     def test_a_call_is_one_repetition(self):
-        # an outcome's repetitions are those on its ledger: a call records
-        # one, whether it locates every item, some or none
+        # a call records one repetition on its ledger, whether it finds
+        # every marked address, some or none
         db, targets = build_database(6, 4, seed=13)
         for t in (0, 1, 4):
-            out = search_one_cell(db, np.arange(32), targets, t, seed=t)
-            assert out.repetitions == 1
+            _, out = search_one_cell(db, np.arange(32), targets, t, seed=t)
             assert len(out.ledger.rounds_per_repetition) == 1
 
     def test_two_of_sixteen(self):
         successes, totals = 0, []
         for s in range(10 ** 4):
             db, targets = build_database(4, 2, seed=[7, s])
-            out = search_one_cell(db, np.arange(16), targets, 2, seed=[8, s])
-            successes += out.success
+            _, out = search_one_cell(db, np.arange(16), targets, 2, seed=[8, s])
+            successes += (out.found_at >= 0).all()
             totals.append(out.ledger.oracle_counts[0])
         assert successes / 10 ** 4 >= 3 / 4
         assert np.mean(totals) <= 4 * math.sqrt(16 * 2)
@@ -269,7 +276,7 @@ class TestMultiItemSearch:
         db, targets = build_database(10, 1, seed=9)
         totals = []
         for s in range(200):
-            out = search_one_cell(db, np.arange(1024), targets, 1, seed=[9, s])
+            _, out = search_one_cell(db, np.arange(1024), targets, 1, seed=[9, s])
             totals.append(out.ledger.oracle_counts[0])
         # 25 iterations plus the check on success; the occasional fallback
         # adds more
@@ -281,11 +288,9 @@ class TestMultiItemSearch:
         # actually present there, not all of k
         sub = np.arange(32)
         present = set(db.items_at(sub).tolist()) & set(targets.items)
-        out = search_one_cell(db, sub, targets, 4, seed=14)
-        if out.success:
-            assert set(out.located) == present
-        for item, addr in out.located.items():
-            assert db.lookup(addr) == item
+        marked, out = search_one_cell(db, sub, targets, 4, seed=14)
+        if (out.found_at >= 0).all():
+            assert set(located(db, marked, out)) == present
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(0, 2))
@@ -297,84 +302,50 @@ class TestMultiItemSearch:
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         sub = np.arange(max(1, db.size // 2))
-        out = search_one_cell(db, sub, targets, targets.k, seed)
+        marked, out = search_one_cell(db, sub, targets, targets.k, seed)
         present = set(db.items_at(sub).tolist()) & set(targets.items)
-        assert out.success == (set(out.located) == present)
+        assert (out.found_at >= 0).all() == (set(located(db, marked, out)) == present)
         if ghosts > 0:
             assert not parallel_search(db, 1, targets, seed, 1).success
 
     def test_cell_order_does_not_matter(self):
         # a copy's search reads only its cell's size and marked addresses,
-        # so the order in which the (address, cell) pairs come is no input
+        # so the order in which the (address, cell) pairs come is no input,
+        # and each address's find follows it through a shuffle
         for s in range(200):
             db, targets = build_database(6, 4, seed=[17, s])
             addresses = db.locate(targets.items)
             cells = np.random.default_rng([18, s]).integers(0, 3, addresses.size)
             shuffle = np.random.default_rng([18, s]).permutation(addresses.size)
             shuffled, ordered = (
-                multi_item_search(db, [22, 21, 21], a, c, targets, 4, seed=[19, s])
+                multi_item_search([22, 21, 21], a, c, targets.k, 4, seed=[19, s])
                 for a, c in ((addresses[shuffle], cells[shuffle]), (addresses, cells)))
-            assert shuffled.located == ordered.located
-            assert shuffled.find_times == ordered.find_times
+            np.testing.assert_array_equal(shuffled.found_at, ordered.found_at[shuffle])
             np.testing.assert_array_equal(shuffled.ledger.oracle_counts,
                                           ordered.ledger.oracle_counts)
 
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
-        out = search_one_cell(db, np.arange(256), targets, 3, seed=16)
-        times = sorted(out.find_times.values())
+        _, out = search_one_cell(db, np.arange(256), targets, 3, seed=16)
+        times = sorted(out.found_at[out.found_at >= 0].tolist())
         assert times == sorted(set(times))
         assert all(0 <= t <= out.ledger.oracle_counts[0] for t in times)
-
-    def test_the_missing_items_are_read_once_per_call(self):
-        # a predicate per cell holding a target must not rebuild the set of
-        # all k' missing items, nor read the items at its addresses, and a
-        # find must not look its item up: those cost O(k' * cells) per
-        # repetition
-        class CountingItems(tuple):
-            reads = 0
-
-            def __iter__(self):
-                CountingItems.reads += 1
-                return super().__iter__()
-
-        class CountingDatabase:
-            """A database that counts the reads of each of its attributes."""
-
-            def __init__(self, db):
-                self.db, self.reads = db, Counter()
-
-            def __getattr__(self, name):
-                self.reads[name] += 1
-                return getattr(self.db, name)
-
-        db, targets = build_database(12, 64, seed=17)
-        addresses = db.locate(targets.items)
-        cells = random_partition(db.size, 64, addresses.size, seed=18)
-        assert np.unique(cells).size >= 32
-        object.__setattr__(targets, "items", CountingItems(targets.items))
-        counting = CountingDatabase(db)
-        out = multi_item_search(counting, cell_sizes(db.size, 64), addresses, cells,
-                                targets, 2, seed=19)
-        assert len(out.located) >= 32
-        assert CountingItems.reads == 1
-        assert counting.reads["items_at"] == 1
-        assert counting.reads["lookup"] == 0
 
     @pytest.mark.parametrize("sizes,addresses,cells", [
         ([4, 4], [1, 2], [0]),          # one cell per address
         ([4, 4], [1, 2], [0, 2]),       # no cell 2
         ([4, 4], [1, 2], [0, -1]),
         ([1, 4], [1, 2], [0, 0]),       # two marked addresses, one-address cell
-        ([4, 4], [0, 1], [0, 1]),       # address 0 holds no target item
-        ([4, 4], [1, 3], [0, 1]),       # target 1 at two addresses
+        ([4, 4], [1, 1], [0, 1]),       # address 1 listed twice
+        ([4, 4], [1, 2, 3], [0, 1, 1]),     # three marked addresses, k = 2
     ])
     def test_rejects_inconsistent_cells(self, sizes, addresses, cells):
-        # targets 1 and 2, with 1 stored at addresses 1 and 3
-        db = Database(n=3, m=2, entries=np.array([0, 1, 2, 1, 0, 0, 0, 0]))
         with pytest.raises(ValueError):
-            multi_item_search(db, sizes, addresses, cells, TargetSet([1, 2]), 1,
-                              seed=0)
+            multi_item_search(sizes, addresses, cells, 2, 1, seed=0)
+
+    def test_rejects_a_search_for_no_item(self):
+        with pytest.raises(ValueError, match="k >= max"):
+            multi_item_search([4, 4], [], [], 0, 1, seed=0)
 
 
 def draw_rests(sizes, steps, rng):
@@ -436,10 +407,9 @@ class TestEmptyCellLaw:
 
     def test_zero_cap_programs_are_empty(self):
         # a copy with no step left draws no rest and is charged nothing
-        db, targets = build_database(4, 1, seed=0)
         with mock.patch.object(algorithms, "_draw_steps",
                                side_effect=AssertionError("a rest was drawn")):
-            out = multi_item_search(db, [1, 37, 1024], [], [], targets, 0, seed=0)
+            out = multi_item_search([1, 37, 1024], [], [], 1, 0, seed=0)
         assert out.ledger.oracle_counts.tolist() == [0, 0, 0]
 
 
@@ -719,9 +689,9 @@ class TestParallelSearch:
         for s in range(15):
             db, targets = build_database(8, 3, seed=[41, s])
             par = parallel_search(db, 1, targets, seed=s)
-            single = search_one_cell(db, np.arange(256), targets, 3,
-                                     seed=derive_stream(s, STREAM_COPY, 0))
-            assert par.located == single.located
+            marked, single = search_one_cell(db, np.arange(256), targets, 3,
+                                             seed=derive_stream(s, STREAM_COPY, 0))
+            assert par.located == located(db, marked, single)
             assert par.ledger.oracle_counts[0] == single.ledger.oracle_counts[0]
 
     def test_find_times_are_absolute_rounds(self):
@@ -760,10 +730,50 @@ class TestParallelSearch:
 
     def test_an_item_stored_twice_is_refused(self):
         # the search takes one address per target item: target 1 at
-        # addresses 1 and 3 of the table is refused, not searched
+        # addresses 1 and 3 of the table is refused, not searched, before
+        # any partition is drawn
         db = Database(n=3, m=3, entries=np.array([0, 1, 2, 1, 3, 4, 5, 6]))
         with pytest.raises(ValueError, match="two addresses"):
             parallel_search(db, 2, TargetSet([1, 2]), seed=0)
+        with mock.patch.object(algorithms, "random_partition",
+                               side_effect=AssertionError("a partition was drawn")), \
+                pytest.raises(ValueError, match="two addresses"):
+            parallel_search(db, 2, TargetSet([1, 2]), seed=0)
+
+    def test_the_targets_are_read_once_per_search(self):
+        # the targets' addresses are found, and their items read, once per
+        # search: a repetition reads the target set only in the check of
+        # verify_locations, which reads items only once every target is
+        # claimed, and no find looks its item up.  Rebuilding the set of the
+        # k' missing items or reading their items in each repetition costs
+        # O(k') per repetition
+        class CountingItems(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingItems.reads += 1
+                return super().__iter__()
+
+        class CountingDatabase:
+            """A database that counts the reads of each of its attributes."""
+
+            def __init__(self, db):
+                self.db, self.reads = db, Counter()
+
+            def __getattr__(self, name):
+                self.reads[name] += 1
+                return getattr(self.db, name)
+
+        db, targets = build_database(12, 64, seed=17)
+        object.__setattr__(targets, "items", CountingItems(targets.items))
+        counting = CountingDatabase(db)
+        out = parallel_search(counting, 64, targets, seed=18, t=1)
+        reps = out.repetitions
+        assert reps >= 3 and out.success
+        assert counting.reads["locate"] == 1
+        assert counting.reads["items_at"] == 2
+        assert counting.reads["lookup"] == 0
+        assert CountingItems.reads == 1 + reps
 
     def test_invalid_copy_count(self):
         db, targets = build_database(3, 1, seed=0)
@@ -1050,7 +1060,7 @@ class TestLedgerRule:
             return hits, queries
 
         with mock.patch.object(algorithms, "_draw_steps", recording):
-            out = multi_item_search(db, sizes, addresses, cells, targets, t, seed)
+            out = multi_item_search(sizes, addresses, cells, targets.k, t, seed)
         # one call draws a row for each step i = 1..min(load, t) of every
         # copy, in (cell, step) order, over the M = size - i + 1 addresses
         # left, load - i + 1 of them marked, each assuming min(t - i + 1, M).
@@ -1084,18 +1094,15 @@ class TestLedgerRule:
                 else:
                     missed.add(c)
         # once every target is located the copies halt at the last find, and
-        # every charge is cut there; each copy's finds are items of its cell
-        # at the times of its hits
+        # every charge is cut there; each copy's finds are addresses of its
+        # cell at the times of its hits
         finds = [when for c in range(d) for when in times[c]]
         stop = max(finds) if len(finds) == targets.k else None
         assert out.ledger.oracle_counts.tolist() == [
             int(c) if stop is None else min(int(c), stop) for c in charged]
-        assert out.success == (len(out.located) == addresses.size)
-        cell_of = dict(zip(addresses.tolist(), cells.tolist()))
         for c in range(d):
-            mine = [y for y, a in out.located.items() if cell_of[a] == c]
-            assert all(db.lookup(out.located[y]) == y for y in mine)
-            assert sorted(out.find_times[y] for y in mine) == times[c]
+            mine = out.found_at[(cells == c) & (out.found_at >= 0)]
+            assert sorted(mine.tolist()) == times[c]
 
     # (n, d, k, t): d = 1 with k = t = 32, 32 steps in one cell; then the
     # three acceptance cells
@@ -1113,7 +1120,7 @@ class TestLedgerRule:
         for s in range(10):
             cells = random_partition(db.size, d, addresses.size, [83, s])
             with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
-                multi_item_search(db, sizes, addresses, cells, targets, t, [84, s])
+                multi_item_search(sizes, addresses, cells, k, t, [84, s])
             assert calls.call_count == 1
             loads = np.bincount(cells, minlength=d)
             rests = (loads < min(t, k)) & (loads < sizes)
@@ -1135,15 +1142,14 @@ class TestLedgerRule:
             return hits, 10 * np.arange(1, 8)
 
         with mock.patch.object(algorithms, "_draw_steps", rigged):
-            out = multi_item_search(db, [32, 32, 32], addresses, cells, targets, 3,
+            out = multi_item_search([32, 32, 32], addresses, cells, targets.k, 3,
                                     seed=86)
-        cell_of = dict(zip(addresses.tolist(), cells.tolist()))
-        times = {c: sorted(out.find_times[y] for y, a in out.located.items()
-                           if cell_of[a] == c) for c in range(3)}
+        times = {c: sorted(out.found_at[(cells == c) & (out.found_at >= 0)].tolist())
+                 for c in range(3)}
         # cell 0 is charged its rows 1 and 2, and finds only at row 1; its
         # row 3 is neither charged nor a find
         assert times == {0: [10], 1: [40, 90, 150], 2: []}
-        assert not out.success
+        assert (out.found_at < 0).sum() == 2
         # only cell 2 has a rest, its one row: cells 0 and 1 have no step
         # left after their three; with an item unlocated, it is whole
         assert len(calls) == 1
@@ -1160,7 +1166,6 @@ class TestLedgerRule:
         # at the lockstep halt
         db, targets = build_database(6, 2, seed=75)
         addresses = db.locate(targets.items)
-        items = [db.lookup(a) for a in addresses.tolist()]
         draw = algorithms._draw_steps
         first = optimal_iterations(31, 2) + 1
         both = 0
@@ -1172,17 +1177,17 @@ class TestLedgerRule:
                 return calls[-1][1]
 
             with mock.patch.object(algorithms, "_draw_steps", recording):
-                out = multi_item_search(db, [32, 32], addresses, [0, 1], targets, 3,
+                out = multi_item_search([32, 32], addresses, [0, 1], targets.k, 3,
                                         [76, s])
             assert len(calls) == 1      # step 1 and the rest of each copy
             (sizes, marked, steps, _), (_, queries) = calls[0]
             assert sizes.tolist() == [32, 31, 32, 31]
             assert marked.tolist() == [1, 0, 1, 0] and steps.tolist() == [3, 2, 3, 2]
-            if len(out.located) < 2:
+            if (out.found_at < 0).any():
                 continue
             both += 1
             finds, lengths = queries[0::2].tolist(), queries[1::2].tolist()
-            assert [out.find_times[y] for y in items] == finds
+            assert out.found_at.tolist() == finds
             # both items are found, so the copies halt at the later find:
             # each is charged its find plus its rest, cut there
             stop = max(finds)
@@ -1234,9 +1239,10 @@ class TestLedgerRule:
         d = min(d, db.size)
         runs = []
 
-        def recording(*args, **kwargs):
-            runs.append(multi_item_search(*args, **kwargs))
-            return runs[-1]
+        def recording(sizes, addresses, cells, k, t, seed):
+            run = multi_item_search(sizes, addresses, cells, k, t, seed)
+            runs.append((addresses, k, run))
+            return run
 
         with mock.patch.object(algorithms, "QueryLedger", RecordingLedger), \
                 mock.patch.object(algorithms, "multi_item_search", recording):
@@ -1248,7 +1254,7 @@ class TestLedgerRule:
         assert ledger.verification_rounds == out.repetitions * math.ceil(k / d)
 
         closed = 0
-        for i, (rounds, run) in enumerate(zip(reps, runs)):
+        for i, (rounds, (addresses, missing, run)) in enumerate(zip(reps, runs)):
             programs = run.ledger.oracle_counts.tolist()
             assert len(programs) == d
             charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
@@ -1256,12 +1262,15 @@ class TestLedgerRule:
             # each copy is charged what multi_item_search charged it, which
             # ends at the lockstep halt once every missing item is located
             assert charges == programs
-            if set(run.located) == set(run.targets.items):
-                assert max(programs) == max(run.find_times.values())
-            # items found in this repetition: find times after every
-            # earlier repetition's, within this one's rounds
-            assert all(closed < out.find_times[y] <= closed + rounds
-                       for y in run.located)
+            hit = run.found_at >= 0
+            if hit.sum() == missing:
+                assert max(programs) == run.found_at.max()
+            # items found in this repetition: their find times are this
+            # one's, after every earlier repetition's rounds
+            items = db.items_at(addresses[hit]).tolist()
+            assert ([out.find_times[y] for y in items]
+                    == (closed + run.found_at[hit]).tolist())
+            assert all(closed < out.find_times[y] <= closed + rounds for y in items)
             closed += rounds
         if out.success:
             assert max(out.find_times.values()) == out.parallel_rounds

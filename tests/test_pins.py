@@ -33,6 +33,12 @@ PINS = [
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
      "f89ee5288db9cd7f007ea9725e3add524ecb993e53938ac37ab69bf29b61b8c2"),
+    # k = 512 over 16 cells of cap 8: 6, 6 and 5 repetitions with hundreds
+    # of targets still missing, so the pin sees the bookkeeping of what is
+    # found across repetitions
+    (["search", "--n", "16", "--d", "16", "--k", "512", "--t", "8", "--trials", "3",
+      "--seed", "21"],
+     "a89d18a23627806ae460ab211d52defe515eb2cb1382c5d79dd65372c4748241"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
      "26b991e8992c55320deb070e33c71c3e580a4a9e9545bfe9429e1cf4b4d2388a"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
