@@ -43,6 +43,17 @@ STAGE_BLOCK = 32
 #: entries, 1 MB each, however many copies a repetition has
 BLOCK_ROWS = 1 << 12
 
+#: largest bbht_budget of a rest drawn from its tabled law (:func:`_rest_law`),
+#: that of M = 52,391,860, about 2^25.6; a rest of a larger budget is drawn
+#: stage by stage.  Measured on 2 cores, Python 3.11, numpy 2.4: a cold
+#: table took 3.2 ms at budget 2,382 (M = 2^20), 7.5 ms at 9,308 (2^24),
+#: 13 ms at 18,532 (2^26) and 25 ms at 36,972 (2^28), about 0.7 us per
+#: entry, while a rest cost about 2 us drawn stage by stage and 0.2 us from
+#: a table.  So a table repays itself after about budget / 2.5 rests, and
+#: this limit keeps its cold cost near 12 ms, where a search of few large
+#: cells (16 rests a repetition at d = 16) would never repay it.
+REST_TABLE_BUDGET = 1 << 14
+
 #: repetitions of the parallel algorithm before reporting failure
 MAX_REPETITIONS = 10
 
@@ -159,6 +170,46 @@ def _cutoffs(sqrt_m, stages=slice(None)) -> np.ndarray:
     return np.minimum(_GROWTH[stages], sqrt_m).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=32)
+def _rest_law(budget: int, root: int) -> np.ndarray:
+    """Distribution function of S, the queries of the unknown-count stages of
+    :func:`bbht_search_unknown` over a cell in which nothing is marked,
+    given its budget and root = int(sqrt(M)): entry q is P(S <= q).  The
+    stages read M only through these two, since the cutoffs
+    int(min(lambda**s, sqrt(M))) of :func:`_cutoffs` equal those of
+    sqrt(M) = root, so cells of nearby sizes share one table.
+
+    A dynamic program over the stages: ``mass[i]`` is the probability that
+    every stage so far ran, at lo + i queries spent in all.  Stage s, of
+    cutoff cap, stops the mass at q > budget - cap - 1, and the rest runs
+    and spends a uniform 1..cap + 1 queries more: one cumulative sum
+    convolves it with that kernel.  The vector spans only the queries the
+    stages so far can reach, and the loop ends when no mass runs, which
+    also ends it where the last mass has underflowed to 0.  Elementwise
+    numpy and ``cumsum`` only, so every machine gives the same bits.  The
+    last 32 tables are kept, at most 4.2 MB under ``REST_TABLE_BUDGET``, so
+    a search builds each once for all of its trials.
+    """
+    caps = _cutoffs(float(root)).tolist()
+    stopped = np.zeros(budget + 1)
+    mass, lo = np.ones(1), 0
+    for s in itertools.count():
+        cap = caps[min(s, len(caps) - 1)]
+        runs = max(0, min(mass.size, budget - cap - lo))
+        stopped[lo + runs:lo + mass.size] += mass[runs:]
+        if not mass[:runs].any():
+            cdf = np.cumsum(stopped)
+            return cdf / cdf[-1]
+        # P(next = lo + 1 + i) = (C[min(i, runs - 1)] - C[i - cap - 1]) / (cap + 1)
+        total = np.cumsum(mass[:runs])
+        mass = np.empty(runs + cap)
+        mass[:runs] = total
+        mass[runs:] = total[-1]
+        mass[cap + 1:] -= total[:-1]
+        mass /= cap + 1
+        lo += 1
+
+
 def bbht_search_unknown(pred: MarkedPredicate, seed):
     """Search the subdomain of *pred* without knowing the marked count, via
     growing random cutoffs.
@@ -216,10 +267,15 @@ def _draw_steps(sizes, marked, assumed, rng):
     r uniformly from [0, cap_s] and runs while the stages' queries so far
     plus cap_s + 1 stay within the budget of :func:`bbht_budget`.  The
     cells are drawn ``BLOCK_ROWS`` at a time, all on *rng*, so a call's
-    arrays stay small whatever the batch.  Their stages are drawn
-    ``STAGE_BLOCK`` at a time, one block for each cell still searching.
+    arrays stay small whatever the batch.  In a block, the known-count
+    attempts of the cells with a marked address draw their hits first.
     With no marked address every attempt misses and no hit is drawn, so
-    the step is the rest of a copy's program.
+    the step is the rest of a copy's program, and its stages' queries
+    depend on M alone: a rest whose budget is at most
+    ``REST_TABLE_BUDGET`` draws them next, with one uniform and one
+    ``searchsorted`` on the exact law of :func:`_rest_law`.  Last, the
+    stages of the other cells that missed are drawn ``STAGE_BLOCK`` at a
+    time, one block for each cell still searching.
 
     Returns ``(hits, queries)``: whether each cell's step found a marked
     address, and the queries it made.
@@ -234,7 +290,8 @@ def _draw_rows(rng, sizes, marked, assumed):
     """:func:`_draw_steps` for at most ``BLOCK_ROWS`` cells."""
     # the budget once per distinct M, and r once per distinct (M, assumed)
     kinds, which = np.unique(sizes, return_inverse=True)
-    budget = np.array([bbht_budget(M) for M in kinds.tolist()], dtype=np.int64)[which]
+    budgets = [bbht_budget(M) for M in kinds.tolist()]
+    budget = np.array(budgets, dtype=np.int64)[which]
     base = int(assumed.max()) + 1
     pairs, pair = np.unique(which * base + assumed, return_inverse=True)
     r = np.array([optimal_iterations(int(kinds[p // base]), p % base)
@@ -244,7 +301,20 @@ def _draw_rows(rng, sizes, marked, assumed):
     hits = _draw_hits(r, theta, full, rng)
     queries = r + 1
     spent = np.zeros_like(queries)      # by the unknown-count stages
-    searching = ~hits
+    # a rest within the table limit: its stages' queries in one draw, from
+    # the table of its size's budget and int(sqrt(M)), which nearby sizes share
+    tabled = (marked == 0) & (budget <= REST_TABLE_BUDGET)
+    rest = np.flatnonzero(tabled)
+    if rest.size:
+        laws = {}
+        law_of = np.array([laws.setdefault((b, int(math.sqrt(M))), len(laws))
+                           for M, b in zip(kinds.tolist(), budgets)])
+        u, law = rng.random(rest.size), law_of[which[rest]]
+        for key, g in laws.items():
+            mine = law == g
+            if mine.any():
+                spent[rest[mine]] = np.searchsorted(_rest_law(*key), u[mine], side="right")
+    searching = ~hits & ~tabled
     stages = np.arange(STAGE_BLOCK)
     while searching.any():
         at = np.flatnonzero(searching)
@@ -305,13 +375,16 @@ def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetiti
     the unknown-count stages run until the budget does.  So a cell with
     loads[c] < min(t, k) and addresses to spare has one more row, its
     rest: t - loads[c] steps over the sizes[c] - loads[c] addresses left,
-    none of them marked.  Given that a copy reaches step i, that step's
-    law depends on i alone, so each row is drawn whether or not its copy
-    reaches it: a copy makes its steps up to its first miss, where both of
-    a step's searches miss, and is charged none of the rows after it.  A
-    rest never hits, so a copy is charged its rest only when it has found
-    every marked address of its cell.  Its finds are at its queries summed
-    over its rows up to each hit.
+    none of them marked.  Its length is that attempt's r + 1 plus the
+    stages' queries, whose law depends on M' alone: up to the sampler's
+    ``REST_TABLE_BUDGET`` they are one draw from that exact law, and past
+    it they are drawn stage by stage.  Given that a copy reaches step i,
+    that step's law depends on i alone, so each row is drawn whether or
+    not its copy reaches it: a copy makes its steps up to its first miss,
+    where both of a step's searches miss, and is charged none of the rows
+    after it.  A rest never hits, so a copy is charged its rest only when
+    it has found every marked address of its cell.  Its finds are at its
+    queries summed over its rows up to each hit.
 
     The copies run in lockstep and halt once all k items are found, at the
     round of the last find; the ledger charges each copy its program up to
@@ -537,7 +610,8 @@ def verify_locations(db, outcome: SearchOutcome) -> bool:
     d = outcome.ledger.copies
     outcome.ledger.record_verification(math.ceil(k / d))
     claimed = outcome.located
-    if set(claimed) != set(outcome.targets.items):
+    # a claim of another size cannot be the k targets: no set of k is built
+    if len(claimed) != k or set(claimed) != set(outcome.targets.items):
         return False
     return bool(np.array_equal(db.items_at(list(claimed.values())), list(claimed)))
 

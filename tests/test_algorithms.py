@@ -443,6 +443,53 @@ class TestStepLaw:
         assert within_four_pooled_errors(drawn_queries, queries)
 
 
+class TestRestLaw:
+    """The tabled law of a rest's unknown-count stages, against the stage
+    sampler that draws them one by one: a rest is a row with nothing
+    marked, so with no table it takes the stage sampler's path."""
+
+    DRAWS = 20000
+
+    # up to the largest cell size whose budget is within REST_TABLE_BUDGET
+    @pytest.mark.parametrize("M", [64, 1023, 1024, 1 << 20, 52_391_860])
+    def test_matches_the_stage_sampler(self, M):
+        budget = bbht_budget(M)
+        assert budget <= algorithms.REST_TABLE_BUDGET
+        law = algorithms._rest_law(budget, math.isqrt(M))
+        mass = np.diff(law, prepend=0.0)
+        support = np.flatnonzero(mass)
+        mean = float(mass @ np.arange(mass.size))
+        sizes = np.full(self.DRAWS, M)
+        with mock.patch.object(algorithms, "REST_TABLE_BUDGET", 0):
+            hits, queries = algorithms._draw_steps(
+                sizes, np.zeros_like(sizes), np.ones_like(sizes),
+                np.random.default_rng([93, M]))
+        assert not hits.any()
+        stages = queries - optimal_iterations(M, 1) - 1
+        assert support[0] <= stages.min() and stages.max() <= support[-1]
+        assert (mass[stages] > 0).all()
+        # 4 pooled standard errors, the table's mean having none
+        stderr = stages.std(ddof=1) / math.sqrt(stages.size)
+        assert abs(stages.mean() - mean) <= 4 * stderr
+        assert law[-1] == 1.0 and (np.diff(law) >= 0).all()
+
+    def test_the_largest_size_under_the_limit(self):
+        assert bbht_budget(52_391_860) <= algorithms.REST_TABLE_BUDGET
+        assert bbht_budget(52_391_861) > algorithms.REST_TABLE_BUDGET
+
+    def test_nearby_sizes_share_one_table(self):
+        # the stages read M through its budget and int(sqrt(M)) alone, so
+        # 64 sizes from 2^20 on take two tables
+        draw = algorithms._rest_law
+        sizes = np.arange(1 << 20, (1 << 20) + 64)
+        with mock.patch.object(algorithms, "_rest_law", side_effect=draw) as built:
+            algorithms._draw_steps(sizes, np.zeros_like(sizes), np.ones_like(sizes),
+                                   np.random.default_rng(94))
+        keys = {call.args for call in built.call_args_list}
+        assert keys == {(bbht_budget(M), math.isqrt(M)) for M in sizes.tolist()}
+        assert len(keys) == 2
+
+
 class TestRandomPartition:
     def test_single_cell(self):
         cells = random_partition(8, 1, 3, seed=0)
@@ -742,11 +789,11 @@ class TestParallelSearch:
 
     def test_the_targets_are_read_once_per_search(self):
         # the targets' addresses are found, and their items read, once per
-        # search: a repetition reads the target set only in the check of
-        # verify_locations, which reads items only once every target is
-        # claimed, and no find looks its item up.  Rebuilding the set of the
-        # k' missing items or reading their items in each repetition costs
-        # O(k') per repetition
+        # search: the target set is read once more, in the check of
+        # verify_locations once every target is claimed, since a claim of
+        # fewer than k items fails on its size alone, and no find looks its
+        # item up.  Rebuilding the set of the k' missing items or reading
+        # their items in each repetition costs O(k') per repetition
         class CountingItems(tuple):
             reads = 0
 
@@ -773,7 +820,7 @@ class TestParallelSearch:
         assert counting.reads["locate"] == 1
         assert counting.reads["items_at"] == 2
         assert counting.reads["lookup"] == 0
-        assert CountingItems.reads == 1 + reps
+        assert CountingItems.reads == 2
 
     def test_invalid_copy_count(self):
         db, targets = build_database(3, 1, seed=0)
@@ -1203,9 +1250,10 @@ class TestLedgerRule:
         # 60, mostly miss, interleaved in one batch with rows with j = 0 of
         # M = 37: `random` returns one variate for each attempt of a row
         # with j >= 1, its known-count attempt and every stage of the
-        # blocks it draws, and none for a row with j = 0.  From stage 12 on
-        # the cutoffs of M = 2^20 pass sqrt(37), so the last column of a
-        # block of stages tells its rows apart
+        # blocks it draws, and one for a row with j = 0, the draw of its
+        # rest's stages from their table, which draws no `integers`.  From
+        # stage 12 on the cutoffs of M = 2^20 pass sqrt(37), so the last
+        # column of a block of stages tells its rows apart
         class CountingGenerator:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
@@ -1228,8 +1276,58 @@ class TestLedgerRule:
         rng = CountingGenerator(89)
         hits, _ = algorithms._draw_steps(sizes, marked, np.tile([60, 3], half), rng)
         assert not hits[marked == 0].any()
-        assert rng.live and rng.empty       # both kinds of row drew stages
-        assert rng.variates == half + rng.live
+        assert rng.live and not rng.empty   # only the rows with j = 2 drew stages
+        assert rng.variates == half + half + rng.live
+
+    def test_only_rows_with_a_marked_address_draw_stages(self):
+        # 4096 cells of 4096 addresses and k = 2, cap 2: every copy has a
+        # rest, and at most two rows hold a marked address.  Each block of
+        # stages draws `integers` for those rows alone, and `random` one
+        # variate per row (its known-count hit or its rest's law) plus one
+        # per stage
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.variates, self.stages, self.widest = rng, 0, 0, 0
+
+            def random(self, *args, **kwargs):
+                out = self.rng.random(*args, **kwargs)
+                self.variates += out.size
+                return out
+
+            def integers(self, low, high):
+                self.stages += high.size
+                self.widest = max(self.widest, high.shape[0])
+                return self.rng.integers(low, high)
+
+        draw = algorithms._draw_steps
+        sizes = cell_sizes(1 << 24, 4096)
+        drew_stages = 0
+        for s in range(8):
+            calls = []
+
+            def counting(sizes, marked, assumed, rng):
+                calls.append((marked, CountingGenerator(rng)))
+                return draw(sizes, marked, assumed, calls[-1][1])
+
+            cells = random_partition(1 << 24, 4096, 2, [90, s])
+            with mock.patch.object(algorithms, "_draw_steps", counting):
+                multi_item_search(sizes, [5, 77], cells, 2, 2, [91, s])
+            (marked, rng), = calls
+            assert (marked > 0).sum() <= 2 and marked.size >= 4096
+            assert rng.widest <= (marked > 0).sum()
+            assert rng.variates == marked.size + rng.stages
+            drew_stages += rng.stages > 0
+        assert drew_stages
+
+    def test_a_rest_above_the_table_limit_builds_no_table(self):
+        # cells of 2^36 addresses have a budget past REST_TABLE_BUDGET, so
+        # their rests are drawn stage by stage
+        assert bbht_budget(1 << 36) > algorithms.REST_TABLE_BUDGET
+        with mock.patch.object(algorithms, "_rest_law",
+                               side_effect=AssertionError("a table was built")):
+            out = multi_item_search([1 << 36] * 4, [3, (1 << 36) + 9], [0, 1], 2, 2,
+                                    seed=92)
+        assert (out.ledger.oracle_counts[2:] > 0).all()
 
     @settings(derandomize=True, deadline=None)
     @given(instances(), st.integers(1, 8), st.integers(0, 3))

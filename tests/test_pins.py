@@ -17,15 +17,15 @@ PINS = [
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
      "4bc5d06a831654edb1900ac6d30840b1b7ecdc192afb79ce94f7bffcd0c4f509"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "635321ef9adb534e6770f2c1bb0553d0f881c6b5e5280f2b10e440989a8bd6ca"),
+     "e53c87df495e668dbcce0d59b97e14045f95ef0474762b4f855be8e70859e865"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "785c623f24a2151fd9e9205681c761e2dc35c6dc8286f0479163ff955a93db6e"),
+     "fff634d505b20f7a5cbe7d88da838bad637ebe580da6f9bf2dc61709c06f7250"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "ca8cceb2671b99dfa18faf5e00000b9990757e04b2aafafc82bc908e113e8a7f"),
+     "f1ab39c3abe4017f4f78748b7cdcf04393b9a776615aca4b59b55cf33d152ac8"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "1c21a8519b95e5b6666d9b3b006e6c987609377a3ec1bad70296ef03857854d4"),
+     "37c9734f56e7fe320e3af6312ff5c2e4e65e824074ce3d1e71c9b10ddb68a7d3"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "97d8fa6129f97b87a54d1af83603a8437a15a813ec22a75a6db1dc69c3ca870e"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
@@ -38,9 +38,9 @@ PINS = [
     # found across repetitions
     (["search", "--n", "16", "--d", "16", "--k", "512", "--t", "8", "--trials", "3",
       "--seed", "21"],
-     "a89d18a23627806ae460ab211d52defe515eb2cb1382c5d79dd65372c4748241"),
+     "16b3afa78b5dd9fc878e7528773a8dfce2df0f5b191f2773e7877d107acfb849"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "26b991e8992c55320deb070e33c71c3e580a4a9e9545bfe9429e1cf4b4d2388a"),
+     "a06c34f2ecf02873f3b9841540ddc68c515fd1ecc65fc139bc3f32172f891d03"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "2f551c5fb1e5142af50eb08ed49b5e03446e6992617bd37a3866c73b2bc42044"),
     # a union bound that is neither clamped nor exact in binary, so the
