@@ -26,7 +26,6 @@ print(f"\nsuccess: {outcome.success} after {outcome.repetitions} repetition(s)")
 print(f"located: {outcome.located}")
 print(f"per-copy oracle queries: {outcome.ledger.oracle_counts.tolist()}")
 print(f"parallel rounds: {outcome.parallel_rounds}")
-print(f"verification rounds: {outcome.ledger.verification_rounds}")
 
 print(f"\nlower bound  sqrt(Nk/(d*min(d,k))) = {closed_form_bound(N, d, k):.1f}")
 print(f"regime cost expression              = {theorem_envelope(N, d, k):.1f}")

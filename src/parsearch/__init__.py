@@ -26,7 +26,6 @@ from .algorithms import (
     random_partition,
     theorem_envelope,
     union_bound,
-    verify_locations,
 )
 from .adversary import (
     AdversaryGraph,

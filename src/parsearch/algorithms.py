@@ -89,7 +89,6 @@ class RegimeParams:
 class SearchOutcome:
     """Result of a :func:`parallel_search` run."""
 
-    targets: TargetSet
     located: dict            # item -> address
     success: bool
     ledger: QueryLedger
@@ -598,24 +597,6 @@ def maxload_exceedance(N: int, d: int, k: int, t: int) -> float:
     return min(1.0, float(diff[k] / g[k]))
 
 
-def verify_locations(db, outcome: SearchOutcome) -> bool:
-    """Classically check a claimed item -> address map against the database.
-
-    True iff all k target items are claimed and every claimed pair satisfies
-    f(address) = item, read with one ``db.items_at`` call.  Costs ceil(k/d)
-    verification rounds (k lookups spread over the d copies), tallied on the
-    outcome's ledger.
-    """
-    k = outcome.targets.k
-    d = outcome.ledger.copies
-    outcome.ledger.record_verification(math.ceil(k / d))
-    claimed = outcome.located
-    # a claim of another size cannot be the k targets: no set of k is built
-    if len(claimed) != k or set(claimed) != set(outcome.targets.items):
-        return False
-    return bool(np.array_equal(db.items_at(list(claimed.values())), list(claimed)))
-
-
 def parallel_search(
     db,
     d: int,
@@ -627,25 +608,30 @@ def parallel_search(
 
     The targets are this function's concern alone.  ``db.locate`` finds the
     addresses holding target items and one ``db.items_at`` call reads their
-    items, once per search; a target item stored at two addresses is
-    refused with ValueError there, before any draw.  *db* is read only
-    through ``size``, ``locate`` and ``items_at``, here and in
-    :func:`verify_locations`, so a :class:`~parsearch.core.PlantedDatabase`
-    of any N costs what its k targets cost.  Each repetition then draws a
-    fresh random equipartition of the address space, of which it places
-    only the addresses not yet found (:func:`random_partition`, given their
-    number), dedicates one copy to each cell, and runs the iterated
-    multi-item search with the per-cell cap *t* (by default the regime cap
-    of :func:`choose_regime`) on all d copies in one
-    :func:`multi_item_search` call, given those addresses, their cells and
-    the number of items still sought, absent ones included.  Copies run in
-    lockstep, one parallel round per oracle query; that call charges each
-    copy up to the halt by the rule of :class:`~parsearch.core.QueryLedger`,
-    and this one records its charges, one ledger repetition per repetition.
-    A repetition that leaves items unlocated costs the longest copy program
-    and triggers another repetition (fresh partition, already-found
-    addresses excluded) up to ``MAX_REPETITIONS``.  ``find_times`` count
-    parallel rounds from the start of the search, across repetitions.
+    items, once per search, however many repetitions run; a target item
+    stored at two addresses is refused with ValueError there, before any
+    draw.  *db* is read only through ``size``, ``locate`` and ``items_at``,
+    so a :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
+    targets cost.  Each repetition then draws a fresh random equipartition
+    of the address space, of which it places only the addresses not yet
+    found (:func:`random_partition`, given their number), dedicates one copy
+    to each cell, and runs the iterated multi-item search with the per-cell
+    cap *t* (by default the regime cap of :func:`choose_regime`) on all d
+    copies in one :func:`multi_item_search` call, given those addresses,
+    their cells and the number of items still sought, absent ones included.
+    Copies run in lockstep, one parallel round per oracle query; that call
+    charges each copy up to the halt by the rule of
+    :class:`~parsearch.core.QueryLedger`, and this one records its charges,
+    one ledger repetition per repetition.  A find is confirmed by its copy's
+    own classical check of the measured address, charged inside the
+    attempt's r + 1 queries, and is not checked again.  The items read at
+    the found addresses are distinct targets, so every target is located
+    exactly when all k are stored and all are found, and success is read off
+    the find array.  A repetition that leaves items unlocated costs the
+    longest copy program and triggers another repetition (fresh partition,
+    already-found addresses excluded) up to ``MAX_REPETITIONS``.
+    ``find_times`` count parallel rounds from the start of the search,
+    across repetitions.
 
     The seed may be an int, a sequence of ints or a SeedSequence.  Each
     repetition derives two streams from it with
@@ -658,8 +644,7 @@ def parallel_search(
     if t is None:
         t = choose_regime(N, d, targets.k).t
 
-    outcome = SearchOutcome(targets=targets, located={}, success=False,
-                            ledger=QueryLedger(d))
+    outcome = SearchOutcome(located={}, success=False, ledger=QueryLedger(d))
     ledger = outcome.ledger
     sizes = cell_sizes(N, d)
     where = db.locate(targets.items)
@@ -683,7 +668,7 @@ def parallel_search(
         outcome.located.update(zip(items[new].tolist(), where[new].tolist()))
         outcome.find_times.update(zip(items[new].tolist(), found[new].tolist()))
 
-        outcome.success = verify_locations(db, outcome)
+        outcome.success = bool(where.size == targets.k and (found >= 0).all())
         if outcome.success:
             break
     return outcome

@@ -262,9 +262,9 @@ class QueryLedger:
     and :attr:`parallel_rounds` sums them over the repetitions.
     :func:`~parsearch.algorithms.parallel_search` records each repetition
     that :func:`~parsearch.algorithms.multi_item_search` charged on the
-    ledger of the whole search.  Checking the k claimed locations at the
-    end of a repetition costs ceil(k/d) parallel queries, kept apart as
-    verification rounds.
+    ledger of the whole search.  That is the whole rule: a find is
+    confirmed by its copy's own check, already charged inside its attempt,
+    so a search is never charged a second check of what it located.
     """
 
     def __init__(self, copies: int = 1):
@@ -272,7 +272,6 @@ class QueryLedger:
             raise ValueError("need at least one copy")
         self.copies = copies
         self.oracle_counts = np.zeros(copies, dtype=np.int64)
-        self.verification_rounds = 0
         self._rep_rounds: list[int] = []
 
     def record_repetition(self, charges) -> int:
@@ -287,11 +286,6 @@ class QueryLedger:
         self.oracle_counts += charges
         self._rep_rounds.append(int(charges.max()))
         return self._rep_rounds[-1]
-
-    def record_verification(self, rounds: int) -> None:
-        if rounds < 0:
-            raise ValueError("counts only increase")
-        self.verification_rounds += rounds
 
     @property
     def rounds_per_repetition(self) -> tuple:

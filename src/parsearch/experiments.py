@@ -28,7 +28,7 @@ from .core import (
     derive_stream,
 )
 
-SPEC_VERSION = "4.0"
+SPEC_VERSION = "5.0"
 
 #: largest n a search runs at: its addresses are int64, and numpy's
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
@@ -173,7 +173,6 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
             "total_queries": int(outcome.ledger.oracle_counts.sum()),
             "rounds_per_repetition": [int(r) for r in
                                       outcome.ledger.rounds_per_repetition],
-            "verification_rounds": int(outcome.ledger.verification_rounds),
             "repetitions": int(outcome.repetitions),
         })
 

@@ -40,7 +40,6 @@ SEARCH_SCHEMA = _object({
         "parallel_rounds": COUNT,
         "total_queries": COUNT,
         "rounds_per_repetition": _array(COUNT),
-        "verification_rounds": COUNT,
         "repetitions": {"type": "integer", "minimum": 1},
     })),
     "aggregates": _object({

@@ -29,7 +29,6 @@ from parsearch.algorithms import (
     random_partition,
     theorem_envelope,
     union_bound,
-    verify_locations,
 )
 from parsearch.core import (
     MAX_EXPLICIT_BITS,
@@ -144,8 +143,6 @@ class TestBuildDatabase:
                                           table.ledger.oracle_counts)
             assert (stored.ledger.rounds_per_repetition
                     == table.ledger.rounds_per_repetition)
-            assert (stored.ledger.verification_rounds
-                    == table.ledger.verification_rounds)
 
 
 class TestGroverSearchKnown:
@@ -699,36 +696,6 @@ class TestMaxloadExceedance:
             maxload_exceedance(N, d, k, t)
 
 
-class TestVerifyLocations:
-    def _outcome(self, db, targets, located, d=1):
-        from parsearch.algorithms import SearchOutcome
-
-        return SearchOutcome(
-            targets=targets, located=located, success=False,
-            ledger=QueryLedger(d),
-        )
-
-    def test_empty_claim_fails(self):
-        db, targets = build_database(4, 2, seed=0)
-        out = self._outcome(db, targets, {})
-        assert verify_locations(db, out) is False
-
-    def test_correct_map_passes_and_counts_rounds(self):
-        db, targets = build_database(4, 3, seed=1)
-        located = {db.lookup(a): a for a in db.locate(targets.items).tolist()}
-        out = self._outcome(db, targets, located, d=2)
-        assert verify_locations(db, out) is True
-        assert out.ledger.verification_rounds == math.ceil(3 / 2)
-
-    def test_one_wrong_address_fails(self):
-        db, targets = build_database(4, 2, seed=2)
-        located = {db.lookup(a): a for a in db.locate(targets.items).tolist()}
-        first = next(iter(located))
-        located[first] = (located[first] + 1) % db.size
-        out = self._outcome(db, targets, located)
-        assert verify_locations(db, out) is False
-
-
 class TestParallelSearch:
     def test_d_one_reduction(self):
         # same seed stream => identical oracle-query decisions as the
@@ -789,11 +756,12 @@ class TestParallelSearch:
 
     def test_the_targets_are_read_once_per_search(self):
         # the targets' addresses are found, and their items read, once per
-        # search: the target set is read once more, in the check of
-        # verify_locations once every target is claimed, since a claim of
-        # fewer than k items fails on its size alone, and no find looks its
+        # search, however many repetitions run: a find is its copy's checked
+        # address, so success is read off the find array, with no second
+        # read of the database or of the target set, and no find looks its
         # item up.  Rebuilding the set of the k' missing items or reading
-        # their items in each repetition costs O(k') per repetition
+        # their items in each repetition costs O(k') per repetition.  With
+        # a target stored nowhere, every repetition runs and fails
         class CountingItems(tuple):
             reads = 0
 
@@ -812,15 +780,37 @@ class TestParallelSearch:
                 return getattr(self.db, name)
 
         db, targets = build_database(12, 64, seed=17)
-        object.__setattr__(targets, "items", CountingItems(targets.items))
-        counting = CountingDatabase(db)
-        out = parallel_search(counting, 64, targets, seed=18, t=1)
-        reps = out.repetitions
-        assert reps >= 3 and out.success
-        assert counting.reads["locate"] == 1
-        assert counting.reads["items_at"] == 2
-        assert counting.reads["lookup"] == 0
-        assert CountingItems.reads == 2
+        ghost = TargetSet(targets.items + (db.size + 1,))
+        for wanted, found in ((targets, True), (ghost, False)):
+            CountingItems.reads = 0
+            object.__setattr__(wanted, "items", CountingItems(wanted.items))
+            counting = CountingDatabase(db)
+            out = parallel_search(counting, 64, wanted, seed=18, t=1)
+            assert out.success is found
+            if found:
+                assert out.repetitions >= 3
+            else:
+                assert out.repetitions == MAX_REPETITIONS
+            assert counting.reads["locate"] == 1
+            assert counting.reads["items_at"] == 1
+            assert counting.reads["lookup"] == 0
+            assert CountingItems.reads == 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(instances(), st.integers(1, 8), st.integers(0, 3), st.integers(0, 2))
+    def test_success_is_every_target_located(self, instance, d, t, ghosts):
+        # located comes only from database reads, so every located address
+        # holds its item, and the search succeeds exactly when each target,
+        # ghosts (items stored nowhere) included, is located
+        n, k, seed = instance
+        db, targets = build_database(n, k, seed=seed)
+        d = min(d, db.size)
+        targets = TargetSet(targets.items + tuple(range(db.size + 1,
+                                                        db.size + 1 + ghosts)))
+        out = parallel_search(db, d, targets, seed, t)
+        assert out.success == (set(out.located) == set(targets.items))
+        for item, addr in out.located.items():
+            assert db.lookup(addr) == item
 
     def test_invalid_copy_count(self):
         db, targets = build_database(3, 1, seed=0)
@@ -933,8 +923,7 @@ def per_copy_parallel_search(db, d, targets, seed):
     on the stream ``(STREAM_COPY, rep, c)``, under the same lockstep rule."""
     N = db.size
     t = choose_regime(N, d, targets.k).t
-    outcome = SearchOutcome(targets=targets, located={}, success=False,
-                            ledger=QueryLedger(d))
+    outcome = SearchOutcome(located={}, success=False, ledger=QueryLedger(d))
     for rep in range(MAX_REPETITIONS):
         missing = [y for y in targets.items if y not in outcome.located]
         perm = np.random.default_rng(
@@ -950,7 +939,7 @@ def per_copy_parallel_search(db, d, targets, seed):
             [min(queries, stop) for _, _, queries in copies])
         for located, _, _ in copies:
             outcome.located.update(located)
-        outcome.success = verify_locations(db, outcome)
+        outcome.success = set(outcome.located) == set(targets.items)
         if outcome.success:
             break
     return outcome
@@ -1349,7 +1338,6 @@ class TestLedgerRule:
         reps = ledger.rounds_per_repetition
         assert len(reps) == out.repetitions == len(runs)
         assert out.parallel_rounds == sum(reps)
-        assert ledger.verification_rounds == out.repetitions * math.ceil(k / d)
 
         closed = 0
         for i, (rounds, (addresses, missing, run)) in enumerate(zip(reps, runs)):

@@ -15,43 +15,43 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "4bc5d06a831654edb1900ac6d30840b1b7ecdc192afb79ce94f7bffcd0c4f509"),
+     "d6990e4d5d4b48b996ad6150ff2d9af372e1f6ed3012431287592e12255ae048"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "e53c87df495e668dbcce0d59b97e14045f95ef0474762b4f855be8e70859e865"),
+     "b9887827b082fa486016428294bc25402b6ecf6ac951fb3a72e1612e114e0aa5"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "fff634d505b20f7a5cbe7d88da838bad637ebe580da6f9bf2dc61709c06f7250"),
+     "5e67c5ae995d3c5781da51e4de1c24784194a6adf45fdc339506ebc59965b95c"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "f1ab39c3abe4017f4f78748b7cdcf04393b9a776615aca4b59b55cf33d152ac8"),
+     "80f1b1b6aef6f39f3eeca16007e449fdfd9c4cbbc1f2077c99d31a0de7e10b95"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "37c9734f56e7fe320e3af6312ff5c2e4e65e824074ce3d1e71c9b10ddb68a7d3"),
+     "89a12214064a4dfc84ed8e2d66350206067f1f5534646e9ae788342c2e77155f"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
-     "97d8fa6129f97b87a54d1af83603a8437a15a813ec22a75a6db1dc69c3ca870e"),
+     "f8c9dcaa6a7d908af61a7677151d4df51ff6eb56580248f031d2ac879b7b033c"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "f89ee5288db9cd7f007ea9725e3add524ecb993e53938ac37ab69bf29b61b8c2"),
+     "05e7777b1116c7b68e10d627476420054a75bddf628b486c21d7b77d5c8f6da3"),
     # k = 512 over 16 cells of cap 8: 6, 6 and 5 repetitions with hundreds
     # of targets still missing, so the pin sees the bookkeeping of what is
     # found across repetitions
     (["search", "--n", "16", "--d", "16", "--k", "512", "--t", "8", "--trials", "3",
       "--seed", "21"],
-     "16b3afa78b5dd9fc878e7528773a8dfce2df0f5b191f2773e7877d107acfb849"),
+     "65476a708aed2533896bc32e101008f48a27fbbeae625c2e3a001e065617f59d"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "a06c34f2ecf02873f3b9841540ddc68c515fd1ecc65fc139bc3f32172f891d03"),
+     "0c165d7e9a2ee67f4eb648976e96a7b50387fbd7b6faffccc049dd3be555aa43"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
-     "2f551c5fb1e5142af50eb08ed49b5e03446e6992617bd37a3866c73b2bc42044"),
+     "69c3fb5b4a5f06f13ab07dbe069b200c1995b645089cda691542e17c3d12ba33"),
     # a union bound that is neither clamped nor exact in binary, so the
     # pin sees the order of its float operations
     (["maxload", "--d", "12", "--k", "16", "--t", "4"],
-     "20a4cf5aaa1f932a0d8448fb1c6c6842a13148203b1dc86a1bd58c233f150b6a"),
+     "de1c2f9cbd1219ca730d0f28a185d9271455793b4ad1f31f9c6f67662de0f8b0"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
-     "7cbe0031cac08c8a6a0c58b18355175960f90fbddf25170d0bcbe757a05e5770"),
+     "68649285031a4691daf85111d431de3c3d907e4c2000d280078b2b30c859bc84"),
     # the benchmark's instance: k = 4 reaches lexicographic ranks of width 3
     (["adversary", "--n", "4", "--m", "3", "--d", "5", "--k", "4"],
-     "e6847711282d064aeb7932bdf8d8b680ffcb650ede95f461d80ffd8d1c5fd0fa"),
+     "2d5b47e4b2e3ff2818131555bc2543e4130f17228d02629bad7a501e04ab28db"),
 ]
 
 
