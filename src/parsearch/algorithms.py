@@ -335,26 +335,28 @@ def _draw_rows(rng, sizes, marked, assumed):
 
 class Repetition(NamedTuple):
     """One repetition of the copies' search, from :func:`multi_item_search`:
-    ``found_at[i]`` is the queries that ``addresses[i]``'s copy had made when
-    its check confirmed that address, or -1 where it was not found, and
-    ``ledger`` is the d-copy ledger of the repetition's charges."""
+    ``found_at[i]`` is the queries that copy ``cells[i]`` had made when its
+    check confirmed the i-th marked address, the one in that cell, or -1
+    where it was not found, and ``ledger`` is the d-copy ledger of the
+    repetition's charges."""
 
     found_at: np.ndarray
     ledger: QueryLedger
 
 
-def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetition:
+def multi_item_search(sizes, cells, k: int, t: int, seed) -> Repetition:
     """Iterated search for up to *t* marked addresses in each of d cells, one
     copy per cell, while *k* target items are still sought.
 
-    Cell c holds ``sizes[c]`` addresses.  ``addresses`` are the marked
-    addresses, those that hold a sought item, ``addresses[i]`` lying in cell
-    ``cells[i]``.  No database is read: a copy's search needs only its
-    cell's size and which of its addresses are marked.  *k* counts every
-    sought item, also those stored nowhere, so it is at least the number of
-    addresses.  A repeated address, a *k* below that number or below 1, and
-    a cell with more marked addresses than addresses are refused with
-    ValueError.  Every copy runs the same program on its cell: step i
+    Cell c holds ``sizes[c]`` addresses, and the i-th marked address, one
+    that holds a sought item, lies in cell ``cells[i]``.  Which addresses
+    they are is no input, and no database is read: a copy's search needs
+    only its cell's size and how many of its addresses are marked.  *k*
+    counts every sought item, also those stored nowhere, so it is at least
+    the number of marked addresses.  A *cells* that is not 1-d or names a
+    cell outside [0, d), a *k* below its length or below 1, and a cell with
+    more marked addresses than addresses are refused with ValueError.
+    Every copy runs the same program on its cell: step i
     (i = 1..t) searches with assumed marked count t-i+1; a found address
     leaves the search space.  A failed step falls back to the unknown-count
     search, since fewer than the assumed number may be present; when the
@@ -362,9 +364,10 @@ def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetiti
 
     All of the copies' randomness comes from the one stream *seed*.  A
     hit picks a uniform marked address, so a cell's finds come in a
-    uniform order of its marked addresses: one key per address, drawn in
-    (cell, address) order, fixes it, so the order in which the (address,
-    cell) pairs come is no input.  Then one :func:`_draw_steps` call
+    uniform order of its marked addresses: one key per marked address,
+    drawn in (cell, position in *cells*) order, fixes it, so the order of
+    *cells* changes only which of a cell's marked addresses takes which of
+    its finds.  Then one :func:`_draw_steps` call
     draws every step a copy could make: for cell c, in ascending cell
     order, a row for each step i = 1..min(loads[c], t), over the
     sizes[c] - i + 1 addresses left, loads[c] - i + 1 of them marked.
@@ -390,27 +393,24 @@ def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetiti
     that halt, by the rule of :class:`~parsearch.core.QueryLedger`: every
     charge is cut at the halt.  A repetition that leaves an item unfound,
     also one stored nowhere, charges whole programs.  Returns a
-    :class:`Repetition`: each address's queries at its find, and that
-    ledger.
+    :class:`Repetition`: each marked address's queries at its find, and
+    that ledger.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    addresses = np.asarray(addresses, dtype=np.int64)
     cells = np.asarray(cells, dtype=np.int64)
-    if addresses.ndim != 1 or cells.shape != addresses.shape:
-        raise ValueError("need one cell per address")
+    if cells.ndim != 1:
+        raise ValueError("cells must be 1-d")
     if cells.size and not 0 <= cells.min() <= cells.max() < sizes.size:
         raise ValueError(f"cells must lie in [0, {sizes.size})")
-    if np.unique(addresses).size < addresses.size:
-        raise ValueError("an address is listed twice")
-    if k < max(1, addresses.size):
-        raise ValueError(f"need k >= max(1, {addresses.size} addresses), got k={k}")
+    if k < max(1, cells.size):
+        raise ValueError(f"need k >= max(1, {cells.size} marked addresses), got k={k}")
     loads = np.bincount(cells, minlength=sizes.size)
     if (loads > sizes).any():
         raise ValueError("a cell holds more marked addresses than addresses")
     rng = as_generator(seed)
-    order = np.lexsort((addresses, cells))
+    order = np.argsort(cells, kind="stable")
     order = order[np.lexsort((rng.random(order.size), cells[order]))]
-    first = np.cumsum(loads) - loads    # each cell's first address in that order
+    first = np.cumsum(loads) - loads    # each cell's first marked address there
     # one row per step i < min(load, t) a copy could make, then its rest if
     # it has one, in (cell, step) order: row i follows i finds, one per row
     rows = np.minimum(loads, t) + ((loads < min(t, k)) & (loads < sizes))
@@ -431,8 +431,8 @@ def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetiti
     total = np.concatenate(([0], np.cumsum(np.where(made, queries, 0))))
     spent = total[start + rows] - total[start]
     find = np.flatnonzero(made & hits)
-    found_at = np.full(addresses.size, -1, dtype=np.int64)  # queries at each find
-    at = order[first[row_cell[find]] + step[find]]  # each find's address index
+    found_at = np.full(cells.size, -1, dtype=np.int64)  # queries at each find
+    at = order[first[row_cell[find]] + step[find]]  # each find's marked address
     found_at[at] = total[find + 1] - total[head[find]]
     # lockstep halt: the round where the last missing item was confirmed
     stop = found_at.max() if find.size == k else None
@@ -442,29 +442,34 @@ def multi_item_search(sizes, addresses, cells, k: int, t: int, seed) -> Repetiti
 
 
 def cell_sizes(N: int, d: int) -> np.ndarray:
-    """Sizes of the d cells of an equipartition of [N], the larger first."""
+    """Sizes of the d cells of an equipartition of [N], the larger first:
+    the one layout of [N] that a partition cuts.  Refuses d outside [1, N]
+    with ValueError."""
+    if not 1 <= d <= N:
+        raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
     base, extra = divmod(N, d)
     return np.repeat(np.array([base + 1, base], dtype=np.int64), [extra, d - extra])
 
 
-def random_partition(N: int, d: int, count: int, seed) -> np.ndarray:
+def random_partition(sizes, count: int, seed) -> np.ndarray:
     """The cells of *count* distinct addresses in a uniformly random
-    equipartition of [N] into d cells.
+    partition of [N] into cells of the given *sizes*, N their sum.
 
-    The partition is a uniform permutation of [N] cut into d contiguous
-    blocks of :func:`cell_sizes`, the larger first.  Only the addresses'
-    positions in that permutation matter, and those are a uniform ordered
-    sample of *count* distinct positions, one ``rng.choice`` without
-    replacement, whatever the addresses are; no N-entry permutation is
-    made.  Returns the cell of the i-th address at index i.
+    The partition is a uniform permutation of [N] cut into contiguous
+    blocks of *sizes*, in their order (those of :func:`cell_sizes`, the
+    larger first, in a search).  Only the addresses' positions in that
+    permutation matter, and those are a uniform ordered sample of *count*
+    distinct positions, one ``rng.choice`` without replacement, whatever
+    the addresses are; no N-entry permutation is made.  A position's cell
+    is the block it falls in, one ``searchsorted`` on the blocks' ends.
+    Returns the cell of the i-th address at index i.  Refuses empty
+    *sizes* with ValueError.
     """
-    if d < 1 or d > N:
-        raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
-    positions = as_generator(seed).choice(N, size=count, replace=False)
-    base, extra = divmod(N, d)
-    big = extra * (base + 1)    # positions in the larger blocks
-    return np.where(positions < big, positions // (base + 1),
-                    extra + (positions - big) // base)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    if not ends.size:
+        raise ValueError("need at least one cell")
+    positions = as_generator(seed).choice(int(ends[-1]), size=count, replace=False)
+    return np.searchsorted(ends, positions, side="right")
 
 
 def choose_regime(N: int, d: int, k: int) -> RegimeParams:
@@ -606,19 +611,23 @@ def parallel_search(
 ) -> SearchOutcome:
     """Locate all target items using d database copies searched in lockstep.
 
-    The targets are this function's concern alone.  ``db.locate`` finds the
-    addresses holding target items and one ``db.items_at`` call reads their
-    items, once per search, however many repetitions run; a target item
-    stored at two addresses is refused with ValueError there, before any
-    draw.  *db* is read only through ``size``, ``locate`` and ``items_at``,
-    so a :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
-    targets cost.  Each repetition then draws a fresh random equipartition
-    of the address space, of which it places only the addresses not yet
-    found (:func:`random_partition`, given their number), dedicates one copy
-    to each cell, and runs the iterated multi-item search with the per-cell
+    A d outside [1, N] is refused with ValueError by :func:`cell_sizes`,
+    whose sizes both the partition and the search take.  The targets are
+    this function's concern alone.  ``db.locate`` finds the addresses
+    holding target items and one ``db.items_at`` call reads their items,
+    once per search, however many repetitions run; a target item stored at
+    two addresses is refused with ValueError there, before any draw.  *db*
+    is read only through ``size``, ``locate`` and ``items_at``, so a
+    :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
+    targets cost, and the addresses serve only to build ``located``.  Each
+    repetition then draws a fresh random equipartition of the address
+    space, of which it places only the addresses not yet found
+    (:func:`random_partition`, given their number), dedicates one copy to
+    each cell, and runs the iterated multi-item search with the per-cell
     cap *t* (by default the regime cap of :func:`choose_regime`) on all d
-    copies in one :func:`multi_item_search` call, given those addresses,
-    their cells and the number of items still sought, absent ones included.
+    copies in one :func:`multi_item_search` call, given the cell sizes,
+    the cells of the addresses not yet found and the number of items still
+    sought, absent ones included.
     Copies run in lockstep, one parallel round per oracle query; that call
     charges each copy up to the halt by the rule of
     :class:`~parsearch.core.QueryLedger`, and this one records its charges,
@@ -639,14 +648,12 @@ def parallel_search(
     its partition and ``(STREAM_COPY, rep)`` for all its copies' searches.
     """
     N = db.size
-    if not 1 <= d <= N:
-        raise ValueError(f"need 1 <= d <= N, got d={d}, N={N}")
+    sizes = cell_sizes(N, d)
     if t is None:
         t = choose_regime(N, d, targets.k).t
 
     outcome = SearchOutcome(located={}, success=False, ledger=QueryLedger(d))
     ledger = outcome.ledger
-    sizes = cell_sizes(N, d)
     where = db.locate(targets.items)
     items = db.items_at(where)
     if np.unique(items).size < items.size:
@@ -656,11 +663,10 @@ def parallel_search(
     for rep in range(MAX_REPETITIONS):
         missing = np.flatnonzero(found < 0)
         cells = random_partition(
-            N, d, missing.size, seed=derive_stream(seed, STREAM_PARTITION, rep)
+            sizes, missing.size, seed=derive_stream(seed, STREAM_PARTITION, rep)
         )
-        run = multi_item_search(sizes, where[missing], cells,
-                                targets.k - (where.size - missing.size), t,
-                                seed=derive_stream(seed, STREAM_COPY, rep))
+        run = multi_item_search(sizes, cells, targets.k - (where.size - missing.size),
+                                t, seed=derive_stream(seed, STREAM_COPY, rep))
         hit = run.found_at >= 0
         new = missing[hit]
         found[new] = ledger.parallel_rounds + run.found_at[hit]

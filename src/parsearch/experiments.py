@@ -128,8 +128,8 @@ class ExperimentConfig:
         if not 1 <= self.k <= N:
             raise ValueError(f"need 1 <= k <= N={N}, got k={self.k}")
         t = self.t_override
-        if t is not None and t < 0:
-            raise ValueError(f"need t >= 0, got t={t}")
+        if t is not None and t < 1:
+            raise ValueError(f"need t >= 1, got t={t}")
         for name, value, limit in (
                 ("d", self.d, MAX_COPIES), ("k", self.k, MAX_TARGETS),
                 ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS)):

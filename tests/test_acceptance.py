@@ -86,7 +86,7 @@ def test_criterion_3_single_database_scaling():
         for s in range(trials):
             db, targets = build_database(n, k, seed=[301, n, s])
             marked = db.locate(targets.items)
-            out = multi_item_search([N], marked, np.zeros_like(marked), targets.k, t,
+            out = multi_item_search([N], np.zeros_like(marked), targets.k, t,
                                     seed=[302, n, s])
             totals.append(out.ledger.oracle_counts[0])
             successes += (out.found_at >= 0).all()

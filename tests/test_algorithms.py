@@ -57,14 +57,16 @@ def instances(draw):
 
 def search_one_cell(db, subdomain, targets, t, seed):
     """``multi_item_search`` with one copy, whose cell is *subdomain*, for
-    all of *targets*: the cell's marked addresses, and the repetition."""
+    all of *targets*: the cell's marked addresses, and the repetition, whose
+    ``found_at[i]`` is the find of the i-th of them."""
     marked = MarkedPredicate.scan(db, targets.items, subdomain).marked
-    return marked, multi_item_search([len(subdomain)], marked, np.zeros_like(marked),
+    return marked, multi_item_search([len(subdomain)], np.zeros_like(marked),
                                      targets.k, t, seed)
 
 
 def located(db, addresses, run):
-    """The item -> address map of the addresses that *run* found."""
+    """The item -> address map of the addresses that *run* found, its
+    ``found_at[i]`` being the find of ``addresses[i]``."""
     found = np.asarray(addresses)[run.found_at >= 0]
     return dict(zip(db.items_at(found).tolist(), found.tolist()))
 
@@ -246,8 +248,7 @@ class TestMultiItemSearch:
         assert out.found_at.tolist() == [-1, -1]
         assert out.ledger.oracle_counts[0] == 0
         # and so is every copy of several cells, with or without targets
-        out = multi_item_search([4, 4, 4, 4], db.locate(targets.items), [1, 1],
-                                targets.k, 0, seed=0)
+        out = multi_item_search([4, 4, 4, 4], [1, 1], targets.k, 0, seed=0)
         assert out.found_at.tolist() == [-1, -1]
         assert out.ledger.oracle_counts.tolist() == [0, 0, 0, 0]
 
@@ -306,20 +307,24 @@ class TestMultiItemSearch:
             assert not parallel_search(db, 1, targets, seed, 1).success
 
     def test_cell_order_does_not_matter(self):
-        # a copy's search reads only its cell's size and marked addresses,
-        # so the order in which the (address, cell) pairs come is no input,
-        # and each address's find follows it through a shuffle
+        # a copy's search reads only its cell's size and how many marked
+        # addresses it holds, so a shuffle of the cells moves no charge and
+        # no cell's finds: a cell's marked addresses take its finds by their
+        # order in the cells, whichever addresses they are
         for s in range(200):
             db, targets = build_database(6, 4, seed=[17, s])
-            addresses = db.locate(targets.items)
-            cells = np.random.default_rng([18, s]).integers(0, 3, addresses.size)
-            shuffle = np.random.default_rng([18, s]).permutation(addresses.size)
+            count = db.locate(targets.items).size
+            cells = np.random.default_rng([18, s]).integers(0, 3, count)
+            shuffle = np.random.default_rng([18, s]).permutation(count)
             shuffled, ordered = (
-                multi_item_search([22, 21, 21], a, c, targets.k, 4, seed=[19, s])
-                for a, c in ((addresses[shuffle], cells[shuffle]), (addresses, cells)))
-            np.testing.assert_array_equal(shuffled.found_at, ordered.found_at[shuffle])
+                multi_item_search([22, 21, 21], c, targets.k, 4, seed=[19, s])
+                for c in (cells[shuffle], cells))
             np.testing.assert_array_equal(shuffled.ledger.oracle_counts,
                                           ordered.ledger.oracle_counts)
+            for c in range(3):
+                np.testing.assert_array_equal(
+                    np.sort(shuffled.found_at[cells[shuffle] == c]),
+                    np.sort(ordered.found_at[cells == c]))
 
     def test_find_times_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
@@ -328,21 +333,20 @@ class TestMultiItemSearch:
         assert times == sorted(set(times))
         assert all(0 <= t <= out.ledger.oracle_counts[0] for t in times)
 
-    @pytest.mark.parametrize("sizes,addresses,cells", [
-        ([4, 4], [1, 2], [0]),          # one cell per address
-        ([4, 4], [1, 2], [0, 2]),       # no cell 2
-        ([4, 4], [1, 2], [0, -1]),
-        ([1, 4], [1, 2], [0, 0]),       # two marked addresses, one-address cell
-        ([4, 4], [1, 1], [0, 1]),       # address 1 listed twice
-        ([4, 4], [1, 2, 3], [0, 1, 1]),     # three marked addresses, k = 2
+    @pytest.mark.parametrize("sizes,cells", [
+        ([4, 4], [[0], [1]]),       # cells not 1-d
+        ([4, 4], [0, 2]),           # no cell 2
+        ([4, 4], [0, -1]),
+        ([1, 4], [0, 0]),           # two marked addresses, one-address cell
+        ([4, 4], [0, 1, 1]),        # three marked addresses, k = 2
     ])
-    def test_rejects_inconsistent_cells(self, sizes, addresses, cells):
+    def test_rejects_inconsistent_cells(self, sizes, cells):
         with pytest.raises(ValueError):
-            multi_item_search(sizes, addresses, cells, 2, 1, seed=0)
+            multi_item_search(sizes, cells, 2, 1, seed=0)
 
     def test_rejects_a_search_for_no_item(self):
         with pytest.raises(ValueError, match="k >= max"):
-            multi_item_search([4, 4], [], [], 0, 1, seed=0)
+            multi_item_search([4, 4], [], 0, 1, seed=0)
 
 
 def draw_rests(sizes, steps, rng):
@@ -406,7 +410,7 @@ class TestEmptyCellLaw:
         # a copy with no step left draws no rest and is charged nothing
         with mock.patch.object(algorithms, "_draw_steps",
                                side_effect=AssertionError("a rest was drawn")):
-            out = multi_item_search([1, 37, 1024], [], [], 1, 0, seed=0)
+            out = multi_item_search([1, 37, 1024], [], 1, 0, seed=0)
         assert out.ledger.oracle_counts.tolist() == [0, 0, 0]
 
 
@@ -489,11 +493,11 @@ class TestRestLaw:
 
 class TestRandomPartition:
     def test_single_cell(self):
-        cells = random_partition(8, 1, 3, seed=0)
+        cells = random_partition(cell_sizes(8, 1), 3, seed=0)
         assert cells.tolist() == [0, 0, 0]
 
     def test_eight_into_four(self):
-        cells = random_partition(8, 4, 8, seed=1)
+        cells = random_partition(cell_sizes(8, 4), 8, seed=1)
         assert np.bincount(cells, minlength=4).tolist() == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("N,d", [(10, 3), (1024, 16), (100, 7)])
@@ -503,9 +507,9 @@ class TestRandomPartition:
         assert (np.diff(sizes) <= 0).all()
         for s in range(20):
             # every address placed: each cell is full
-            cells = random_partition(N, d, N, seed=s)
+            cells = random_partition(sizes, N, seed=s)
             np.testing.assert_array_equal(np.bincount(cells, minlength=d), sizes)
-            some = random_partition(N, d, len(range(0, N, 3)), seed=s)
+            some = random_partition(sizes, len(range(0, N, 3)), seed=s)
             assert (np.bincount(some, minlength=d) <= sizes).all()
 
     @pytest.mark.parametrize("N,d,k", [(7, 2, 3), (10, 3, 4), (9, 4, 5), (6, 6, 3),
@@ -519,7 +523,7 @@ class TestRandomPartition:
         rng = np.random.default_rng([81, N, d, k])
         seen = Counter()
         for _ in range(draws):
-            loads = np.bincount(random_partition(N, d, k, rng), minlength=d)
+            loads = np.bincount(random_partition(sizes, k, rng), minlength=d)
             assert loads.size == d and all(l <= s for l, s in zip(loads, sizes))
             seen[tuple(loads.tolist())] += 1
         for loads in itertools.product(*(range(s + 1) for s in sizes)):
@@ -532,7 +536,34 @@ class TestRandomPartition:
 
     def test_too_many_cells(self):
         with pytest.raises(ValueError):
-            random_partition(4, 5, 1, seed=0)
+            random_partition(cell_sizes(4, 5), 1, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6, 12, 33, 62])
+    def test_matches_the_closed_form_layout(self, n):
+        # the same draw of positions, each mapped to its block by the
+        # closed form of the equipartition's layout, the larger blocks
+        # first; d = N where the N cells fit in memory
+        N = 1 << n
+        copies = {1, 2, 3, 7, 1000, 65537} | ({N - 1, N} if n <= 12 else set())
+        for d in sorted(d for d in copies if 1 <= d <= N):
+            base, extra = divmod(N, d)
+            big = extra * (base + 1)
+            for count in sorted({0, 1, min(N, 5), min(N, 64)}):
+                seed = [95, n, d, count]
+                p = np.random.default_rng(seed).choice(N, size=count, replace=False)
+                want = np.where(p < big, p // (base + 1), extra + (p - big) // base)
+                got = random_partition(cell_sizes(N, d), count, seed)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [1, 8, 1 << 62])
+    def test_cell_sizes_refuse_d_outside_one_to_n(self, N):
+        for d in (0, N + 1):
+            with pytest.raises(ValueError, match="1 <= d <= N"):
+                cell_sizes(N, d)
+
+    def test_refuses_no_cells(self):
+        with pytest.raises(ValueError):
+            random_partition([], 0, seed=0)
 
 
 class TestChooseRegime:
@@ -1080,9 +1111,8 @@ class TestLedgerRule:
         targets = TargetSet(targets.items + tuple(range(db.size + 1,
                                                         db.size + 1 + ghosts)))
         d = min(d, db.size)
-        addresses = db.locate(targets.items)
-        cells = random_partition(db.size, d, addresses.size, seed)
         sizes = cell_sizes(db.size, d)
+        cells = random_partition(sizes, db.locate(targets.items).size, seed)
         calls = []
         draw = algorithms._draw_steps
 
@@ -1096,7 +1126,7 @@ class TestLedgerRule:
             return hits, queries
 
         with mock.patch.object(algorithms, "_draw_steps", recording):
-            out = multi_item_search(sizes, addresses, cells, targets.k, t, seed)
+            out = multi_item_search(sizes, cells, targets.k, t, seed)
         # one call draws a row for each step i = 1..min(load, t) of every
         # copy, in (cell, step) order, over the M = size - i + 1 addresses
         # left, load - i + 1 of them marked, each assuming min(t - i + 1, M).
@@ -1150,13 +1180,13 @@ class TestLedgerRule:
         db, targets = build_database(n, k, seed=[82, n, d, k])
         if t is None:
             t = choose_regime(db.size, d, k).t
-        addresses = db.locate(targets.items)
+        count = db.locate(targets.items).size
         sizes = cell_sizes(db.size, d)
         draw = algorithms._draw_steps
         for s in range(10):
-            cells = random_partition(db.size, d, addresses.size, [83, s])
+            cells = random_partition(sizes, count, [83, s])
             with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
-                multi_item_search(sizes, addresses, cells, k, t, [84, s])
+                multi_item_search(sizes, cells, k, t, [84, s])
             assert calls.call_count == 1
             loads = np.bincount(cells, minlength=d)
             rests = (loads < min(t, k)) & (loads < sizes)
@@ -1166,8 +1196,6 @@ class TestLedgerRule:
         # cells 0 and 1 hold three targets each and cell 2 none, t = 3: the
         # one call is made to miss at cell 0's step 2 and at cell 2's rest,
         # and to hit at every other row, with row r costing 10 (r + 1) queries
-        db, targets = build_database(7, 6, seed=85)
-        addresses = db.locate(targets.items)
         cells = np.array([0, 0, 0, 1, 1, 1])
         calls = []
 
@@ -1178,8 +1206,7 @@ class TestLedgerRule:
             return hits, 10 * np.arange(1, 8)
 
         with mock.patch.object(algorithms, "_draw_steps", rigged):
-            out = multi_item_search([32, 32, 32], addresses, cells, targets.k, 3,
-                                    seed=86)
+            out = multi_item_search([32, 32, 32], cells, 6, 3, seed=86)
         times = {c: sorted(out.found_at[(cells == c) & (out.found_at >= 0)].tolist())
                  for c in range(3)}
         # cell 0 is charged its rows 1 and 2, and finds only at row 1; its
@@ -1200,8 +1227,6 @@ class TestLedgerRule:
         # its find at step 1, a copy's rest has t - 1 = 2 steps over the 31
         # addresses left, drawn in the one call after that step, and is cut
         # at the lockstep halt
-        db, targets = build_database(6, 2, seed=75)
-        addresses = db.locate(targets.items)
         draw = algorithms._draw_steps
         first = optimal_iterations(31, 2) + 1
         both = 0
@@ -1213,8 +1238,7 @@ class TestLedgerRule:
                 return calls[-1][1]
 
             with mock.patch.object(algorithms, "_draw_steps", recording):
-                out = multi_item_search([32, 32], addresses, [0, 1], targets.k, 3,
-                                        [76, s])
+                out = multi_item_search([32, 32], [0, 1], 2, 3, [76, s])
             assert len(calls) == 1      # step 1 and the rest of each copy
             (sizes, marked, steps, _), (_, queries) = calls[0]
             assert sizes.tolist() == [32, 31, 32, 31]
@@ -1298,9 +1322,9 @@ class TestLedgerRule:
                 calls.append((marked, CountingGenerator(rng)))
                 return draw(sizes, marked, assumed, calls[-1][1])
 
-            cells = random_partition(1 << 24, 4096, 2, [90, s])
+            cells = random_partition(sizes, 2, [90, s])
             with mock.patch.object(algorithms, "_draw_steps", counting):
-                multi_item_search(sizes, [5, 77], cells, 2, 2, [91, s])
+                multi_item_search(sizes, cells, 2, 2, [91, s])
             (marked, rng), = calls
             assert (marked > 0).sum() <= 2 and marked.size >= 4096
             assert rng.widest <= (marked > 0).sum()
@@ -1314,8 +1338,7 @@ class TestLedgerRule:
         assert bbht_budget(1 << 36) > algorithms.REST_TABLE_BUDGET
         with mock.patch.object(algorithms, "_rest_law",
                                side_effect=AssertionError("a table was built")):
-            out = multi_item_search([1 << 36] * 4, [3, (1 << 36) + 9], [0, 1], 2, 2,
-                                    seed=92)
+            out = multi_item_search([1 << 36] * 4, [0, 1], 2, 2, seed=92)
         assert (out.ledger.oracle_counts[2:] > 0).all()
 
     @settings(derandomize=True, deadline=None)
@@ -1326,9 +1349,9 @@ class TestLedgerRule:
         d = min(d, db.size)
         runs = []
 
-        def recording(sizes, addresses, cells, k, t, seed):
-            run = multi_item_search(sizes, addresses, cells, k, t, seed)
-            runs.append((addresses, k, run))
+        def recording(sizes, cells, k, t, seed):
+            run = multi_item_search(sizes, cells, k, t, seed)
+            runs.append((k, run))
             return run
 
         with mock.patch.object(algorithms, "QueryLedger", RecordingLedger), \
@@ -1339,8 +1362,10 @@ class TestLedgerRule:
         assert len(reps) == out.repetitions == len(runs)
         assert out.parallel_rounds == sum(reps)
 
-        closed = 0
-        for i, (rounds, (addresses, missing, run)) in enumerate(zip(reps, runs)):
+        # each repetition searches the addresses not yet found, ascending,
+        # and found_at[i] is the find of the i-th of them
+        closed, addresses = 0, db.locate(targets.items)
+        for i, (rounds, (missing, run)) in enumerate(zip(reps, runs)):
             programs = run.ledger.oracle_counts.tolist()
             assert len(programs) == d
             charges = [b - a for a, b in zip(ledger.closed[i], ledger.closed[i + 1])]
@@ -1357,6 +1382,6 @@ class TestLedgerRule:
             assert ([out.find_times[y] for y in items]
                     == (closed + run.found_at[hit]).tolist())
             assert all(closed < out.find_times[y] <= closed + rounds for y in items)
-            closed += rounds
+            closed, addresses = closed + rounds, addresses[~hit]
         if out.success:
             assert max(out.find_times.values()) == out.parallel_rounds

@@ -123,9 +123,12 @@ def test_search_removed_flags_are_usage_errors(flags, capsys):
     assert flags[0] in capsys.readouterr().err
 
 
-def test_search_negative_cap_is_usage_error(capsys):
-    code = main(["search", "--n", "6", "--d", "2", "--k", "2", "--t", "-1"])
-    capsys.readouterr()
+@pytest.mark.parametrize("t", [-1, 0])
+def test_search_negative_cap_is_usage_error(t, capsys, monkeypatch):
+    # a cap below 1 lets no copy query: refused before the first database
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    code = main(["search", "--n", "6", "--d", "2", "--k", "2", "--t", str(t)])
+    assert "need t >= 1" in capsys.readouterr().err
     assert code == 1
 
 
