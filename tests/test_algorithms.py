@@ -444,6 +444,101 @@ class TestStepLaw:
         assert within_four_pooled_errors(drawn_queries, queries)
 
 
+class TestTabledStepLaw:
+    """``TestStepLaw``'s cases, and a rest, drawn as a cell's first step:
+    one uniform for the known-count attempt and the tabled law of its
+    unknown-count stages, against the same step run attempt by attempt."""
+
+    DRAWS = 4000
+
+    @pytest.mark.parametrize("M,j,assumed", [(1, 1, 1), (6, 6, 2), (64, 1, 2),
+                                             (37, 3, 5), (37, 3, 3), (1024, 2, 1),
+                                             (2048, 8, 60), (37, 0, 3)])
+    def test_matches_the_attempt_by_attempt_step(self, M, j, assumed):
+        pred = MarkedPredicate(M, np.arange(j))
+        rng = np.random.default_rng([79, M, j, assumed])
+        hits, queries = [], []
+        for _ in range(self.DRAWS):
+            addr, known = grover_search_known(pred, assumed, rng)
+            unknown = 0
+            if addr is None:
+                addr, unknown = bbht_search_unknown(pred, rng)
+            hits.append(addr is not None)
+            queries.append(known + unknown)
+        first = np.ones(self.DRAWS, dtype=bool)
+        drawn_hits, drawn_queries = algorithms._draw_steps(
+            np.full(self.DRAWS, M), np.full(self.DRAWS, j),
+            np.full(self.DRAWS, assumed), np.random.default_rng([80, M, j, assumed]),
+            first)
+        assert within_four_pooled_errors(drawn_hits, hits)
+        assert within_four_pooled_errors(drawn_queries, queries)
+        known = optimal_iterations(M, assumed) + 1
+        assert known <= drawn_queries.min() and drawn_queries.max() <= known + bbht_budget(M)
+
+
+class TestMarkedLaw:
+    """The tabled law of a step's unknown-count stages over a cell with
+    marked addresses, against the stage sampler, which draws a later step
+    stage by stage.  The rows assume all M addresses marked, so their
+    known-count attempt makes 0 iterations and 1 query and hits with
+    probability j / M, and the stages follow it."""
+
+    DRAWS = 20000
+
+    # up to the largest cell size whose budget is within REST_TABLE_BUDGET
+    @pytest.mark.parametrize("M,j", [(64, 1), (1024, 3), (1 << 20, 1), (1 << 20, 2),
+                                     (52_391_860, 1)])
+    def test_matches_the_stage_sampler(self, M, j):
+        budget = bbht_budget(M)
+        law = algorithms._marked_law(M, j)
+        assert law.size == 2 * (budget + 1)
+        assert law[-1] == 1.0 and (np.diff(law) >= 0).all()
+        mass = np.diff(law, prepend=0.0)
+        stopped, hit = mass[:budget + 1], mass[budget + 1:]
+        sizes = np.full(self.DRAWS, M)
+        hits, queries = algorithms._draw_steps(
+            sizes, np.full(self.DRAWS, j), sizes, np.random.default_rng([96, M, j]))
+        # the step's exact law: the known-count hit at 1 query, else 1 plus
+        # the tabled stages
+        p0 = j / M
+        p_hit = p0 + (1 - p0) * hit.sum()
+        mean = 1 + (1 - p0) * float((stopped + hit) @ np.arange(budget + 1))
+        assert abs(hits.mean() - p_hit) <= 4 * math.sqrt(p_hit * (1 - p_hit) / self.DRAWS)
+        assert abs(queries.mean() - mean) <= 4 * queries.std(ddof=1) / math.sqrt(self.DRAWS)
+        # every drawn outcome of the stages has mass in the table
+        staged = queries > 1
+        assert (stopped[queries[~hits] - 1] > 0).all()
+        assert (hit[queries[hits & staged] - 1] > 0).all()
+
+
+class TestTableCache:
+    """A draw takes a table path by its row alone, so a record does not
+    depend on which tables are kept."""
+
+    @staticmethod
+    def clear():
+        algorithms._rest_law.cache_clear()
+        algorithms._marked_law.cache_clear()
+
+    def test_a_record_does_not_depend_on_the_table_cache(self):
+        cfg = ExperimentConfig(n=14, d=8, k=64, trials=20, seed=97)
+        self.clear()
+        cold = run_search_experiment(cfg)
+        for n, d, k in ((17, 128, 11), (12, 16, 16)):
+            run_search_experiment(ExperimentConfig(n=n, d=d, k=k, trials=20, seed=98))
+        warm = run_search_experiment(cfg)
+        self.clear()
+        cleared = run_search_experiment(cfg)
+        assert cold == warm == cleared
+
+    def test_the_kept_tables_fit_in_32_mb(self):
+        # a rest table has budget + 1 entries, a marked one twice that
+        entries = algorithms.REST_TABLE_BUDGET + 1
+        kept = (algorithms._rest_law.cache_info().maxsize * entries
+                + algorithms._marked_law.cache_info().maxsize * 2 * entries)
+        assert 8 * kept <= 32 << 20
+
+
 class TestRestLaw:
     """The tabled law of a rest's unknown-count stages, against the stage
     sampler that draws them one by one: a rest is a row with nothing
@@ -1129,7 +1224,8 @@ class TestLedgerRule:
             out = multi_item_search(sizes, cells, targets.k, t, seed)
         # one call draws a row for each step i = 1..min(load, t) of every
         # copy, in (cell, step) order, over the M = size - i + 1 addresses
-        # left, load - i + 1 of them marked, each assuming min(t - i + 1, M).
+        # left, load - i + 1 of them marked, each assuming min(t - i + 1, M),
+        # and flags the rows with i = 1, each cell's first step.
         # A copy that would still have steps, items and addresses left once
         # it has found its cell's every marked address has one more row,
         # its rest, at i = load + 1 with nothing marked.  A copy is charged
@@ -1144,8 +1240,9 @@ class TestLedgerRule:
         times = {c: [] for c in range(d)}
         assert len(calls) == bool(rows)
         if rows:
-            (row_sizes, row_marked, assumed, _), (hits, queries) = calls[0]
+            (row_sizes, row_marked, assumed, _, first), (hits, queries) = calls[0]
             assert row_sizes.tolist() == [sizes[c] - i + 1 for c, i in rows]
+            assert first.tolist() == [i == 1 for _, i in rows]
             assert row_marked.tolist() == [loads[c] - i + 1 for c, i in rows]
             assert assumed.tolist() == [min(t - i + 1, sizes[c] - i + 1)
                                         for c, i in rows]
@@ -1216,8 +1313,9 @@ class TestLedgerRule:
         # only cell 2 has a rest, its one row: cells 0 and 1 have no step
         # left after their three; with an item unlocated, it is whole
         assert len(calls) == 1
-        sizes, marked, assumed, _ = calls[0]
+        sizes, marked, assumed, _, first = calls[0]
         assert sizes.tolist() == [32, 31, 30, 32, 31, 30, 32]
+        assert first.tolist() == [True, False, False, True, False, False, True]
         assert marked.tolist() == [3, 2, 1, 3, 2, 1, 0]
         assert assumed.tolist() == [3, 2, 1, 3, 2, 1, 3]
         assert out.ledger.oracle_counts.tolist() == [30, 150, 70]
@@ -1240,9 +1338,10 @@ class TestLedgerRule:
             with mock.patch.object(algorithms, "_draw_steps", recording):
                 out = multi_item_search([32, 32], [0, 1], 2, 3, [76, s])
             assert len(calls) == 1      # step 1 and the rest of each copy
-            (sizes, marked, steps, _), (_, queries) = calls[0]
+            (sizes, marked, steps, _, firsts), (_, queries) = calls[0]
             assert sizes.tolist() == [32, 31, 32, 31]
             assert marked.tolist() == [1, 0, 1, 0] and steps.tolist() == [3, 2, 3, 2]
+            assert firsts.tolist() == [True, False, True, False]
             if (out.found_at < 0).any():
                 continue
             both += 1
@@ -1259,8 +1358,9 @@ class TestLedgerRule:
         assert both >= 15
 
     def test_rows_with_nothing_marked_draw_no_hit(self):
-        # rows with j = 2 of M = 2^20, whose known-count attempts, assuming
-        # 60, mostly miss, interleaved in one batch with rows with j = 0 of
+        # rows with j = 2 of M = 2^20, later steps of their cells, whose
+        # known-count attempts, assuming 60, mostly miss and whose stages are
+        # drawn block by block, interleaved in one batch with rows with j = 0 of
         # M = 37: `random` returns one variate for each attempt of a row
         # with j >= 1, its known-count attempt and every stage of the
         # blocks it draws, and one for a row with j = 0, the draw of its
@@ -1293,10 +1393,13 @@ class TestLedgerRule:
         assert rng.variates == half + half + rng.live
 
     def test_only_rows_with_a_marked_address_draw_stages(self):
-        # 4096 cells of 4096 addresses and k = 2, cap 2: every copy has a
-        # rest, and at most two rows hold a marked address.  Each block of
+        # 4096 cells of 4096 addresses, of which cells 0 and 1 hold three
+        # and two targets, cap 8: each copy's first step and each rest is
+        # drawn from its table, one `random` variate and no `integers`, so
+        # only the later steps of cells 0 and 1, three rows that assume
+        # more marked addresses than they hold, draw stages.  Each block of
         # stages draws `integers` for those rows alone, and `random` one
-        # variate per row (its known-count hit or its rest's law) plus one
+        # variate per row (its table draw or its known-count hit) plus one
         # per stage
         class CountingGenerator:
             def __init__(self, rng):
@@ -1314,30 +1417,33 @@ class TestLedgerRule:
 
         draw = algorithms._draw_steps
         sizes = cell_sizes(1 << 24, 4096)
+        cells = np.array([0, 0, 0, 1, 1])
         drew_stages = 0
         for s in range(8):
             calls = []
 
-            def counting(sizes, marked, assumed, rng):
-                calls.append((marked, CountingGenerator(rng)))
-                return draw(sizes, marked, assumed, calls[-1][1])
+            def counting(sizes, marked, assumed, rng, first):
+                calls.append((marked, first, CountingGenerator(rng)))
+                return draw(sizes, marked, assumed, calls[-1][2], first)
 
-            cells = random_partition(sizes, 2, [90, s])
             with mock.patch.object(algorithms, "_draw_steps", counting):
-                multi_item_search(sizes, cells, 2, 2, [91, s])
-            (marked, rng), = calls
-            assert (marked > 0).sum() <= 2 and marked.size >= 4096
-            assert rng.widest <= (marked > 0).sum()
+                multi_item_search(sizes, cells, 5, 8, [91, s])
+            (marked, first, rng), = calls
+            later = (marked > 0) & ~first
+            assert marked.tolist()[:7] == [3, 2, 1, 0, 2, 1, 0]
+            assert later.sum() == 3 and marked.size == 4101
+            assert rng.widest <= later.sum()
             assert rng.variates == marked.size + rng.stages
             drew_stages += rng.stages > 0
         assert drew_stages
 
     def test_a_rest_above_the_table_limit_builds_no_table(self):
         # cells of 2^36 addresses have a budget past REST_TABLE_BUDGET, so
-        # their rests are drawn stage by stage
+        # their first steps and rests are drawn stage by stage
         assert bbht_budget(1 << 36) > algorithms.REST_TABLE_BUDGET
-        with mock.patch.object(algorithms, "_rest_law",
-                               side_effect=AssertionError("a table was built")):
+        built = AssertionError("a table was built")
+        with mock.patch.object(algorithms, "_rest_law", side_effect=built), \
+                mock.patch.object(algorithms, "_marked_law", side_effect=built):
             out = multi_item_search([1 << 36] * 4, [0, 1], 2, 2, seed=92)
         assert (out.ledger.oracle_counts[2:] > 0).all()
 

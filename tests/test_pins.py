@@ -15,32 +15,32 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "d6990e4d5d4b48b996ad6150ff2d9af372e1f6ed3012431287592e12255ae048"),
+     "81a53ba9725201b23560ce7da181a8df2b0b859b0fde6ff58cc857b8363274bf"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "b9887827b082fa486016428294bc25402b6ecf6ac951fb3a72e1612e114e0aa5"),
+     "5fd73fe796378cb51eedab182fbde773bef0dbcdb2c16614a704e91d1452ff6f"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "5e67c5ae995d3c5781da51e4de1c24784194a6adf45fdc339506ebc59965b95c"),
+     "9eca8b0c226f54904cf7e5f2b85c41534e9f03bc4c89c4515d5c0aabf7dbfe53"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "80f1b1b6aef6f39f3eeca16007e449fdfd9c4cbbc1f2077c99d31a0de7e10b95"),
+     "48365206f8a4d7711da41b698ecd96cf765afa1c20345e5c31d6a7ef1abeba1c"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "89a12214064a4dfc84ed8e2d66350206067f1f5534646e9ae788342c2e77155f"),
+     "4221e198a89b9307ad6184a884f45a5ec58eb94b66e1022879a58e4c16b58c31"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
      "f8c9dcaa6a7d908af61a7677151d4df51ff6eb56580248f031d2ac879b7b033c"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "05e7777b1116c7b68e10d627476420054a75bddf628b486c21d7b77d5c8f6da3"),
+     "278abe50b832684d9d42ad538607e9c74d127feb11a4b4434c1953ce50bf2a7f"),
     # k = 512 over 16 cells of cap 8: 6, 6 and 5 repetitions with hundreds
     # of targets still missing, so the pin sees the bookkeeping of what is
     # found across repetitions
     (["search", "--n", "16", "--d", "16", "--k", "512", "--t", "8", "--trials", "3",
       "--seed", "21"],
-     "65476a708aed2533896bc32e101008f48a27fbbeae625c2e3a001e065617f59d"),
+     "87f89528f1eb3db59261a86f6ceb032e8d260b0667d2c06e8d9ffb9ba69f452f"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "0c165d7e9a2ee67f4eb648976e96a7b50387fbd7b6faffccc049dd3be555aa43"),
+     "af074c5d380ff7a6c9aea9f534e1002d24f4cdda4e9f3ece4108ac0cd39c007d"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
      "69c3fb5b4a5f06f13ab07dbe069b200c1995b645089cda691542e17c3d12ba33"),
     # a union bound that is neither clamped nor exact in binary, so the
