@@ -63,6 +63,10 @@ REST_TABLE_BUDGET = 1 << 14
 #: difference, and past it the program would only push underflowing mass
 STAGE_MASS_FLOOR = 2.0 ** -64
 
+#: the largest double below 1: a key that looks a uniform's outcome up in a
+#: distribution function is kept below its last entry, 1
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 #: repetitions of the parallel algorithm before reporting failure
 MAX_REPETITIONS = 10
 
@@ -116,8 +120,9 @@ class SearchOutcome:
 @functools.lru_cache(maxsize=1 << 14)
 def optimal_iterations(M: int, j: int) -> int:
     """floor(pi / (4 arcsin sqrt(j/M))): 0 when everything is marked.  The
-    step sampler asks for it once per distinct (M, j) of each row block, so
-    the last 2^14 pairs are kept."""
+    step sampler asks for it once per distinct (M, j) of each row block,
+    and blocks of one search share most of them, so the last 2^14 pairs
+    are kept."""
     theta = math.asin(math.sqrt(j / M))
     return int(math.pi / (4 * theta))
 
@@ -171,7 +176,8 @@ def bbht_budget(M: int) -> int:
     ceil(9/4 sqrt(M)) + 2 ceil(log_lambda sqrt(M)) queries, for lambda =
     ``CUTOFF_GROWTH``.  At M = 1 the log term is 0, since log 1 is exactly
     0, so the formula needs no case of its own.  The step sampler asks for
-    it once per distinct M of each row block, so the last 2^14 are kept."""
+    it once per distinct M of each row block, and blocks of one search
+    share most of them, so the last 2^14 are kept."""
     sqrt_m = math.sqrt(M)
     return (math.ceil(9 / 4 * sqrt_m)
             + 2 * math.ceil(math.log(sqrt_m) / math.log(CUTOFF_GROWTH)))
@@ -342,7 +348,10 @@ def _draw_steps(sizes, marked, assumed, rng, first=None):
     otherwise (u - p0) / (1 - p0) picks the stages' outcome, hit or not and
     their queries, from the exact law of the row's (M, j):
     :func:`_marked_law`, or :func:`_rest_law` where nothing is marked and
-    the stages never hit.  One ``searchsorted`` serves all of these rows.
+    the stages never hit.  A table ends at exactly 1 and every key stays
+    below it, so the draw is exact to the 53-bit uniform and the table's
+    doubles; the keys are sorted once, and one ``searchsorted`` per table
+    serves its rows.
     Which rows take this path depends on the rows alone, never on which
     tables are kept, so a draw does not depend on what ran before.  Next the
     other rows with a marked address, later steps and rows past the limit,
@@ -372,12 +381,15 @@ def _draw_rows(rng, sizes, marked, assumed, first):
     kind = np.empty(order.size, dtype=np.int64)
     kind[order] = np.cumsum(new) - 1
     M, j, a = M[new], j[new], a[new]
-    # each kind's budget, known-count iterations r0 and hit chance p0
+    # each kind's budget and known-count iterations r0, looked up once per
+    # distinct M and once per distinct (M, assumed)
     Ms, js = M.tolist(), j.tolist()
-    budgets = [bbht_budget(m) for m in Ms]
+    pairs = list(zip(Ms, a.tolist()))
+    budget_of = {m: bbht_budget(m) for m in dict.fromkeys(Ms)}
+    r0_of = {pair: optimal_iterations(*pair) for pair in dict.fromkeys(pairs)}
+    budgets = list(map(budget_of.get, Ms))
     budget = np.array(budgets, dtype=np.int64)
-    r0 = np.array([optimal_iterations(m, x) for m, x in zip(Ms, a.tolist())],
-                  dtype=np.int64)
+    r0 = np.fromiter(map(r0_of.get, pairs), dtype=np.int64, count=len(pairs))
     theta = np.arcsin(np.sqrt(j / M))
     p0 = _hit_chance(r0, theta, j == M)
     queries = r0[kind] + 1
@@ -391,27 +403,25 @@ def _draw_rows(rng, sizes, marked, assumed, first):
     if row.size:
         # the stages' outcome from the table of each row's (M, j); a rest's
         # table is that of its budget and int(sqrt(M)), which nearby sizes
-        # share.  The tables are laid end to end, table g shifted by 2g and
-        # its last entry past every uniform, so that one searchsorted finds
-        # each row's outcome in its own table
+        # share.  Each table ends at exactly 1 and a key stays below it, so
+        # the first entry past the key is an outcome of positive mass
         g, laws = kind[row], {}
         slot = np.zeros(M.size, dtype=np.int64)
         for k in np.flatnonzero(np.bincount(g, minlength=M.size)).tolist():
             law = ((_marked_law, Ms[k], js[k]) if js[k]
                    else (_rest_law, budgets[k], int(math.sqrt(Ms[k]))))
             slot[k] = laws.setdefault(law, len(laws))
-        parts = [2 * s + build(*args) for s, (build, *args) in enumerate(laws)]
-        for part in parts:
-            part[-1] += 0.5
-        starts = np.array([0, *itertools.accumulate(part.size for part in parts)])
-        flat = np.concatenate(parts)
-        p = p0[g]
-        key = 2 * slot[g] + (u - p) / (1 - p)
-        # keys in ascending order search faster: 2.5 times for thousands
-        by = np.argsort(key)
+        p, table = p0[g], slot[g]
+        key = np.minimum((u - p) / (1 - p), _BELOW_ONE)
+        # each table's keys in one run, in ascending order: sorted keys
+        # search faster, 2.5 times for thousands.  The sort key 2 table +
+        # key only orders the rows: rounded, it stays in its table's run
+        by = np.argsort(2 * table + key)
+        bounds = np.cumsum(np.bincount(table, minlength=len(laws))).tolist()
         at = np.empty(key.size, dtype=np.int64)
-        at[by] = np.searchsorted(flat, key[by], side="right")
-        at -= starts[slot[g]]
+        for (build, *args), lo, hi in zip(laws, [0, *bounds], bounds):
+            run = by[lo:hi]
+            at[run] = np.searchsorted(build(*args), key[run], side="right")
         stop = budget[g] + 1            # a marked table's hits follow its stops
         hits[row] = hit = at >= stop
         spent[row] = at - stop * hit
@@ -562,23 +572,22 @@ def cell_sizes(N: int, d: int) -> np.ndarray:
     return np.repeat(np.array([base + 1, base], dtype=np.int64), [extra, d - extra])
 
 
-def random_partition(sizes, count: int, seed, *, ends=None) -> np.ndarray:
+def random_partition(ends, count: int, seed) -> np.ndarray:
     """The cells of *count* distinct addresses in a uniformly random
-    partition of [N] into cells of the given *sizes*, N their sum.
+    partition of [N] into contiguous cells that end at *ends*, the
+    cumulative sums of the cell sizes, N the last.
 
-    The partition is a uniform permutation of [N] cut into contiguous
-    blocks of *sizes*, in their order (those of :func:`cell_sizes`, the
-    larger first, in a search).  Only the addresses' positions in that
+    The partition is a uniform permutation of [N] cut into blocks at
+    *ends* (``np.cumsum(cell_sizes(N, d))`` in a search, which sums them
+    once for all its repetitions).  Only the addresses' positions in that
     permutation matter, and those are a uniform ordered sample of *count*
     distinct positions, one ``rng.choice`` without replacement, whatever
     the addresses are; no N-entry permutation is made.  A position's cell
-    is the block it falls in, one ``searchsorted`` on the blocks' ends,
-    ``np.cumsum(sizes)``: a caller that draws many partitions of one layout
-    passes them as *ends* and sums them once.  Returns the cell of the i-th
-    address at index i.  Refuses empty *sizes* with ValueError.
+    is the block it falls in, one ``searchsorted`` on *ends*.  Returns the
+    cell of the i-th address at index i.  Refuses empty *ends* with
+    ValueError.
     """
-    if ends is None:
-        ends = np.cumsum(sizes, dtype=np.int64)
+    ends = np.asarray(ends)
     if not ends.size:
         raise ValueError("need at least one cell")
     positions = as_generator(seed).choice(int(ends[-1]), size=count, replace=False)
@@ -776,9 +785,8 @@ def parallel_search(
 
     for rep in range(MAX_REPETITIONS):
         missing = np.flatnonzero(found < 0)
-        cells = random_partition(
-            sizes, missing.size, seed=derive_stream(seed, STREAM_PARTITION, rep), ends=ends
-        )
+        cells = random_partition(ends, missing.size,
+                                 seed=derive_stream(seed, STREAM_PARTITION, rep))
         run = multi_item_search(sizes, cells, targets.k - (where.size - missing.size),
                                 t, seed=derive_stream(seed, STREAM_COPY, rep))
         hit = run.found_at >= 0

@@ -588,11 +588,11 @@ class TestRestLaw:
 
 class TestRandomPartition:
     def test_single_cell(self):
-        cells = random_partition(cell_sizes(8, 1), 3, seed=0)
+        cells = random_partition(np.cumsum(cell_sizes(8, 1)), 3, seed=0)
         assert cells.tolist() == [0, 0, 0]
 
     def test_eight_into_four(self):
-        cells = random_partition(cell_sizes(8, 4), 8, seed=1)
+        cells = random_partition(np.cumsum(cell_sizes(8, 4)), 8, seed=1)
         assert np.bincount(cells, minlength=4).tolist() == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("N,d", [(10, 3), (1024, 16), (100, 7)])
@@ -602,9 +602,9 @@ class TestRandomPartition:
         assert (np.diff(sizes) <= 0).all()
         for s in range(20):
             # every address placed: each cell is full
-            cells = random_partition(sizes, N, seed=s)
+            cells = random_partition(np.cumsum(sizes), N, seed=s)
             np.testing.assert_array_equal(np.bincount(cells, minlength=d), sizes)
-            some = random_partition(sizes, len(range(0, N, 3)), seed=s)
+            some = random_partition(np.cumsum(sizes), len(range(0, N, 3)), seed=s)
             assert (np.bincount(some, minlength=d) <= sizes).all()
 
     @pytest.mark.parametrize("N,d,k", [(7, 2, 3), (10, 3, 4), (9, 4, 5), (6, 6, 3),
@@ -618,7 +618,7 @@ class TestRandomPartition:
         rng = np.random.default_rng([81, N, d, k])
         seen = Counter()
         for _ in range(draws):
-            loads = np.bincount(random_partition(sizes, k, rng), minlength=d)
+            loads = np.bincount(random_partition(np.cumsum(sizes), k, rng), minlength=d)
             assert loads.size == d and all(l <= s for l, s in zip(loads, sizes))
             seen[tuple(loads.tolist())] += 1
         for loads in itertools.product(*(range(s + 1) for s in sizes)):
@@ -631,7 +631,7 @@ class TestRandomPartition:
 
     def test_too_many_cells(self):
         with pytest.raises(ValueError):
-            random_partition(cell_sizes(4, 5), 1, seed=0)
+            random_partition(np.cumsum(cell_sizes(4, 5)), 1, seed=0)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 6, 12, 33, 62])
     def test_matches_the_closed_form_layout(self, n):
@@ -647,7 +647,7 @@ class TestRandomPartition:
                 seed = [95, n, d, count]
                 p = np.random.default_rng(seed).choice(N, size=count, replace=False)
                 want = np.where(p < big, p // (base + 1), extra + (p - big) // base)
-                got = random_partition(cell_sizes(N, d), count, seed)
+                got = random_partition(np.cumsum(cell_sizes(N, d)), count, seed)
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("N", [1, 8, 1 << 62])
@@ -658,7 +658,7 @@ class TestRandomPartition:
 
     def test_refuses_no_cells(self):
         with pytest.raises(ValueError):
-            random_partition([], 0, seed=0)
+            random_partition(np.cumsum([]), 0, seed=0)
 
 
 class TestChooseRegime:
@@ -1207,7 +1207,7 @@ class TestLedgerRule:
                                                         db.size + 1 + ghosts)))
         d = min(d, db.size)
         sizes = cell_sizes(db.size, d)
-        cells = random_partition(sizes, db.locate(targets.items).size, seed)
+        cells = random_partition(np.cumsum(sizes), db.locate(targets.items).size, seed)
         calls = []
         draw = algorithms._draw_steps
 
@@ -1281,7 +1281,7 @@ class TestLedgerRule:
         sizes = cell_sizes(db.size, d)
         draw = algorithms._draw_steps
         for s in range(10):
-            cells = random_partition(sizes, count, [83, s])
+            cells = random_partition(np.cumsum(sizes), count, [83, s])
             with mock.patch.object(algorithms, "_draw_steps", side_effect=draw) as calls:
                 multi_item_search(sizes, cells, k, t, [84, s])
             assert calls.call_count == 1
