@@ -325,11 +325,11 @@ def _draw_hits(r, theta, full, rng) -> np.ndarray:
     return hits
 
 
-def _draw_steps(sizes, marked, assumed, rng, first=None):
+def _draw_steps(sizes, marked, assumed, rng, first):
     """One step of :func:`multi_item_search` for each row of a batch: a cell
     with ``marked[i]`` of its ``sizes[i]`` addresses marked, assuming
     ``assumed[i]`` are.  ``first[i]`` says that the row is a cell's first
-    step; by default no row is.
+    step.
 
     A step is the known-count attempt of :func:`grover_search_known`, then,
     on a miss, the stages of :func:`bbht_search_unknown`, in the same law:
@@ -364,8 +364,7 @@ def _draw_steps(sizes, marked, assumed, rng, first=None):
     address, and the queries it made.
     """
     rows = [np.asarray(a) for a in (sizes, marked, assumed)]
-    rows.append(np.zeros(rows[0].shape, dtype=bool) if first is None
-                else np.asarray(first, dtype=bool))
+    rows.append(np.asarray(first, dtype=bool))
     parts = [_draw_rows(rng, *(a[lo:lo + BLOCK_ROWS] for a in rows))
              for lo in range(0, rows[0].size, BLOCK_ROWS)]
     return tuple(np.concatenate(drawn) for drawn in zip(*parts))

@@ -354,7 +354,8 @@ def draw_rests(sizes, steps, rng):
     steps left each: the step sampler at j = 0, which never hits."""
     sizes = np.asarray(sizes, dtype=np.int64)
     hits, lengths = algorithms._draw_steps(sizes, np.zeros_like(sizes),
-                                           np.minimum(steps, sizes), rng)
+                                           np.minimum(steps, sizes), rng,
+                                           np.zeros(sizes.shape, dtype=bool))
     assert not hits.any()
     return lengths
 
@@ -439,7 +440,8 @@ class TestStepLaw:
             queries.append(known + unknown)
         drawn_hits, drawn_queries = algorithms._draw_steps(
             np.full(self.DRAWS, M), np.full(self.DRAWS, j),
-            np.full(self.DRAWS, assumed), np.random.default_rng([80, M, j, assumed]))
+            np.full(self.DRAWS, assumed), np.random.default_rng([80, M, j, assumed]),
+            np.zeros(self.DRAWS, dtype=bool))
         assert within_four_pooled_errors(drawn_hits, hits)
         assert within_four_pooled_errors(drawn_queries, queries)
 
@@ -497,7 +499,8 @@ class TestMarkedLaw:
         stopped, hit = mass[:budget + 1], mass[budget + 1:]
         sizes = np.full(self.DRAWS, M)
         hits, queries = algorithms._draw_steps(
-            sizes, np.full(self.DRAWS, j), sizes, np.random.default_rng([96, M, j]))
+            sizes, np.full(self.DRAWS, j), sizes, np.random.default_rng([96, M, j]),
+            np.zeros(self.DRAWS, dtype=bool))
         # the step's exact law: the known-count hit at 1 query, else 1 plus
         # the tabled stages
         p0 = j / M
@@ -559,7 +562,7 @@ class TestRestLaw:
         with mock.patch.object(algorithms, "REST_TABLE_BUDGET", 0):
             hits, queries = algorithms._draw_steps(
                 sizes, np.zeros_like(sizes), np.ones_like(sizes),
-                np.random.default_rng([93, M]))
+                np.random.default_rng([93, M]), np.zeros(self.DRAWS, dtype=bool))
         assert not hits.any()
         stages = queries - optimal_iterations(M, 1) - 1
         assert support[0] <= stages.min() and stages.max() <= support[-1]
@@ -580,7 +583,7 @@ class TestRestLaw:
         sizes = np.arange(1 << 20, (1 << 20) + 64)
         with mock.patch.object(algorithms, "_rest_law", side_effect=draw) as built:
             algorithms._draw_steps(sizes, np.zeros_like(sizes), np.ones_like(sizes),
-                                   np.random.default_rng(94))
+                                   np.random.default_rng(94), np.zeros(sizes.shape, dtype=bool))
         keys = {call.args for call in built.call_args_list}
         assert keys == {(bbht_budget(M), math.isqrt(M)) for M in sizes.tolist()}
         assert len(keys) == 2
@@ -1387,7 +1390,8 @@ class TestLedgerRule:
         sizes = np.tile([1 << 20, 37], half)
         marked = np.tile([2, 0], half)
         rng = CountingGenerator(89)
-        hits, _ = algorithms._draw_steps(sizes, marked, np.tile([60, 3], half), rng)
+        hits, _ = algorithms._draw_steps(sizes, marked, np.tile([60, 3], half), rng,
+                                         np.zeros(sizes.size, dtype=bool))
         assert not hits[marked == 0].any()
         assert rng.live and not rng.empty   # only the rows with j = 2 drew stages
         assert rng.variates == half + half + rng.live
