@@ -43,8 +43,8 @@ STAGE_BLOCK = 32
 #: entries, 1 MB each, however many copies a repetition has
 BLOCK_ROWS = 1 << 12
 
-#: largest bbht_budget of a row drawn from its tabled law, a rest
-#: (:func:`_rest_law`) or a cell's first step (:func:`_marked_law`): that of
+#: largest bbht_budget of a row drawn from its tabled law
+#: (:func:`_stage_law`), a rest or a cell's first step: that of
 #: M = 52,391,860, about 2^25.6; a row of a larger budget is drawn stage by
 #: stage.  Measured on 2 cores, Python 3.11, numpy 2.4, a cold table took
 #: 1.0 ms for a rest and 3.1 ms for an (M, j) step, j = 1 to 64, at M = 2^20
@@ -56,7 +56,7 @@ BLOCK_ROWS = 1 << 12
 #: runs faster than with stage blocks.  The limit keeps a cold table near
 #: 12 ms, where a search of few large cells (16 rows a repetition at
 #: d = 16) would never repay it.
-REST_TABLE_BUDGET = 1 << 14
+TABLE_BUDGET = 1 << 14
 
 #: tables built by the unknown-count stages' dynamic program stop once the
 #: mass still running is below this: a uniform of 53 bits cannot tell the
@@ -200,14 +200,20 @@ def _window_sums(mass: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-def _stage_masses(budget: int, root: int, theta: float):
-    """The law of the unknown-count stages of :func:`bbht_search_unknown`
-    over a cell of budget *budget* and int(sqrt(M)) = *root* in which the
-    marked mass is sin^2 theta: ``(stopped, hit)``, where stopped[q] is the
-    probability that the stages end without a hit at q queries, hit[q] that
-    one hits at q.  The stages read M only through budget and root, since
-    the cutoffs int(min(lambda**s, sqrt(M))) of :func:`_cutoffs` equal those
-    of sqrt(M) = root, and the hits only through theta.
+@functools.lru_cache(maxsize=96)
+def _stage_law(budget: int, root: int, theta: float) -> np.ndarray:
+    """Distribution function of the unknown-count stages of
+    :func:`bbht_search_unknown` over a cell of budget *budget* and
+    int(sqrt(M)) = *root* in which the marked mass is sin^2 theta, over
+    2 (budget + 1) outcomes: entry q <= budget is the probability that the
+    stages end without a hit within q queries, and entry budget + 1 + q adds
+    those that hit within q.  The stages read M only through budget and
+    root, since the cutoffs int(min(lambda**s, sqrt(M))) of :func:`_cutoffs`
+    equal those of sqrt(M) = root, and the hits only through theta, so cells
+    of nearby sizes share a table.  Where nothing is marked, theta = 0, the
+    stages never hit and the hit half is flat at exactly 1.  The last 96
+    tables are kept, at most 25.2 MB under ``TABLE_BUDGET``, so a search
+    builds each once for all of its trials.
 
     A dynamic program over the stages: ``mass[i]`` is the probability that
     every stage so far ran and missed, at lo + i queries spent in all.
@@ -223,7 +229,8 @@ def _stage_masses(budget: int, root: int, theta: float):
     numpy and ``cumsum`` only, no BLAS convolution or dot product.
     """
     caps = _cutoffs(float(root)).tolist()
-    stopped, hit = np.zeros(budget + 1), np.zeros(budget + 1)
+    law = np.zeros(2 * (budget + 1))
+    stopped, hit = law[:budget + 1], law[budget + 1:]
     if theta:
         phase = 2 * theta * np.arange(budget + 1)
         start, end = np.exp(-2j * phase), np.exp(1j * (2 * phase - 2 * theta))
@@ -234,7 +241,7 @@ def _stage_masses(budget: int, root: int, theta: float):
         stopped[lo + runs:lo + mass.size] += mass[runs:]
         mass = mass[:runs]
         if mass.sum() < STAGE_MASS_FLOOR:
-            return stopped, hit
+            break
         moved = _window_sums(mass, cap) / (cap + 1)
         if theta:
             # P(next = x, hit) = (moved[x] - cosine window[x]) / 2
@@ -245,34 +252,7 @@ def _stage_masses(budget: int, root: int, theta: float):
             moved = (moved + cosine) / 2
         mass = moved
         lo += 1
-
-
-@functools.lru_cache(maxsize=32)
-def _rest_law(budget: int, root: int) -> np.ndarray:
-    """Distribution function of S, the queries of the unknown-count stages of
-    :func:`bbht_search_unknown` over a cell in which nothing is marked,
-    given its budget and root = int(sqrt(M)) (see :func:`_stage_masses`):
-    entry q is P(S <= q), so cells of nearby sizes share one table.  The
-    last 32 tables are kept, at most 4.2 MB under ``REST_TABLE_BUDGET``, so
-    a search builds each once for all of its trials.
-    """
-    cdf = np.cumsum(_stage_masses(budget, root, 0.0)[0])
-    return cdf / cdf[-1]
-
-
-@functools.lru_cache(maxsize=64)
-def _marked_law(M: int, j: int) -> np.ndarray:
-    """Distribution function of the unknown-count stages of
-    :func:`bbht_search_unknown` over M addresses of which j >= 1 are
-    marked, over 2 (budget + 1) outcomes: entry q <= budget is the
-    probability that they end without a hit within q queries, and entry
-    budget + 1 + q adds those that hit within q.  :func:`_rest_law` is its
-    j = 0 case, with no hit part.  The last 64 tables are kept, at most
-    16.8 MB under ``REST_TABLE_BUDGET``.
-    """
-    stopped, hit = _stage_masses(bbht_budget(M), int(math.sqrt(M)),
-                                 math.asin(math.sqrt(j / M)))
-    cdf = np.cumsum(np.concatenate((stopped, hit)))
+    cdf = np.cumsum(law)
     return cdf / cdf[-1]
 
 
@@ -341,24 +321,24 @@ def _draw_steps(sizes, marked, assumed, rng, first):
     are drawn ``BLOCK_ROWS`` at a time, all on *rng*, so a call's arrays
     stay small whatever the batch.
 
-    In a block, the rows whose budget is within ``REST_TABLE_BUDGET`` and
-    that are a first step or have no marked address (a rest) draw one
-    uniform u each, first.  Below p0 = sin^2((2 r0 + 1) theta), the
-    known-count attempt's hit chance, the step hit at r0 + 1 queries;
-    otherwise (u - p0) / (1 - p0) picks the stages' outcome, hit or not and
-    their queries, from the exact law of the row's (M, j):
-    :func:`_marked_law`, or :func:`_rest_law` where nothing is marked and
-    the stages never hit.  A table ends at exactly 1 and every key stays
-    below it, so the draw is exact to the 53-bit uniform and the table's
-    doubles; the keys are sorted once, and one ``searchsorted`` per table
-    serves its rows.
-    Which rows take this path depends on the rows alone, never on which
-    tables are kept, so a draw does not depend on what ran before.  Next the
-    other rows with a marked address, later steps and rows past the limit,
-    draw their known-count attempts' hits, and last the stages of those
-    that missed, and of the rests past the limit, are drawn ``STAGE_BLOCK``
-    at a time, one block for each row still searching.  With no marked
-    address every attempt misses and no hit is drawn.
+    In a block, the rows whose budget is within ``TABLE_BUDGET`` and that
+    are a first step or have no marked address (a rest) are tabled; the
+    others, later steps and rows past the limit, are staged.  One
+    ``random`` call draws a uniform u for each known-count attempt, the
+    tabled rows' and then those of the staged rows with a marked address:
+    a staged row with none misses every attempt and draws no hit.  Below
+    p0 = sin^2((2 r0 + 1) theta), the attempt's hit chance, the step hit
+    at r0 + 1 queries.  Otherwise a tabled row's (u - p0) / (1 - p0) picks
+    the stages' outcome, hit or not and their queries, from the exact law
+    :func:`_stage_law` of the row's budget, int(sqrt(M)) and theta, of
+    which a rest's, at theta = 0, never hits.  A table ends at exactly 1
+    and every key stays below it, so the draw is exact to the 53-bit
+    uniform and the table's doubles; the keys are sorted once, and one
+    ``searchsorted`` per table serves its rows.  Which rows are tabled
+    depends on the rows alone, never on which tables are kept, so a draw
+    does not depend on what ran before.  Last the stages of the staged
+    rows that missed are drawn ``STAGE_BLOCK`` at a time, one block for
+    each row still searching.
 
     Returns ``(hits, queries)``: whether each row's step found a marked
     address, and the queries it made.
@@ -394,21 +374,26 @@ def _draw_rows(rng, sizes, marked, assumed, first):
     queries = r0[kind] + 1
     spent = np.zeros(order.size, dtype=np.int64)    # by the unknown-count stages
     hits = np.zeros(order.size, dtype=bool)
-    tabled = (budget <= REST_TABLE_BUDGET)[kind] & (first | (marked == 0))
-    row = np.flatnonzero(tabled)
-    u = rng.random(row.size)
-    hits[row] = u < p0[kind[row]]
-    row, u = row[~hits[row]], u[~hits[row]]
+    tabled = (budget <= TABLE_BUDGET)[kind] & (first | (marked == 0))
+    row, staged = np.flatnonzero(tabled), np.flatnonzero(~tabled)
+    # one uniform per known-count attempt, for the tabled rows and then the
+    # staged ones with a marked address: with none, every attempt misses
+    drawn = np.concatenate((row, staged[marked[staged] > 0]))
+    u = rng.random(drawn.size)
+    hits[drawn] = u < p0[kind[drawn]]
+    miss = ~hits[row]
+    row, u = row[miss], u[:row.size][miss]
     if row.size:
-        # the stages' outcome from the table of each row's (M, j); a rest's
-        # table is that of its budget and int(sqrt(M)), which nearby sizes
-        # share.  Each table ends at exactly 1 and a key stays below it, so
-        # the first entry past the key is an outcome of positive mass
+        # the stages' outcome from the table of each row's budget,
+        # int(sqrt(M)) and theta, which nearby sizes share where nothing is
+        # marked.  Each table ends at exactly 1 and a key stays below it, so
+        # the first entry past the key is an outcome of positive mass: for a
+        # rest, whose hit half is flat at 1, a stop
         g, laws = kind[row], {}
         slot = np.zeros(M.size, dtype=np.int64)
         for k in np.flatnonzero(np.bincount(g, minlength=M.size)).tolist():
-            law = ((_marked_law, Ms[k], js[k]) if js[k]
-                   else (_rest_law, budgets[k], int(math.sqrt(Ms[k]))))
+            law = (budgets[k], int(math.sqrt(Ms[k])),
+                   math.asin(math.sqrt(js[k] / Ms[k])))
             slot[k] = laws.setdefault(law, len(laws))
         p, table = p0[g], slot[g]
         key = np.minimum((u - p) / (1 - p), _BELOW_ONE)
@@ -418,17 +403,13 @@ def _draw_rows(rng, sizes, marked, assumed, first):
         by = np.argsort(2 * table + key)
         bounds = np.cumsum(np.bincount(table, minlength=len(laws))).tolist()
         at = np.empty(key.size, dtype=np.int64)
-        for (build, *args), lo, hi in zip(laws, [0, *bounds], bounds):
+        for law, lo, hi in zip(laws, [0, *bounds], bounds):
             run = by[lo:hi]
-            at[run] = np.searchsorted(build(*args), key[run], side="right")
-        stop = budget[g] + 1            # a marked table's hits follow its stops
+            at[run] = np.searchsorted(_stage_law(*law), key[run], side="right")
+        stop = budget[g] + 1            # a table's hits follow its stops
         hits[row] = hit = at >= stop
         spent[row] = at - stop * hit
-    # the other rows, later steps and rows past the limit: the known-count
-    # hits of those with a marked address, then stage blocks for the rest
-    staged = np.flatnonzero(~tabled)
-    live = staged[marked[staged] > 0]
-    hits[live] = rng.random(live.size) < p0[kind[live]]
+    # stage blocks for the staged rows whose known-count attempt missed
     at = staged[~hits[staged]]          # the rows still searching
     stages = np.arange(STAGE_BLOCK)
     while at.size:
@@ -496,10 +477,11 @@ def multi_item_search(sizes, cells, k: int, t: int, seed) -> Repetition:
     none of them marked.  Its length is that attempt's r + 1 plus the
     stages' queries, whose law depends on M' alone.  A cell's first step,
     over all sizes[c] addresses with loads[c] marked, is flagged to the
-    sampler too: up to its ``REST_TABLE_BUDGET``, a first step and a rest
-    are each one uniform, drawn on the exact law of the known-count attempt
-    and its stages, so a search builds at most one table per (cell size,
-    load) and per rest's size.  The later steps, and the rows past the
+    sampler too: up to ``TABLE_BUDGET``, a first step and a rest are each
+    one uniform, drawn on the known-count attempt and the exact law of its
+    stages, one table of :func:`_stage_law`, so a search builds at most one
+    table per (cell size, load) and per rest's budget and int(sqrt(M')),
+    which nearby rests share.  The later steps, and the rows past the
     limit, are drawn stage by stage.  Given that a copy reaches step i,
     that step's law depends on i alone, so each row is drawn whether or
     not its copy reaches it: a copy makes its steps up to its first miss,

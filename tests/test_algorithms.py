@@ -446,6 +446,13 @@ class TestStepLaw:
         assert within_four_pooled_errors(drawn_queries, queries)
 
 
+def stage_law(M, j):
+    """The tabled law of a step's unknown-count stages over M addresses of
+    which j are marked, keyed as the step sampler keys it."""
+    return algorithms._stage_law(bbht_budget(M), math.isqrt(M),
+                                 math.asin(math.sqrt(j / M)))
+
+
 class TestTabledStepLaw:
     """``TestStepLaw``'s cases, and a rest, drawn as a cell's first step:
     one uniform for the known-count attempt and the tabled law of its
@@ -487,12 +494,12 @@ class TestMarkedLaw:
 
     DRAWS = 20000
 
-    # up to the largest cell size whose budget is within REST_TABLE_BUDGET
+    # up to the largest cell size whose budget is within TABLE_BUDGET
     @pytest.mark.parametrize("M,j", [(64, 1), (1024, 3), (1 << 20, 1), (1 << 20, 2),
                                      (52_391_860, 1)])
     def test_matches_the_stage_sampler(self, M, j):
         budget = bbht_budget(M)
-        law = algorithms._marked_law(M, j)
+        law = stage_law(M, j)
         assert law.size == 2 * (budget + 1)
         assert law[-1] == 1.0 and (np.diff(law) >= 0).all()
         mass = np.diff(law, prepend=0.0)
@@ -518,28 +525,26 @@ class TestTableCache:
     """A draw takes a table path by its row alone, so a record does not
     depend on which tables are kept."""
 
-    @staticmethod
-    def clear():
-        algorithms._rest_law.cache_clear()
-        algorithms._marked_law.cache_clear()
-
     def test_a_record_does_not_depend_on_the_table_cache(self):
         cfg = ExperimentConfig(n=14, d=8, k=64, trials=20, seed=97)
-        self.clear()
+        algorithms._stage_law.cache_clear()
         cold = run_search_experiment(cfg)
         for n, d, k in ((17, 128, 11), (12, 16, 16)):
             run_search_experiment(ExperimentConfig(n=n, d=d, k=k, trials=20, seed=98))
         warm = run_search_experiment(cfg)
-        self.clear()
+        algorithms._stage_law.cache_clear()
         cleared = run_search_experiment(cfg)
-        assert cold == warm == cleared
+        # rests and first steps share one cache: one tiny table more than
+        # it keeps, none of a cell's, evicts every table the search built
+        for i in range(algorithms._stage_law.cache_info().maxsize + 1):
+            algorithms._stage_law(2, 1, i / 1000)
+        evicted = run_search_experiment(cfg)
+        assert cold == warm == cleared == evicted
 
     def test_the_kept_tables_fit_in_32_mb(self):
-        # a rest table has budget + 1 entries, a marked one twice that
-        entries = algorithms.REST_TABLE_BUDGET + 1
-        kept = (algorithms._rest_law.cache_info().maxsize * entries
-                + algorithms._marked_law.cache_info().maxsize * 2 * entries)
-        assert 8 * kept <= 32 << 20
+        # a table has 2 (budget + 1) entries, its stops and its hits
+        entries = 2 * (algorithms.TABLE_BUDGET + 1)
+        assert 8 * algorithms._stage_law.cache_info().maxsize * entries <= 32 << 20
 
 
 class TestRestLaw:
@@ -549,17 +554,17 @@ class TestRestLaw:
 
     DRAWS = 20000
 
-    # up to the largest cell size whose budget is within REST_TABLE_BUDGET
+    # up to the largest cell size whose budget is within TABLE_BUDGET
     @pytest.mark.parametrize("M", [64, 1023, 1024, 1 << 20, 52_391_860])
     def test_matches_the_stage_sampler(self, M):
         budget = bbht_budget(M)
-        assert budget <= algorithms.REST_TABLE_BUDGET
-        law = algorithms._rest_law(budget, math.isqrt(M))
+        assert budget <= algorithms.TABLE_BUDGET
+        law = stage_law(M, 0)[:budget + 1]
         mass = np.diff(law, prepend=0.0)
         support = np.flatnonzero(mass)
         mean = float(mass @ np.arange(mass.size))
         sizes = np.full(self.DRAWS, M)
-        with mock.patch.object(algorithms, "REST_TABLE_BUDGET", 0):
+        with mock.patch.object(algorithms, "TABLE_BUDGET", 0):
             hits, queries = algorithms._draw_steps(
                 sizes, np.zeros_like(sizes), np.ones_like(sizes),
                 np.random.default_rng([93, M]), np.zeros(self.DRAWS, dtype=bool))
@@ -572,20 +577,30 @@ class TestRestLaw:
         assert abs(stages.mean() - mean) <= 4 * stderr
         assert law[-1] == 1.0 and (np.diff(law) >= 0).all()
 
+    @pytest.mark.parametrize("M", [64, 1 << 20, 52_391_860])
+    def test_a_rest_never_hits(self, M):
+        # at theta = 0 the hit half adds no mass, so from entry budget on
+        # the table is exactly 1, above every key: each draw is a stop
+        budget = bbht_budget(M)
+        law = stage_law(M, 0)
+        assert law.size == 2 * (budget + 1)
+        assert (law[budget:] == 1.0).all()
+        assert np.searchsorted(law, algorithms._BELOW_ONE, side="right") <= budget
+
     def test_the_largest_size_under_the_limit(self):
-        assert bbht_budget(52_391_860) <= algorithms.REST_TABLE_BUDGET
-        assert bbht_budget(52_391_861) > algorithms.REST_TABLE_BUDGET
+        assert bbht_budget(52_391_860) <= algorithms.TABLE_BUDGET
+        assert bbht_budget(52_391_861) > algorithms.TABLE_BUDGET
 
     def test_nearby_sizes_share_one_table(self):
         # the stages read M through its budget and int(sqrt(M)) alone, so
         # 64 sizes from 2^20 on take two tables
-        draw = algorithms._rest_law
+        draw = algorithms._stage_law
         sizes = np.arange(1 << 20, (1 << 20) + 64)
-        with mock.patch.object(algorithms, "_rest_law", side_effect=draw) as built:
+        with mock.patch.object(algorithms, "_stage_law", side_effect=draw) as built:
             algorithms._draw_steps(sizes, np.zeros_like(sizes), np.ones_like(sizes),
                                    np.random.default_rng(94), np.zeros(sizes.shape, dtype=bool))
         keys = {call.args for call in built.call_args_list}
-        assert keys == {(bbht_budget(M), math.isqrt(M)) for M in sizes.tolist()}
+        assert keys == {(bbht_budget(M), math.isqrt(M), 0.0) for M in sizes.tolist()}
         assert len(keys) == 2
 
 
@@ -1442,12 +1457,11 @@ class TestLedgerRule:
         assert drew_stages
 
     def test_a_rest_above_the_table_limit_builds_no_table(self):
-        # cells of 2^36 addresses have a budget past REST_TABLE_BUDGET, so
+        # cells of 2^36 addresses have a budget past TABLE_BUDGET, so
         # their first steps and rests are drawn stage by stage
-        assert bbht_budget(1 << 36) > algorithms.REST_TABLE_BUDGET
+        assert bbht_budget(1 << 36) > algorithms.TABLE_BUDGET
         built = AssertionError("a table was built")
-        with mock.patch.object(algorithms, "_rest_law", side_effect=built), \
-                mock.patch.object(algorithms, "_marked_law", side_effect=built):
+        with mock.patch.object(algorithms, "_stage_law", side_effect=built):
             out = multi_item_search([1 << 36] * 4, [0, 1], 2, 2, seed=92)
         assert (out.ledger.oracle_counts[2:] > 0).all()
 
