@@ -15,11 +15,8 @@ import numpy as np
 
 from .core import (
     MarkedPredicate,
-    STREAM_COPY,
-    STREAM_PARTITION,
     QueryLedger,
     as_generator,
-    derive_stream,
     grover_iterate,
     init_uniform,
     measure,
@@ -745,10 +742,9 @@ def parallel_search(
     ``find_times`` count parallel rounds from the start of the search,
     across repetitions.
 
-    The seed may be an int, a sequence of ints or a SeedSequence.  Each
-    repetition derives two streams from it with
-    :func:`~parsearch.core.derive_stream`: ``(STREAM_PARTITION, rep)`` for
-    its partition and ``(STREAM_COPY, rep)`` for all its copies' searches.
+    The seed may be a Generator or anything ``default_rng`` takes.  The
+    search draws everything from that one generator: per repetition, its
+    partition and then all its copies' steps.
     """
     N = db.size
     sizes = cell_sizes(N, d)
@@ -763,13 +759,13 @@ def parallel_search(
     if np.unique(items).size < items.size:
         raise ValueError("a target item is stored at two addresses")
     found = np.full(where.size, -1, dtype=np.int64)    # round of each find
+    rng = as_generator(seed)
 
-    for rep in range(MAX_REPETITIONS):
+    for _ in range(MAX_REPETITIONS):
         missing = np.flatnonzero(found < 0)
-        cells = random_partition(ends, missing.size,
-                                 seed=derive_stream(seed, STREAM_PARTITION, rep))
+        cells = random_partition(ends, missing.size, seed=rng)
         run = multi_item_search(sizes, cells, targets.k - (where.size - missing.size),
-                                t, seed=derive_stream(seed, STREAM_COPY, rep))
+                                t, seed=rng)
         hit = run.found_at >= 0
         new = missing[hit]
         found[new] = ledger.parallel_rounds + run.found_at[hit]

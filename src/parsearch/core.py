@@ -22,10 +22,9 @@ on those positions (the standard phase-kickback form of the XOR oracle);
 each application is one query, which its caller counts by the rule of
 :class:`QueryLedger`.
 
-Every random stream of a run is a child of its seed made by
-:func:`derive_stream`: one per search trial, and within a trial one for
-its database and, per repetition, one for the partition and one for all
-d copies' searches.
+Each search trial draws from one generator, seeded by its own child of
+the run's seed (:func:`derive_stream`): first its database placement, then
+per repetition its partition and then all d copies' steps, in that order.
 """
 from __future__ import annotations
 
@@ -48,29 +47,23 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-#: purpose words of derived streams: a search trial, its database
-#: placement, a repetition's partition, and all of a repetition's copies
-STREAM_TRIAL, STREAM_DATABASE, STREAM_PARTITION, STREAM_COPY = range(4)
+#: purpose word of a search trial's stream
+STREAM_TRIAL = 0
 
 
 def derive_stream(seed, purpose: int, *indices: int) -> np.random.SeedSequence:
-    """Child stream of *seed* for one *purpose*, numbered by *indices*.
+    """Child stream of *seed*, an int or a sequence of ints, for one
+    *purpose*, numbered by *indices*.
 
-    The child keeps the root entropy and extends the parent's spawn key by
-    ``(purpose, *indices)``.  It never appends words to the entropy: numpy
-    pads entropy with zeros, so ``[s, 0]`` and ``[s, 0, 0]`` seed the same
-    stream, while distinct spawn keys give distinct streams.  *seed* is an
-    int, a sequence of ints, or a SeedSequence from an earlier derivation,
-    so streams nest: a search trial's stream is the parent of its database
-    stream and of each repetition's partition and copy streams, one each.
+    The child keeps *seed* as its entropy and takes ``(purpose, *indices)``
+    as its spawn key.  It never appends words to the entropy: numpy pads
+    entropy with zeros, so ``[s, 0]`` and ``[s, 0, 0]`` seed the same
+    stream, while distinct spawn keys give distinct streams.  A search
+    trial's stream seeds the one generator that every draw of the trial
+    takes.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        root, key = seed.entropy, seed.spawn_key
-    else:
-        root, key = seed, ()
     return np.random.SeedSequence(
-        entropy=root, spawn_key=key + (purpose, *(int(i) for i in indices))
-    )
+        entropy=seed, spawn_key=(purpose, *(int(i) for i in indices)))
 
 
 #: largest n whose N-entry table :meth:`PlantedDatabase.explicit` builds.

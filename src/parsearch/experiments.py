@@ -2,8 +2,8 @@
 bound comparison tables, and brute-force adversary verification.
 
 Every driver returns a plain dict ready for JSON serialization; all
-randomness flows from the given seed through derived streams, so records
-are byte-stable across runs.
+randomness flows from the given seed, one derived stream per search trial,
+so records are byte-stable across runs.
 """
 from __future__ import annotations
 
@@ -21,14 +21,13 @@ from .algorithms import (
     union_bound,
 )
 from .core import (
-    STREAM_DATABASE,
     STREAM_TRIAL,
     PlantedDatabase,
     as_generator,
     derive_stream,
 )
 
-SPEC_VERSION = "5.0"
+SPEC_VERSION = "5.1"
 
 #: largest n a search runs at: its addresses are int64, and numpy's
 #: ``choice`` without replacement draws them from [0, N) for N up to 2**62.
@@ -162,10 +161,9 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
 
     trials = []
     for trial in range(cfg.trials):
-        stream = derive_stream(cfg.seed, STREAM_TRIAL, trial)
-        db, targets = build_database(
-            cfg.n, cfg.k, seed=derive_stream(stream, STREAM_DATABASE))
-        outcome = parallel_search(db, cfg.d, targets, seed=stream, t=regime.t)
+        rng = as_generator(derive_stream(cfg.seed, STREAM_TRIAL, trial))
+        db, targets = build_database(cfg.n, cfg.k, seed=rng)
+        outcome = parallel_search(db, cfg.d, targets, seed=rng, t=regime.t)
         trials.append({
             "trial": trial,
             "success": bool(outcome.success),

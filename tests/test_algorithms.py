@@ -32,8 +32,7 @@ from parsearch.algorithms import (
 )
 from parsearch.core import (
     MAX_EXPLICIT_BITS,
-    STREAM_COPY,
-    STREAM_PARTITION,
+    STREAM_TRIAL,
     Database,
     MarkedPredicate,
     PlantedDatabase,
@@ -45,6 +44,10 @@ from parsearch.experiments import (
     build_database,
     run_search_experiment,
 )
+
+#: purpose words of the per-copy reference engine's streams: a
+#: repetition's permutation, and one copy of a repetition
+STREAM_PARTITION, STREAM_COPY = 2, 3
 
 
 @st.composite
@@ -547,6 +550,22 @@ class TestTableCache:
         assert 8 * algorithms._stage_law.cache_info().maxsize * entries <= 32 << 20
 
 
+def largest_tabled_size() -> int:
+    """The largest cell size whose budget is within ``TABLE_BUDGET``, by
+    bisection, since the budget grows with the cell size."""
+    lo, hi = 1, 1 << 62     # bbht_budget(lo) <= TABLE_BUDGET < bbht_budget(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bbht_budget(mid) <= algorithms.TABLE_BUDGET:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+LARGEST_TABLED = largest_tabled_size()
+
+
 class TestRestLaw:
     """The tabled law of a rest's unknown-count stages, against the stage
     sampler that draws them one by one: a rest is a row with nothing
@@ -554,8 +573,7 @@ class TestRestLaw:
 
     DRAWS = 20000
 
-    # up to the largest cell size whose budget is within TABLE_BUDGET
-    @pytest.mark.parametrize("M", [64, 1023, 1024, 1 << 20, 52_391_860])
+    @pytest.mark.parametrize("M", [64, 1023, 1024, 1 << 20, LARGEST_TABLED])
     def test_matches_the_stage_sampler(self, M):
         budget = bbht_budget(M)
         assert budget <= algorithms.TABLE_BUDGET
@@ -577,7 +595,7 @@ class TestRestLaw:
         assert abs(stages.mean() - mean) <= 4 * stderr
         assert law[-1] == 1.0 and (np.diff(law) >= 0).all()
 
-    @pytest.mark.parametrize("M", [64, 1 << 20, 52_391_860])
+    @pytest.mark.parametrize("M", [64, 1 << 20, LARGEST_TABLED])
     def test_a_rest_never_hits(self, M):
         # at theta = 0 the hit half adds no mass, so from entry budget on
         # the table is exactly 1, above every key: each draw is a stop
@@ -588,8 +606,16 @@ class TestRestLaw:
         assert np.searchsorted(law, algorithms._BELOW_ONE, side="right") <= budget
 
     def test_the_largest_size_under_the_limit(self):
-        assert bbht_budget(52_391_860) <= algorithms.TABLE_BUDGET
-        assert bbht_budget(52_391_861) > algorithms.TABLE_BUDGET
+        # a rest of that size draws from a table, and one of the next size
+        # takes the stage loop
+        budget = bbht_budget(LARGEST_TABLED)
+        assert budget <= algorithms.TABLE_BUDGET < bbht_budget(LARGEST_TABLED + 1)
+        draw = algorithms._stage_law
+        sizes = np.array([LARGEST_TABLED, LARGEST_TABLED + 1])
+        with mock.patch.object(algorithms, "_stage_law", side_effect=draw) as built:
+            algorithms._draw_steps(sizes, np.zeros_like(sizes), np.ones_like(sizes),
+                                   np.random.default_rng(95), np.zeros(2, dtype=bool))
+        assert {call.args[0] for call in built.call_args_list} == {budget}
 
     def test_nearby_sizes_share_one_table(self):
         # the stages read M through its budget and int(sqrt(M)) alone, so
@@ -842,15 +868,19 @@ class TestMaxloadExceedance:
 
 class TestParallelSearch:
     def test_d_one_reduction(self):
-        # same seed stream => identical oracle-query decisions as the
-        # single-database multi-item search with cap k
+        # the same generator, past the same d = 1 partition => identical
+        # oracle-query decisions as the single-database multi-item search
+        # with cap k, and the same draws consumed
         for s in range(15):
             db, targets = build_database(8, 3, seed=[41, s])
-            par = parallel_search(db, 1, targets, seed=s)
-            marked, single = search_one_cell(db, np.arange(256), targets, 3,
-                                             seed=derive_stream(s, STREAM_COPY, 0))
+            rng = np.random.default_rng(s)
+            par = parallel_search(db, 1, targets, seed=rng)
+            g = np.random.default_rng(s)
+            random_partition(np.array([256]), 3, g)
+            marked, single = search_one_cell(db, np.arange(256), targets, 3, seed=g)
             assert par.located == located(db, marked, single)
             assert par.ledger.oracle_counts[0] == single.ledger.oracle_counts[0]
+            assert rng.bit_generator.state == g.bit_generator.state
 
     def test_find_times_are_absolute_rounds(self):
         # k=4 items, d=2 cells of cap t=1: at least two repetitions
@@ -1117,58 +1147,59 @@ class TestManyStepsPerCell:
 
 
 class TestStreamIndependence:
+    """A search trial draws everything from one generator, seeded by its
+    own stream ``(STREAM_TRIAL, trial)`` of the run's seed: its database,
+    then per repetition its partition and then its copies' steps."""
+
     @staticmethod
     def record_seeds(monkeypatch, module, name, seen):
         fn = getattr(module, name)
 
         def recording(*args, **kwargs):
             seed = inspect.signature(fn).bind(*args, **kwargs).arguments["seed"]
-            seen.append((name, seed))
+            seen.append((name, seed, seed.bit_generator.state))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recording)
 
     @pytest.mark.parametrize("d", [1, 4, 16])
     def test_every_stream_of_a_run_is_distinct(self, d, monkeypatch):
-        # over two trials: the database stream, and in each repetition one
-        # partition stream and one stream for all of its copies' searches
-        seen, streams = [], []
+        # over two trials: with k = 2d targets and cap 1, each takes at
+        # least two repetitions
+        seen = []
         self.record_seeds(monkeypatch, experiments, "build_database", seen)
         self.record_seeds(monkeypatch, algorithms, "random_partition", seen)
         self.record_seeds(monkeypatch, algorithms, "multi_item_search", seen)
-        derive = algorithms.derive_stream
-
-        def deriving(seed, purpose, *indices):
-            streams.append(((purpose, indices), derive(seed, purpose, *indices)))
-            return streams[-1][1]
-
-        monkeypatch.setattr(algorithms, "derive_stream", deriving)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # d = 16 exceeds sqrt(N)
             record = run_search_experiment(
-                ExperimentConfig(n=6, d=d, k=8, trials=2, seed=5, t_override=1)
+                ExperimentConfig(n=6, d=d, k=2 * d, trials=2, seed=5, t_override=1)
             )
         reps = [t["repetitions"] for t in record["trials"]]
-        assert all(r >= 2 for r in reps)
-        kinds = Counter(name for name, _ in seen)
-        assert kinds["build_database"] == 2
-        assert kinds["multi_item_search"] == kinds["random_partition"] == sum(reps)
-        # the only derivations in algorithms: per repetition, in order, the
-        # partition's stream, then the copies' one stream
-        assert [kind for kind, _ in streams] == [
-            (purpose, (rep,)) for count in reps for rep in range(count)
-            for purpose in (STREAM_PARTITION, STREAM_COPY)]
-        # the partition's and the searches' seeds are those streams
-        derived = [stream for _, stream in streams]
-        seeds = [seed for name, seed in seen if name != "build_database"]
-        assert len(seeds) == len(derived)
-        assert all(seed is stream for seed, stream in zip(seeds, derived))
-        states = [
-            tuple(np.random.default_rng(seed).bit_generator.state["state"].values())
-            for seed in [seed for name, seed in seen if name == "build_database"]
-            + derived
-        ]
-        assert len(set(states)) == len(states)
+        assert len(reps) == 2 and all(r >= 2 for r in reps)
+        assert [name for name, _, _ in seen] == [
+            name for count in reps for name in
+            ["build_database"] + ["random_partition", "multi_item_search"] * count]
+        starts = []
+        for trial, count in enumerate(reps):
+            calls, seen = seen[:1 + 2 * count], seen[1 + 2 * count:]
+            rng, start = calls[0][1], calls[0][2]
+            assert all(seed is rng for _, seed, _ in calls)
+            assert start == np.random.default_rng(
+                derive_stream(5, STREAM_TRIAL, trial)).bit_generator.state
+            starts.append(start)
+        assert starts[0] != starts[1]
+
+    @pytest.mark.parametrize("n,d,k,t", [(12, 16, 16, None), (8, 2, 6, 1)])
+    def test_a_trial_does_not_depend_on_the_trial_count(self, n, d, k, t):
+        # trial i draws from its own stream alone, so the first trials of a
+        # short run are those of a long one; with cap 1 every trial of the
+        # second cell takes at least three repetitions
+        few, many = (run_search_experiment(ExperimentConfig(
+            n=n, d=d, k=k, trials=trials, seed=29, t_override=t))["trials"]
+            for trials in (3, 10))
+        assert few == many[:3]
+        assert t is None or all(trial["repetitions"] >= 3 for trial in many)
 
 
 class RecordingLedger(QueryLedger):

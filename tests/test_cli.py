@@ -29,7 +29,7 @@ def test_search_json_schema(capsys):
     assert code == 0
     record = json.loads(out)
     jsonschema.validate(record, SCHEMAS["search"])
-    assert record["spec_version"] == "5.0"
+    assert record["spec_version"] == "5.1"
 
 
 def test_search_aggregates_recomputable(capsys):

@@ -15,43 +15,43 @@ from parsearch.cli import main
 PINS = [
     # the three acceptance regime cells
     (["search", "--n", "12", "--d", "64", "--k", "4", "--trials", "5", "--seed", "11"],
-     "81a53ba9725201b23560ce7da181a8df2b0b859b0fde6ff58cc857b8363274bf"),
+     "a57e90539f112447708a2fce266b7236ba036fe6ab2cf16968a2e9d1d3293a37"),
     (["search", "--n", "12", "--d", "16", "--k", "16", "--trials", "5", "--seed", "12"],
-     "5fd73fe796378cb51eedab182fbde773bef0dbcdb2c16614a704e91d1452ff6f"),
+     "27408bc29578765bca7daf400f1941face40e9042d61cc323a6149a904d83fee"),
     (["search", "--n", "14", "--d", "8", "--k", "64", "--trials", "5", "--seed", "13"],
-     "9eca8b0c226f54904cf7e5f2b85c41534e9f03bc4c89c4515d5c0aabf7dbfe53"),
+     "b043f18c28cccf8cd90f3a0ff60e98ac1f01c196b51ea6c081ed019a5294102d"),
     (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "5", "--seed", "14"],
-     "48365206f8a4d7711da41b698ecd96cf765afa1c20345e5c31d6a7ef1abeba1c"),
+     "8a996d55ec3cc4bc6427282f5a87a6ec1a621696cd50aec1ddd0eaa1acefd6fd"),
     # k > d with cap 1: every trial takes several repetitions
     (["search", "--n", "8", "--d", "2", "--k", "6", "--t", "1", "--trials", "5",
       "--seed", "15"],
-     "4221e198a89b9307ad6184a884f45a5ec58eb94b66e1022879a58e4c16b58c31"),
+     "4a491f4db2a1bb64f98ee3e6e1fd010202a940b043ac8028997a20c15e732b6e"),
     (["search", "--n", "8", "--d", "1", "--k", "3", "--trials", "5", "--seed", "16"],
-     "f8c9dcaa6a7d908af61a7677151d4df51ff6eb56580248f031d2ac879b7b033c"),
+     "07b20f7a5748fa8ff324170f6f7d67865d9984702fb0d5b0bdbb4673231dfcdd"),
     # d = 1 with cap 2 < k: every trial takes three repetitions, so the
     # pin sees the search's decisions, not only three near-certain hits
     (["search", "--n", "8", "--d", "1", "--k", "6", "--t", "2", "--trials", "5",
       "--seed", "19"],
-     "278abe50b832684d9d42ad538607e9c74d127feb11a4b4434c1953ce50bf2a7f"),
-    # k = 512 over 16 cells of cap 8: 6, 6 and 5 repetitions with hundreds
+     "94127d4b60a4f11f608d5881cdb0c4ffe308a742876f64bfd2a94cfc9882a7f2"),
+    # k = 512 over 16 cells of cap 8: 6, 5 and 6 repetitions with hundreds
     # of targets still missing, so the pin sees the bookkeeping of what is
     # found across repetitions
     (["search", "--n", "16", "--d", "16", "--k", "512", "--t", "8", "--trials", "3",
       "--seed", "21"],
-     "87f89528f1eb3db59261a86f6ceb032e8d260b0667d2c06e8d9ffb9ba69f452f"),
+     "b9c0f2ed64ca5cee09b74084f451b5751c13424c01bb1702f3ce072721ecc880"),
     (["bounds", "--n", "6,8", "--d", "2,4", "--k", "2,3", "--trials", "3", "--seed", "17"],
-     "af074c5d380ff7a6c9aea9f534e1002d24f4cdda4e9f3ece4108ac0cd39c007d"),
+     "7129892b8578838933995e78ef80867d7d8db1f1bf02e6dbc96b9865a7ef8afe"),
     (["maxload", "--d", "8", "--k", "16", "--t", "4"],
-     "69c3fb5b4a5f06f13ab07dbe069b200c1995b645089cda691542e17c3d12ba33"),
+     "aeb541eb60617fe50eb8040aa5977759e907daaa4845a7d25550641307aba5be"),
     # a union bound that is neither clamped nor exact in binary, so the
     # pin sees the order of its float operations
     (["maxload", "--d", "12", "--k", "16", "--t", "4"],
-     "de1c2f9cbd1219ca730d0f28a185d9271455793b4ad1f31f9c6f67662de0f8b0"),
+     "55aac102ec8bcdf6072cfaf717c9db787fe3e44a307ccd1b25cd0387e2d6b560"),
     (["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"],
-     "68649285031a4691daf85111d431de3c3d907e4c2000d280078b2b30c859bc84"),
+     "c40e7f0d5710550b3f33dcfecfc69197ce838c53b635955031a20164853701f7"),
     # the benchmark's instance: k = 4 reaches lexicographic ranks of width 3
     (["adversary", "--n", "4", "--m", "3", "--d", "5", "--k", "4"],
-     "2d5b47e4b2e3ff2818131555bc2543e4130f17228d02629bad7a501e04ab28db"),
+     "8cc902910494e5911c2e27cf5c746d5355ee6de1c4d05328a37749dfcd9cb1c2"),
 ]
 
 
