@@ -8,7 +8,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     MarkedPredicate,
     QueryLedger,
-    as_generator,
     grover_iterate,
     init_uniform,
     measure,
@@ -102,7 +101,6 @@ class SearchOutcome:
     located: dict            # item -> address
     success: bool
     ledger: QueryLedger
-    find_times: dict = field(default_factory=dict)  # item -> oracle round of find
 
     @property
     def parallel_rounds(self) -> int:
@@ -164,7 +162,7 @@ def grover_search_known(pred: MarkedPredicate, j: int, seed):
     M = pred.size
     if j < 1 or j > M:
         raise ValueError(f"assumed count j={j} outside [1, {M}]")
-    return _grover_attempt(pred, optimal_iterations(M, j), as_generator(seed))
+    return _grover_attempt(pred, optimal_iterations(M, j), np.random.default_rng(seed))
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -270,7 +268,7 @@ def bbht_search_unknown(pred: MarkedPredicate, seed):
     M = pred.size
     if M == 0:
         raise ValueError("cannot search an empty subdomain")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     budget, caps = bbht_budget(M), _cutoffs(math.sqrt(M))
     queries = 0
     for s in itertools.count():
@@ -506,7 +504,7 @@ def multi_item_search(sizes, cells, k: int, t: int, seed) -> Repetition:
     loads = np.bincount(cells, minlength=sizes.size)
     if (loads > sizes).any():
         raise ValueError("a cell holds more marked addresses than addresses")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     order = np.argsort(cells, kind="stable")
     order = order[np.lexsort((rng.random(order.size), cells[order]))]
     first = np.cumsum(loads) - loads    # each cell's first marked address there
@@ -568,7 +566,8 @@ def random_partition(ends, count: int, seed) -> np.ndarray:
     ends = np.asarray(ends)
     if not ends.size:
         raise ValueError("need at least one cell")
-    positions = as_generator(seed).choice(int(ends[-1]), size=count, replace=False)
+    positions = np.random.default_rng(seed).choice(
+        int(ends[-1]), size=count, replace=False)
     return np.searchsorted(ends, positions, side="right")
 
 
@@ -736,11 +735,12 @@ def parallel_search(
     attempt's r + 1 queries, and is not checked again.  The items read at
     the found addresses are distinct targets, so every target is located
     exactly when all k are stored and all are found, and success is read off
-    the find array.  A repetition that leaves items unlocated costs the
-    longest copy program and triggers another repetition (fresh partition,
-    already-found addresses excluded) up to ``MAX_REPETITIONS``.
-    ``find_times`` count parallel rounds from the start of the search,
-    across repetitions.
+    one mask of the found addresses.  A repetition that leaves items
+    unlocated costs the longest copy program and triggers another repetition
+    (fresh partition, already-found addresses excluded) up to
+    ``MAX_REPETITIONS``.  ``located`` maps each item found to its address,
+    built once after the last repetition; when each item was found is not
+    part of the outcome.
 
     The seed may be a Generator or anything ``default_rng`` takes.  The
     search draws everything from that one generator: per repetition, its
@@ -752,28 +752,23 @@ def parallel_search(
     if t is None:
         t = choose_regime(N, d, targets.k).t
 
-    outcome = SearchOutcome(located={}, success=False, ledger=QueryLedger(d))
-    ledger = outcome.ledger
+    ledger = QueryLedger(d)
     where = db.locate(targets.items)
     items = db.items_at(where)
     if np.unique(items).size < items.size:
         raise ValueError("a target item is stored at two addresses")
-    found = np.full(where.size, -1, dtype=np.int64)    # round of each find
-    rng = as_generator(seed)
+    found = np.zeros(where.size, dtype=bool)    # the target addresses found
+    rng = np.random.default_rng(seed)
 
     for _ in range(MAX_REPETITIONS):
-        missing = np.flatnonzero(found < 0)
+        missing = np.flatnonzero(~found)
         cells = random_partition(ends, missing.size, seed=rng)
         run = multi_item_search(sizes, cells, targets.k - (where.size - missing.size),
                                 t, seed=rng)
-        hit = run.found_at >= 0
-        new = missing[hit]
-        found[new] = ledger.parallel_rounds + run.found_at[hit]
+        found[missing[run.found_at >= 0]] = True
         ledger.record_repetition(run.ledger.oracle_counts)
-        outcome.located.update(zip(items[new].tolist(), where[new].tolist()))
-        outcome.find_times.update(zip(items[new].tolist(), found[new].tolist()))
-
-        outcome.success = bool(where.size == targets.k and (found >= 0).all())
-        if outcome.success:
+        success = bool(where.size == targets.k and found.all())
+        if success:
             break
-    return outcome
+    located = dict(zip(items[found].tolist(), where[found].tolist()))
+    return SearchOutcome(located, success, ledger)

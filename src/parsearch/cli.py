@@ -23,6 +23,7 @@ from .experiments import (
     run_maxload_check,
     run_search_experiment,
 )
+from .schemas import BOUNDS_SCHEMA
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,9 +110,9 @@ def _csv_rows(record: dict) -> tuple:
         })
         return list(row), [row]
     if cmd == "bounds":
-        if not record["rows"]:
-            return [], []
-        return list(record["rows"][0]), record["rows"]
+        # the schema names the fields, so a sweep with no cell has a header too
+        fields = BOUNDS_SCHEMA["properties"]["rows"]["items"]["properties"]
+        return list(fields), record["rows"]
     # adversary
     row = dict(record["config"])
     row.update(record["stats"])
@@ -133,9 +134,8 @@ def _write(record: dict, fh, fmt: str) -> None:
     header, rows = _csv_rows(record)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    if header:
-        writer.writeheader()
-        writer.writerows(rows)
+    writer.writeheader()
+    writer.writerows(rows)
     fh.write(buf.getvalue())
 
 

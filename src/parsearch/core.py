@@ -25,6 +25,9 @@ each application is one query, which its caller counts by the rule of
 Each search trial draws from one generator, seeded by its own child of
 the run's seed (:func:`derive_stream`): first its database placement, then
 per repetition its partition and then all d copies' steps, in that order.
+A function that takes a *seed* passes it to ``numpy.random.default_rng``,
+which returns a Generator as it is, so the trial's functions share that
+one generator.
 """
 from __future__ import annotations
 
@@ -34,17 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-9
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Return *seed* itself if it is already a Generator, else seed a new one.
-
-    Accepts anything ``numpy.random.default_rng`` accepts (ints, sequences
-    of ints, SeedSequence).
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 #: purpose word of a search trial's stream
@@ -321,7 +313,7 @@ def measure(state: np.ndarray, seed) -> int:
     total = float(probs.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"cannot measure unnormalized state: sum |a|^2 = {total!r}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     # renormalize exactly so the sampler sees a proper distribution
     return int(rng.choice(probs.size, p=probs / total))
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import adversary
 from .algorithms import (
     RegimeParams,
@@ -23,7 +25,6 @@ from .algorithms import (
 from .core import (
     STREAM_TRIAL,
     PlantedDatabase,
-    as_generator,
     derive_stream,
 )
 
@@ -147,7 +148,7 @@ def build_database(n: int, k: int, seed) -> tuple:
     N = address_count(n, MAX_SEARCH_BITS, "search")
     if k > N:
         raise ValueError("more targets than addresses")
-    addresses = as_generator(seed).choice(N, size=k, replace=False)
+    addresses = np.random.default_rng(seed).choice(N, size=k, replace=False)
     return PlantedDatabase(n, addresses), TargetSet(range(1, k + 1))
 
 
@@ -161,7 +162,7 @@ def run_search_experiment(cfg: ExperimentConfig) -> dict:
 
     trials = []
     for trial in range(cfg.trials):
-        rng = as_generator(derive_stream(cfg.seed, STREAM_TRIAL, trial))
+        rng = np.random.default_rng(derive_stream(cfg.seed, STREAM_TRIAL, trial))
         db, targets = build_database(cfg.n, cfg.k, seed=rng)
         outcome = parallel_search(db, cfg.d, targets, seed=rng, t=regime.t)
         trials.append({

@@ -141,7 +141,6 @@ class TestBuildDatabase:
             stored, table = (parallel_search(base, d, targets, [66, s], t)
                              for base in (db, db.explicit()))
             assert stored.located == table.located
-            assert stored.find_times == table.find_times
             assert stored.success == table.success
             assert stored.repetitions == table.repetitions
             np.testing.assert_array_equal(stored.ledger.oracle_counts,
@@ -329,7 +328,7 @@ class TestMultiItemSearch:
                     np.sort(shuffled.found_at[cells[shuffle] == c]),
                     np.sort(ordered.found_at[cells == c]))
 
-    def test_find_times_are_increasing_and_bounded(self):
+    def test_finds_are_increasing_and_bounded(self):
         db, targets = build_database(8, 3, seed=15)
         _, out = search_one_cell(db, np.arange(256), targets, 3, seed=16)
         times = sorted(out.found_at[out.found_at >= 0].tolist())
@@ -882,17 +881,6 @@ class TestParallelSearch:
             assert par.ledger.oracle_counts[0] == single.ledger.oracle_counts[0]
             assert rng.bit_generator.state == g.bit_generator.state
 
-    def test_find_times_are_absolute_rounds(self):
-        # k=4 items, d=2 cells of cap t=1: at least two repetitions
-        for s in range(20):
-            db, targets = build_database(8, 4, seed=[53, s])
-            out = parallel_search(db, 2, targets, [54, s], 1)
-            assert out.repetitions >= 2
-            assert all(0 <= v <= out.parallel_rounds
-                       for v in out.find_times.values())
-            if out.success:
-                assert max(out.find_times.values()) == out.parallel_rounds
-
     def test_success_soundness(self):
         for s in range(30):
             db, targets = build_database(8, 4, seed=[43, s])
@@ -1070,11 +1058,11 @@ class TestDenseReference:
 
 def per_copy_search(db, cell, targets, t, seed):
     """One copy's iterated search as a separate call: the scan of its
-    cell's addresses, then the step loop.  Returns the located items, their
-    find times and the copy's whole program."""
+    cell's addresses, then the step loop.  Returns the located items, the
+    queries made when each was found and the copy's whole program."""
     rng = np.random.default_rng(seed)
     pred = MarkedPredicate.scan(db, targets, cell)
-    located, find_times, queries = {}, {}, 0
+    located, finds, queries = {}, {}, 0
     for i in range(1, t + 1):
         if len(located) == len(targets) or pred.size == 0:
             break
@@ -1086,9 +1074,9 @@ def per_copy_search(db, cell, targets, t, seed):
             if addr is None:
                 break
         located[db.lookup(addr)] = addr
-        find_times[db.lookup(addr)] = queries
+        finds[db.lookup(addr)] = queries
         pred = pred.without(addr)
-    return located, find_times, queries
+    return located, finds, queries
 
 
 def per_copy_parallel_search(db, d, targets, seed):
@@ -1519,7 +1507,7 @@ class TestLedgerRule:
 
         # each repetition searches the addresses not yet found, ascending,
         # and found_at[i] is the find of the i-th of them
-        closed, addresses = 0, db.locate(targets.items)
+        addresses, found = db.locate(targets.items), []
         for i, (rounds, (missing, run)) in enumerate(zip(reps, runs)):
             programs = run.ledger.oracle_counts.tolist()
             assert len(programs) == d
@@ -1531,12 +1519,10 @@ class TestLedgerRule:
             hit = run.found_at >= 0
             if hit.sum() == missing:
                 assert max(programs) == run.found_at.max()
-            # items found in this repetition: their find times are this
-            # one's, after every earlier repetition's rounds
-            items = db.items_at(addresses[hit]).tolist()
-            assert ([out.find_times[y] for y in items]
-                    == (closed + run.found_at[hit]).tolist())
-            assert all(closed < out.find_times[y] <= closed + rounds for y in items)
-            closed, addresses = closed + rounds, addresses[~hit]
-        if out.success:
-            assert max(out.find_times.values()) == out.parallel_rounds
+            found += addresses[hit].tolist()
+            addresses = addresses[~hit]
+        # the addresses found across the repetitions are exactly the located
+        # ones, and each located item is the one stored at its address
+        at = list(out.located.values())
+        assert sorted(found) == sorted(at)
+        assert db.items_at(at).tolist() == list(out.located)

@@ -351,6 +351,72 @@ def test_search_csv(capsys):
     assert float(rows[0]["success_rate"]) <= 1.0
 
 
+CSV_RUNS = {
+    "maxload": ["maxload", "--k", "8", "--d", "4", "--t", "4"],
+    "bounds": ["bounds", "--n", "6,7", "--d", "2", "--k", "2", "--trials", "3",
+               "--seed", "2"],
+    "adversary": ["adversary", "--n", "2", "--m", "2", "--d", "2", "--k", "2"],
+}
+
+
+def flattened(record):
+    """The CSV rows of a JSON *record*, each a list of (field, value) pairs
+    in the order the record holds them."""
+    if record["command"] == "bounds":
+        return [list(row.items()) for row in record["rows"]]
+    tops = {"maxload": ("exceedance", "union_bound", "within_bound"),
+            "adversary": ("ambainis_bound", "closed_form_bound")}[record["command"]]
+    parts = [record["config"]]
+    if record["command"] == "adversary":
+        parts += [record["stats"], record["claims"]]
+    parts.append({name: record[name] for name in tops})
+    return [[pair for part in parts for pair in part.items()]]
+
+
+def parsed(text, like):
+    """A CSV cell read back as the type of the JSON value *like*."""
+    if isinstance(like, bool):
+        return {"True": True, "False": False}[text]
+    return type(like)(text)
+
+
+@pytest.mark.parametrize("command", list(CSV_RUNS))
+def test_csv_is_the_json_record_flattened(command, capsys, monkeypatch):
+    # the header is the record's fields in the order the record holds them
+    # (its JSON text sorts them), and every value reads back equal to the
+    # JSON record's
+    code, out = run_cli(CSV_RUNS[command], capsys)
+    assert code == 0
+    emitted, emit = [], cli._emit
+
+    def recording(record, *rest):
+        emitted.append(record)
+        return emit(record, *rest)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, text = run_cli(CSV_RUNS[command] + ["--format", "csv"], capsys)
+    assert code == 0
+    assert emitted == [json.loads(out)]
+    expected = flattened(emitted[0])
+    header, *rows = csv.reader(io.StringIO(text))
+    assert len(rows) == len(expected) >= 1
+    for row, fields in zip(rows, expected):
+        assert header == [name for name, _ in fields]
+        values = [value for _, value in fields]
+        assert [parsed(cell, value) for cell, value in zip(row, values)] == values
+
+
+def test_bounds_csv_of_a_sweep_with_no_cell_is_its_header(capsys):
+    code, out = run_cli(["bounds", "--n", "4", "--trials", "1", "--format", "csv"],
+                        capsys)
+    assert code == 0
+    code, full = run_cli(CSV_RUNS["bounds"] + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == full.splitlines(keepends=True)[0]
+    assert next(csv.reader(io.StringIO(out))) == list(
+        SCHEMAS["bounds"]["properties"]["rows"]["items"]["properties"])
+
+
 def test_maxload_json_schema(capsys):
     code, out = run_cli(["maxload", "--k", "8", "--d", "4", "--t", "4"], capsys)
     assert code == 0

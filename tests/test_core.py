@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from parsearch.core import (
     Database,
     MarkedPredicate,
+    PlantedDatabase,
     QueryLedger,
     grover_iterate,
     init_uniform,
@@ -49,6 +50,18 @@ class TestDatabase:
     def test_item_width_enforced(self):
         with pytest.raises(ValueError):
             Database(n=1, m=1, entries=np.array([0, 2]))
+
+
+class TestPlantedDatabase:
+    @pytest.mark.parametrize("n,addresses,reason", [
+        (-1, [], "n >= 0"),
+        (3, [1, 1], "distinct"),
+        (3, [8], r"lie in \[0, 8\)"),
+        (3, [-1], r"lie in \[0, 8\)"),
+    ])
+    def test_refuses(self, n, addresses, reason):
+        with pytest.raises(ValueError, match=reason):
+            PlantedDatabase(n, addresses)
 
 
 @st.composite
