@@ -77,7 +77,8 @@ class AdversaryGraph:
     ``[miss, *kept_i]``, where target ``miss + 1`` is absent and the k-1
     kept targets sit, in order, at the addresses of the i-th
     (k-1)-permutation ``kept_i``.  Every other location holds zero.
-    ``edges`` has shape (k * len(v1), 3): row ``i1 * k + j`` is
+    ``edges`` has shape (k * len(v1), 3), stored column by column, so
+    each column is one contiguous array: row ``i1 * k + j`` is
     ``(i0, i1, x)``, joining ``v0[i0]`` to ``v1[i1]`` by removing target
     j+1, and ``x = v1[i1, j]`` is the single base address where the two
     databases differ.  So ``i0`` is ``j * perm(N, k-1)`` plus the
@@ -120,21 +121,6 @@ def estimated_size(fam: InstanceFamily) -> int:
     return v0 + v1
 
 
-def _lex_rank(rows: np.ndarray, columns, N: int) -> np.ndarray:
-    """Rank of each row's *columns*, read as a w-permutation of range(N),
-    among all w-permutations in lexicographic order: its Lehmer code, the
-    digit at position p being the entry less the smaller entries before
-    it, weighted by perm(N-1-p, w-1-p), the placements of what follows."""
-    w = len(columns)
-    rank = np.zeros(len(rows), dtype=np.int64)
-    for p, c in enumerate(columns):
-        digit = rows[:, c].copy()
-        for q in columns[:p]:
-            digit -= rows[:, q] < rows[:, c]
-        rank += digit * math.perm(N - 1 - p, w - 1 - p)
-    return rank
-
-
 def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     """Enumerate both vertex sets and all edges explicitly.
 
@@ -143,12 +129,16 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     target, labeled with that target's address.
 
     The w-permutations of range(N) are built from the (w-1)-permutations
-    one column at a time: in each row's mask of still-free addresses, one
-    ``np.nonzero`` gives every child's parent row and new last address,
-    already in lexicographic order.  The width-(k-1) step is ``kept`` and
-    the width-k step is ``v1``, so removing v1's last target leaves its
-    parent row; removing any other target leaves a row found by its
-    lexicographic rank, with no search.
+    one column at a time: each row has exactly N-w+1 children, contiguous
+    and in lexicographic order, namely the row repeated with each of its
+    free addresses appended.  The width-(k-1) step is ``kept`` and the
+    width-k step is ``v1``, so removing v1's last target leaves its parent
+    row; removing any other target leaves a row found by its lexicographic
+    rank, with no search.  All those ranks come from one digit table: row
+    ``a``'s Lehmer digit at column p is ``a[p]`` less the smaller entries
+    before it, and without column j the digits before j stay, each weighted
+    by perm(N-1-p, k-2-p), while those after j move one place left, gain
+    ``a[j] < a[p]`` and take the weight perm(N-p, k-1-p).
     """
     # v1 alone has perm(N, k) >= k! vertices, so a large k is refused
     # before perm(N, k) is computed.  b! > 2**b > FEASIBLE_VERTICES for its
@@ -172,40 +162,63 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
         kept = v1
         free = np.ones((len(kept), N), dtype=bool)
         free[np.arange(len(kept))[:, None], kept] = False
-        parent, last = np.nonzero(free)
-        v1 = np.empty((len(parent), width), dtype=np.int64)
-        v1[:, :-1] = kept[parent]
-        v1[:, -1] = last
+        v1 = np.empty((len(kept) * (N - width + 1), width), dtype=np.int64)
+        v1.reshape(len(kept), N - width + 1, width)[:, :, :-1] = kept[:, None]
+        # each free address is its flat index mod N, a power of two
+        np.bitwise_and(np.flatnonzero(free), N - 1, out=v1[:, -1])
     v0 = np.empty((k * len(kept), k), dtype=np.int64)
     v0[:, 0] = np.repeat(np.arange(k), len(kept))
-    v0[:, 1:] = np.tile(kept, (k, 1))
-    edges = np.empty((k * len(v1), 3), dtype=np.int64)
+    v0.reshape(k, len(kept), k)[:, :, 1:] = kept
+    # edges column by column; [i1, j] of a column's (len(v1), k) view is
+    # its row i1 * k + j
+    edges = np.empty((k * len(v1), 3), dtype=np.int64, order="F")
+    first = edges[:, 0].reshape(len(v1), k)
+    digit = v1.T.copy()
+    less = {(q, p): digit[q] < digit[p] for p in range(k) for q in range(p)}
+    for q, p in less:
+        digit[p] -= less[q, p]
     for j in range(k - 1):
-        rest = [c for c in range(k) if c != j]
-        edges[j::k, 0] = j * len(kept) + _lex_rank(v1, rest, N)
-    edges[k - 1::k, 0] = (k - 1) * len(kept) + parent
-    edges[:, 1] = np.repeat(np.arange(len(v1)), k)
+        rank = np.full(len(v1), j * len(kept))
+        for p in range(j):
+            rank += digit[p] * math.perm(N - 1 - p, k - 2 - p)
+        for p in range(j + 1, k):
+            rank += (digit[p] + less[j, p]) * math.perm(N - p, k - 1 - p)
+        first[:, j] = rank
+    first[:, -1] = (k - 1) * len(kept) + np.arange(len(kept)).repeat(N - k + 1)
+    edges[:, 1].reshape(len(v1), k)[:] = np.arange(len(v1))[:, None]
     edges[:, 2] = v1.ravel()
     return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
 
 
 def _max_label_multiplicity(vertex: np.ndarray, addr: np.ndarray, N: int,
                             d: int) -> int:
-    """Largest, over vertices, sum of the top-d per-address edge counts."""
-    keys = np.sort(vertex * N + addr)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=len(keys))
-    owner = keys[starts] // N
+    """Largest, over vertices, sum of the top-d per-address edge counts.
+
+    Each edge is one packed sort key, ``vertex << s | addr`` with s the
+    bit length of N - 1 (at least 1; N is a power of two, so every address
+    fits in s bits).  The keys are int32 when the largest one fits, which
+    halves the sort's memory traffic, and int64 otherwise.
+    """
+    s = max((N - 1).bit_length(), 1)
+    wide = (int(vertex.max()) << s | (N - 1)) > np.iinfo(np.int32).max
+    keys = np.left_shift(vertex, s, dtype=np.int64 if wide else np.int32)
+    np.bitwise_or(keys, addr, out=keys)
+    keys.sort()
+    start = np.ones(len(keys) + 1, dtype=bool)   # the last entry ends a run
+    np.not_equal(keys[1:], keys[:-1], out=start[1:-1])
+    counts = np.diff(np.flatnonzero(start))
+    owner = keys[start[:-1]]
+    owner >>= s
     # a vertex's top-d sum is sum over h >= 1 of min(d, its counts >= h),
     # constant for h between two distinct counts: one pass per distinct
-    # count.  No vertex has more than N addresses, so d is capped at N.
+    # count, the smallest of which every run reaches.  No vertex has more
+    # than N addresses, so d is capped at N.
     d = min(d, N)
-    sums = np.zeros(owner[-1] + 1, dtype=np.int64)
-    below = 0
-    for h in np.flatnonzero(np.bincount(counts)):
+    distinct = np.flatnonzero(np.bincount(counts))
+    sums = distinct[0] * np.minimum(np.bincount(owner), d)
+    for below, h in zip(distinct[:-1], distinct[1:]):
         at_least = np.bincount(owner[counts >= h], minlength=len(sums))
         sums += (h - below) * np.minimum(at_least, d)
-        below = h
     return int(sums.max())
 
 

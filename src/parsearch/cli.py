@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from .adversary import InfeasibleInstanceError
 from .experiments import (
@@ -169,7 +170,23 @@ def _emit(record: dict, out, fmt: str) -> int:
     return EXIT_OK
 
 
+def _warn_once(shown: set):
+    """A ``warnings.showwarning`` that prints each distinct message once,
+    as a ``parsearch: warning:`` line with no source file or line."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"parsearch: warning: {message}", file=sys.stderr)
+    return show
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():   # the filters stay as they are
+        warnings.showwarning = _warn_once(set())
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -91,11 +91,14 @@ class TestBuildGraph:
             assert edges == expected
 
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2),
-                                     (2, 3), (2, 4), (3, 4), (4, 3)])
+                                     (2, 3), (2, 4), (3, 4), (4, 3),
+                                     (0, 1), (1, 1), (3, 5)])
     def test_arrays_match_tuple_enumeration(self, n, k):
         # reference: the same vertices and edges built one tuple at a time.
         # Each v1 row's last target leads to its parent row; its other
         # targets to lexicographic ranks, of width 2 at k = 3, 3 at k = 4
+        # and 4 at k = 5, where every removed column but the last has
+        # digits both before and after it
         fam = InstanceFamily(n=n, m=k.bit_length() + 1, d=1, k=k)
         addrs = range(fam.N)
         v1 = tuple(permutations(addrs, k))
@@ -206,6 +209,48 @@ class TestComputeStats:
                        self.top_d_reference(i0.tolist(), x.tolist(), d),
                        self.top_d_reference(i1.tolist(), x.tolist(), d))
         assert all(type(v) is int for v in got)
+
+    def test_edge_storage_order_does_not_matter(self):
+        # the built edges are stored column by column; the same edge list
+        # stored row by row gives the same statistics
+        g = build_adversary_graph(InstanceFamily(n=3, m=3, d=2, k=3))
+        assert g.edges.flags.f_contiguous
+        rows = AdversaryGraph(family=g.family, v0=g.v0, v1=g.v1,
+                              edges=np.ascontiguousarray(g.edges))
+        assert rows.edges.flags.c_contiguous
+        assert compute_stats(rows) == compute_stats(g)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_doubled_edges_double_every_statistic(self, d):
+        # every (vertex, address) count is 2, so the smallest count, the
+        # first counting pass, is 2 and not 1
+        g = build_adversary_graph(InstanceFamily(n=2, m=3, d=d, k=3))
+        twice = AdversaryGraph(family=g.family, v0=g.v0, v1=g.v1,
+                               edges=np.repeat(g.edges, 2, axis=0))
+        once, doubled = compute_stats(g), compute_stats(twice)
+        assert (doubled.delta0, doubled.delta1, doubled.ell0, doubled.ell1) == (
+            2 * once.delta0, 2 * once.delta1, 2 * once.ell0, 2 * once.ell1)
+
+    # (delta0, delta1, ell0, ell1) by d, recorded from the statistics
+    # before the sort keys were packed.  A key is vertex << s | address
+    # with s = n bits (at least 1): at (4, 4) every key fits in int32; at
+    # (19, 1) the v1 side's keys reach 2**38 and are int64, while the
+    # one v0 vertex's keys still fit
+    @pytest.mark.parametrize("n,k,expected", [
+        (4, 4, {1: (13, 4, 1, 1), 2: (13, 4, 2, 2), 3: (13, 4, 3, 3),
+                4: (13, 4, 4, 4), 5: (13, 4, 5, 4)}),
+        (19, 1, {1: (524288, 1, 1, 1), 4: (524288, 1, 4, 1)}),
+    ], ids=["int32", "int64"])
+    def test_stats_on_both_key_widths(self, n, k, expected):
+        fam = InstanceFamily(n=n, m=k.bit_length() + 1, d=1, k=k)
+        g = build_adversary_graph(fam)
+        largest = (len(g.v1) - 1) << max(n, 1) | (fam.N - 1)
+        assert (largest > np.iinfo(np.int32).max) == (n == 19)
+        for d, stats in expected.items():
+            at_d = AdversaryGraph(family=InstanceFamily(n=n, m=fam.m, d=d, k=k),
+                                  v0=g.v0, v1=g.v1, edges=g.edges)
+            got = compute_stats(at_d)
+            assert (got.delta0, got.delta1, got.ell0, got.ell1) == stats
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_vertex_without_edge_is_refused(self, side):

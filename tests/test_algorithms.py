@@ -487,6 +487,28 @@ class TestTabledStepLaw:
         assert known <= drawn_queries.min() and drawn_queries.max() <= known + bbht_budget(M)
 
 
+def largest_tabled_size() -> int:
+    """The largest cell size whose budget is within ``TABLE_BUDGET``, by
+    bisection, since the budget grows with the cell size."""
+    lo, hi = 1, 1 << 62     # bbht_budget(lo) <= TABLE_BUDGET < bbht_budget(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bbht_budget(mid) <= algorithms.TABLE_BUDGET:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+LARGEST_TABLED = largest_tabled_size()
+
+
+def test_the_largest_tabled_size_today():
+    # the limit case of both law classes; a change to the budget formula
+    # or to TABLE_BUDGET moves it, and both classes with it
+    assert LARGEST_TABLED == 52_391_860
+
+
 class TestMarkedLaw:
     """The tabled law of a step's unknown-count stages over a cell with
     marked addresses, against the stage sampler, which draws a later step
@@ -498,7 +520,7 @@ class TestMarkedLaw:
 
     # up to the largest cell size whose budget is within TABLE_BUDGET
     @pytest.mark.parametrize("M,j", [(64, 1), (1024, 3), (1 << 20, 1), (1 << 20, 2),
-                                     (52_391_860, 1)])
+                                     (LARGEST_TABLED, 1)])
     def test_matches_the_stage_sampler(self, M, j):
         budget = bbht_budget(M)
         law = stage_law(M, j)
@@ -547,22 +569,6 @@ class TestTableCache:
         # a table has 2 (budget + 1) entries, its stops and its hits
         entries = 2 * (algorithms.TABLE_BUDGET + 1)
         assert 8 * algorithms._stage_law.cache_info().maxsize * entries <= 32 << 20
-
-
-def largest_tabled_size() -> int:
-    """The largest cell size whose budget is within ``TABLE_BUDGET``, by
-    bisection, since the budget grows with the cell size."""
-    lo, hi = 1, 1 << 62     # bbht_budget(lo) <= TABLE_BUDGET < bbht_budget(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bbht_budget(mid) <= algorithms.TABLE_BUDGET:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-LARGEST_TABLED = largest_tabled_size()
 
 
 class TestRestLaw:

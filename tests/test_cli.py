@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 
 import jsonschema
 import pytest
@@ -106,6 +107,28 @@ def test_total_queries_is_the_sum_of_the_copies_queries(monkeypatch):
     assert len(outcomes) == 4
     assert [t["total_queries"] for t in record["trials"]] == [
         int(o.ledger.oracle_counts.sum()) for o in outcomes]
+
+
+@pytest.mark.parametrize("argv,ks", [
+    (["search", "--n", "4", "--d", "8", "--k", "2", "--trials", "2"], [2]),
+    # the third cell repeats the first one's message
+    (["bounds", "--n", "4", "--d", "8", "--k", "2,3,2", "--trials", "1"], [2, 3]),
+], ids=["search", "bounds"])
+def test_sqrt_n_warning_is_one_parsearch_line_per_message(argv, ks, capsys):
+    # d = 8 exceeds sqrt(N) = 4: each distinct message is one parsearch
+    # line on stderr, naming no source file, and the record is the one
+    # written with the warning not shown
+    assert main(argv + ["--seed", "1"]) == 0
+    shown = capsys.readouterr()
+    assert shown.err.startswith("parsearch: warning:")
+    assert ".py" not in shown.err
+    assert shown.err.splitlines() == [
+        f"parsearch: warning: d=8, k={k} exceed sqrt(N)=4; cost bounds "
+        f"assume d, k <= sqrt(N)" for k in ks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--seed", "1"]) == 0
+    assert capsys.readouterr() == (shown.out, "")
 
 
 def test_search_usage_error_exit_code(capsys):

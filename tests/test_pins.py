@@ -52,6 +52,9 @@ PINS = [
     # the benchmark's instance: k = 4 reaches lexicographic ranks of width 3
     (["adversary", "--n", "4", "--m", "3", "--d", "5", "--k", "4"],
      "8cc902910494e5911c2e27cf5c746d5355ee6de1c4d05328a37749dfcd9cb1c2"),
+    # the enumeration cap, N = 2^19: the v1 side's sort keys need int64
+    (["adversary", "--n", "19", "--m", "2", "--d", "4", "--k", "1"],
+     "6a78ce2b647d4b666db0a5c79e65d0697d4199d88151b8cba426189178c09d1d"),
 ]
 
 
