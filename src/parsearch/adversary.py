@@ -4,14 +4,16 @@ the hard-instance bipartite graph, and the degree/multiplicity bound formula.
 Vertices on one side are databases holding exactly k-1 of the fixed target
 items (all other locations zero); on the other side, databases holding all
 k targets.  Since every other location is zero, a vertex is stored as its
-placement, the addresses where its targets sit: one row of an int64 array,
+placement, the addresses where its targets sit: one row of an int32 array,
 so memory grows as vertices * k, not vertices * N.  Two databases are
 adjacent iff they differ in exactly one base location; the edges are rows
-of an int64 array too, and the statistics are computed from that edge list
-with numpy.  With d copies, an edge is labeled by every d-fold address
-that contains the differing base address in some coordinate; the
-statistics are computed per base address and combined, which is
-equivalent and far smaller than enumerating d-fold addresses.
+of an int32 array too, and the statistics are computed from that edge list
+with numpy.  Every index and address fits in int32: a built graph has
+at least N and at most FEASIBLE_VERTICES = 10**6 < 2**20 vertices.  With
+d copies, an edge is labeled by every d-fold address that contains the
+differing base address in some coordinate; the statistics are computed
+per base address and combined, which is equivalent and far smaller than
+enumerating d-fold addresses.
 """
 from __future__ import annotations
 
@@ -67,8 +69,9 @@ class InstanceFamily:
 
 @dataclass(frozen=True)
 class AdversaryGraph:
-    """Explicit vertex sets and labeled edges at brute-force scale, as int64
-    arrays with one row per vertex or edge.
+    """Explicit vertex sets and labeled edges at brute-force scale, as int32
+    arrays with one row per vertex or edge (every index and address is
+    below FEASIBLE_VERTICES < 2**20).
 
     A vertex is a placement.  ``v1`` has shape (perm(N, k), k): row i is
     the i-th k-permutation of the addresses in lexicographic order, and
@@ -134,8 +137,8 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     free addresses appended.  The width-(k-1) step is ``kept`` and the
     width-k step is ``v1``, so removing v1's last target leaves its parent
     row; removing any other target leaves a row found by its lexicographic
-    rank, with no search.  All those ranks come from one digit table: row
-    ``a``'s Lehmer digit at column p is ``a[p]`` less the smaller entries
+    rank, with no search.  All those ranks come from one int32 digit table:
+    row ``a``'s Lehmer digit at column p is ``a[p]`` less the smaller entries
     before it, and without column j the digits before j stay, each weighted
     by perm(N-1-p, k-2-p), while those after j move one place left, gain
     ``a[j] < a[p]`` and take the weight perm(N-p, k-1-p).
@@ -157,28 +160,28 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
         )
     N, k = fam.N, fam.k
 
-    v1 = np.empty((1, 0), dtype=np.int64)
+    v1 = np.empty((1, 0), dtype=np.int32)
     for width in range(1, k + 1):
         kept = v1
         free = np.ones((len(kept), N), dtype=bool)
         free[np.arange(len(kept))[:, None], kept] = False
-        v1 = np.empty((len(kept) * (N - width + 1), width), dtype=np.int64)
+        v1 = np.empty((len(kept) * (N - width + 1), width), dtype=np.int32)
         v1.reshape(len(kept), N - width + 1, width)[:, :, :-1] = kept[:, None]
         # each free address is its flat index mod N, a power of two
         np.bitwise_and(np.flatnonzero(free), N - 1, out=v1[:, -1])
-    v0 = np.empty((k * len(kept), k), dtype=np.int64)
+    v0 = np.empty((k * len(kept), k), dtype=np.int32)
     v0[:, 0] = np.repeat(np.arange(k), len(kept))
     v0.reshape(k, len(kept), k)[:, :, 1:] = kept
     # edges column by column; [i1, j] of a column's (len(v1), k) view is
     # its row i1 * k + j
-    edges = np.empty((k * len(v1), 3), dtype=np.int64, order="F")
+    edges = np.empty((k * len(v1), 3), dtype=np.int32, order="F")
     first = edges[:, 0].reshape(len(v1), k)
     digit = v1.T.copy()
     less = {(q, p): digit[q] < digit[p] for p in range(k) for q in range(p)}
     for q, p in less:
         digit[p] -= less[q, p]
     for j in range(k - 1):
-        rank = np.full(len(v1), j * len(kept))
+        rank = np.full(len(v1), j * len(kept), dtype=np.int32)
         for p in range(j):
             rank += digit[p] * math.perm(N - 1 - p, k - 2 - p)
         for p in range(j + 1, k):
@@ -197,28 +200,27 @@ def _max_label_multiplicity(vertex: np.ndarray, addr: np.ndarray, N: int,
     Each edge is one packed sort key, ``vertex << s | addr`` with s the
     bit length of N - 1 (at least 1; N is a power of two, so every address
     fits in s bits).  The keys are int32 when the largest one fits, which
-    halves the sort's memory traffic, and int64 otherwise.
+    halves the sort's memory traffic, and int64 otherwise.  A vertex's
+    top-d sum is the sum over h >= 1 of min(d, its addresses with at least
+    h edges): pass h counts the first key of each run of equal keys by
+    owner, then drops one key from every run.  The passes cost E times
+    the largest same-label count, which is 1 on every built graph.
     """
     s = max((N - 1).bit_length(), 1)
-    wide = (int(vertex.max()) << s | (N - 1)) > np.iinfo(np.int32).max
+    top = int(vertex.max())
+    wide = (top << s | (N - 1)) > np.iinfo(np.int32).max
     keys = np.left_shift(vertex, s, dtype=np.int64 if wide else np.int32)
     np.bitwise_or(keys, addr, out=keys)
     keys.sort()
-    start = np.ones(len(keys) + 1, dtype=bool)   # the last entry ends a run
-    np.not_equal(keys[1:], keys[:-1], out=start[1:-1])
-    counts = np.diff(np.flatnonzero(start))
-    owner = keys[start[:-1]]
-    owner >>= s
-    # a vertex's top-d sum is sum over h >= 1 of min(d, its counts >= h),
-    # constant for h between two distinct counts: one pass per distinct
-    # count, the smallest of which every run reaches.  No vertex has more
-    # than N addresses, so d is capped at N.
-    d = min(d, N)
-    distinct = np.flatnonzero(np.bincount(counts))
-    sums = distinct[0] * np.minimum(np.bincount(owner), d)
-    for below, h in zip(distinct[:-1], distinct[1:]):
-        at_least = np.bincount(owner[counts >= h], minlength=len(sums))
-        sums += (h - below) * np.minimum(at_least, d)
+    # no vertex has more than N addresses, so d is capped at N
+    d, sums = min(d, N), 0
+    while len(keys):
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        owner = keys[first]
+        owner >>= s
+        sums = sums + np.minimum(np.bincount(owner, minlength=top + 1), d)
+        keys = keys[~first]
     return int(sums.max())
 
 

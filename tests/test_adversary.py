@@ -18,6 +18,7 @@ from parsearch.adversary import (
     compute_stats,
     estimated_size,
 )
+from parsearch.experiments import run_adversary_check
 
 
 class TestClosedFormBound:
@@ -108,9 +109,18 @@ class TestBuildGraph:
         edges = tuple((index0[(j, p[:j] + p[j + 1:])], i1, x)
                       for i1, p in enumerate(v1) for j, x in enumerate(p))
         g = build_adversary_graph(fam)
+        assert (g.v0.dtype, g.v1.dtype, g.edges.dtype) == (np.int32,) * 3
         assert g.v1.tolist() == [list(p) for p in v1]
         assert g.v0.tolist() == [[miss, *p] for miss, p in v0]
         assert g.edges.tolist() == [list(e) for e in edges]
+
+    def test_arrays_at_the_cap_are_int32(self):
+        # n = 19 is the largest n built: 2**19 v1 rows, whose addresses and
+        # indices reach 2**19 - 1, still far inside int32
+        g = build_adversary_graph(InstanceFamily(n=19, m=2, d=1, k=1))
+        assert (g.v0.dtype, g.v1.dtype, g.edges.dtype) == (np.int32,) * 3
+        assert g.v1.max() == 2 ** 19 - 1
+        assert g.edges[:, 1].max() == 2 ** 19 - 1
 
     def test_memory_grows_with_k_not_n(self):
         # a vertex holds its k target addresses, not an N-entry database
@@ -122,6 +132,18 @@ class TestBuildGraph:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_benchmark_instance_peak_memory(self):
+        # the benchmark's adversary check, (n, m, d, k) = (4, 3, 5, 4):
+        # int32 arrays and the counting passes keep its peak near 6 MiB,
+        # where int64 arrays and run-length temporaries took 10.24 MiB
+        tracemalloc.start()
+        try:
+            run_adversary_check(4, 3, 5, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_infeasible_refused_with_estimate(self):
         fam = InstanceFamily(n=10, m=6, d=1, k=4)
@@ -188,27 +210,30 @@ class TestComputeStats:
         # toward low addresses, so counts reach 6 and more and some vertices
         # have fewer distinct addresses than d; N = 8, so d = 8 takes all.
         # Each side is regular, 16 and 5 edges a vertex, as AdversaryStats
-        # needs every top-d sum within the least degree
+        # needs every top-d sum within the least degree.  The same edges are
+        # checked as int32 columns, as built, and as int64 columns
         fam = InstanceFamily(n=3, m=2, d=d, k=2)
         rng = np.random.default_rng(seed)
         size, n0, n1 = 80, 5, 16
         i0 = rng.permutation(np.repeat(np.arange(n0), size // n0))
         i1 = rng.permutation(np.repeat(np.arange(n1), size // n1))
         x = np.minimum(rng.geometric(0.4, size) - 1, fam.N - 1)
-        g = AdversaryGraph(family=fam, v0=np.zeros((n0, 2), dtype=np.int64),
-                           v1=np.zeros((n1, 2), dtype=np.int64),
-                           edges=np.column_stack((i0, i1, x)).astype(np.int64))
         pairs = Counter(zip(i0.tolist(), x.tolist()))
         assert max(pairs.values()) >= 6
         distinct = Counter(v for v, _ in Counter(zip(i1.tolist(), x.tolist())))
         assert min(distinct.values()) < 3     # fewer than d at d = 3 and 8
-        stats = compute_stats(g)
-        got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
-        assert got == (min(Counter(i0.tolist()).values()),
-                       min(Counter(i1.tolist()).values()),
-                       self.top_d_reference(i0.tolist(), x.tolist(), d),
-                       self.top_d_reference(i1.tolist(), x.tolist(), d))
-        assert all(type(v) is int for v in got)
+        expected = (min(Counter(i0.tolist()).values()),
+                    min(Counter(i1.tolist()).values()),
+                    self.top_d_reference(i0.tolist(), x.tolist(), d),
+                    self.top_d_reference(i1.tolist(), x.tolist(), d))
+        for dtype in (np.int32, np.int64):
+            g = AdversaryGraph(family=fam, v0=np.zeros((n0, 2), dtype=dtype),
+                               v1=np.zeros((n1, 2), dtype=dtype),
+                               edges=np.column_stack((i0, i1, x)).astype(dtype))
+            stats = compute_stats(g)
+            got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
+            assert got == expected
+            assert all(type(v) is int for v in got)
 
     def test_edge_storage_order_does_not_matter(self):
         # the built edges are stored column by column; the same edge list
@@ -222,8 +247,8 @@ class TestComputeStats:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_doubled_edges_double_every_statistic(self, d):
-        # every (vertex, address) count is 2, so the smallest count, the
-        # first counting pass, is 2 and not 1
+        # every (vertex, address) count is 2, so the counting takes two
+        # passes, the second over the one key left of each run
         g = build_adversary_graph(InstanceFamily(n=2, m=3, d=d, k=3))
         twice = AdversaryGraph(family=g.family, v0=g.v0, v1=g.v1,
                                edges=np.repeat(g.edges, 2, axis=0))
