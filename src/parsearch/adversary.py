@@ -188,44 +188,45 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
             rank += (digit[p] + less[j, p]) * math.perm(N - p, k - 1 - p)
         first[:, j] = rank
     first[:, -1] = (k - 1) * len(kept) + np.arange(len(kept)).repeat(N - k + 1)
-    edges[:, 1].reshape(len(v1), k)[:] = np.arange(len(v1))[:, None]
+    np.floor_divide(np.arange(len(edges), dtype=np.int32), k, out=edges[:, 1])
     edges[:, 2] = v1.ravel()
     return AdversaryGraph(family=fam, v0=v0, v1=v1, edges=edges)
 
 
-def _max_label_multiplicity(vertex: np.ndarray, addr: np.ndarray, N: int,
-                            d: int) -> int:
-    """Largest, over vertices, sum of the top-d per-address edge counts.
+def _side_stats(vertex: np.ndarray, addr: np.ndarray, size: int, N: int,
+                d: int) -> tuple:
+    """(least degree, largest top-d sum of per-address edge counts) over
+    the ``size`` vertices of one side, from one sort and one degree count.
 
     Each edge is one packed sort key, ``vertex << s | addr`` with s the
     bit length of N - 1 (at least 1; N is a power of two, so every address
-    fits in s bits).  The keys are int32 when the largest one fits, which
-    halves the sort's memory traffic, and int64 otherwise.  A vertex's
-    top-d sum is the sum over h >= 1 of min(d, its addresses with at least
-    h edges): pass h counts the first key of each run of equal keys by
-    owner, then drops one key from every run.  The passes cost E times
-    the largest same-label count, which is 1 on every built graph.
+    fits in s bits), int32 when the largest key fits and int64 otherwise.
+    Pass h keeps the repeated keys, dropping one key from every run, and
+    counts them by vertex.  With n_h a vertex's keys before pass h, n_h -
+    n_{h+1} is its number of addresses with at least h edges, and its
+    top-d sum is the sum over h of min(d, n_h - n_{h+1}).  Passes after
+    the first see repeated keys only; on a built graph the one pass leaves
+    no key.
     """
     s = max((N - 1).bit_length(), 1)
-    top = int(vertex.max())
-    wide = (top << s | (N - 1)) > np.iinfo(np.int32).max
+    wide = (int(vertex.max()) << s | (N - 1)) > np.iinfo(np.int32).max
     keys = np.left_shift(vertex, s, dtype=np.int64 if wide else np.int32)
     np.bitwise_or(keys, addr, out=keys)
     keys.sort()
+    held = np.bincount(vertex, minlength=size)
     # no vertex has more than N addresses, so d is capped at N
-    d, sums = min(d, N), 0
+    least, d, sums = int(held.min()), min(d, N), 0
     while len(keys):
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        owner = keys[first]
-        owner >>= s
-        sums = sums + np.minimum(np.bincount(owner, minlength=top + 1), d)
-        keys = keys[~first]
-    return int(sums.max())
+        keys = keys[1:][keys[1:] == keys[:-1]]
+        left = np.bincount(keys >> s, minlength=len(held))
+        sums = sums + np.minimum(held - left, d)
+        held = left
+    return least, int(sums.max())
 
 
 def compute_stats(g: AdversaryGraph) -> AdversaryStats:
-    """Exact graph statistics by enumeration.
+    """Exact graph statistics by enumeration, one sort and one degree
+    count per side.
 
     The same-label multiplicity at a vertex is maximized by a d-fold
     address whose coordinates are the d base addresses with the most edges
@@ -236,12 +237,9 @@ def compute_stats(g: AdversaryGraph) -> AdversaryStats:
         raise ValueError("adversary graph has no edges")
     fam = g.family
     i0, i1, x = g.edges.T
-    return AdversaryStats(
-        delta0=int(np.bincount(i0, minlength=len(g.v0)).min()),
-        delta1=int(np.bincount(i1, minlength=len(g.v1)).min()),
-        ell0=_max_label_multiplicity(i0, x, fam.N, fam.d),
-        ell1=_max_label_multiplicity(i1, x, fam.N, fam.d),
-    )
+    delta0, ell0 = _side_stats(i0, x, len(g.v0), fam.N, fam.d)
+    delta1, ell1 = _side_stats(i1, x, len(g.v1), fam.N, fam.d)
+    return AdversaryStats(delta0=delta0, delta1=delta1, ell0=ell0, ell1=ell1)
 
 
 def ambainis_bound(stats: AdversaryStats) -> float:

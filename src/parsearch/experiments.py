@@ -42,15 +42,15 @@ MAX_COUNT = 1 << 24
 #: not with N, and each limit bounds one value: a trial's O(d) arrays are
 #: freed when it ends, and its record keeps a fixed set of counts, about
 #: 0.5 KB per trial; its JSON text is streamed, not held.  Peak RSS here and
-#: under ``MAX_TARGETS`` is ``ru_maxrss`` of a fresh Python process that
-#: runs ``cli.main`` once with ``--seed 3 --out /dev/null``, one run each,
-#: on a 2-core host (Python 3.11.7, numpy 2.4.6):
+#: under ``MAX_TARGETS`` is ``ru_maxrss`` / 1024, in MiB, of a fresh Python
+#: process that runs ``cli.main`` once with ``--seed 3 --out /dev/null``,
+#: one run each, on a 2-core host (Python 3.11.7, numpy 2.4.6):
 #:
-#: - ``search --n 40 --d 1048576 --k 64``: 186 MB over 1 trial, 193 MB
+#: - ``search --n 40 --d 1048576 --k 64``: 186 MiB over 1 trial, 193 MiB
 #:   over 4 and over 8;
-#: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 44 MB;
-#: - ``search --n 24 --k 2 --trials 65536``: 70 MB at d = 1 and at
-#:   d = 64, against 37 MB over 1 trial.
+#: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 40 MiB (three runs);
+#: - ``search --n 24 --k 2 --trials 65536``: 70 MiB at d = 1 and at
+#:   d = 64, against 37 MiB over 1 trial.
 MAX_COPIES = 1 << 20
 MAX_TRIALS = 1 << 16
 
@@ -60,16 +60,16 @@ MAX_TRIALS = 1 << 16
 #: when the trial ends.  Peak RSS, measured as under ``MAX_COPIES``:
 #:
 #: - ``search --n 40 --d 1048576 --k 131072`` (d and k at their limits):
-#:   245 MB over 1 trial, 303 MB over 4, 303 MB over 8;
-#: - ``search --n 40 --d 64 --k 131072``: 104 MB over 1 trial, 145 MB over
-#:   4, 150 MB over 256;
+#:   245 MiB over 1 trial, 303 MiB over 4, 303 MiB over 8;
+#: - ``search --n 40 --d 64 --k 131072``: 104 MiB over 1 trial, 145 MiB
+#:   over 4, 150 MiB over 256;
 #: - past the limit, with it lifted in the process, ``--d 1048576
-#:   --k 262144`` over 1 trial: 299 MB.
+#:   --k 262144`` over 1 trial: 299 MiB.
 #:
 #: The corner of all three limits, 2**16 trials at d = 2**20 and k = 2**17,
 #: was not run: at about 15 s per trial it would take eleven days.  Its
-#: trials peak near 0.3 GB, and its record adds what the 2**16 trials above
-#: add, about 33 MB, so it would peak near 0.34 GB.
+#: trials peak near 0.3 GiB, and its record adds what the 2**16 trials above
+#: add, about 33 MiB, so it would peak near 0.33 GiB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).

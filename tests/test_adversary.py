@@ -15,6 +15,7 @@ from parsearch.adversary import (
     ambainis_bound,
     build_adversary_graph,
     closed_form_bound,
+    _side_stats,
     compute_stats,
     estimated_size,
 )
@@ -145,6 +146,20 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_compute_stats_peak_memory(self):
+        # the benchmark's graph, built before tracing starts: one sort and
+        # one degree count per side keep compute_stats' peak near 2.3 MiB,
+        # where two degree counts and a full first counting pass per side
+        # took 3.17 MiB
+        g = build_adversary_graph(InstanceFamily(n=4, m=3, d=5, k=4))
+        tracemalloc.start()
+        try:
+            compute_stats(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2 ** 20
+
     def test_infeasible_refused_with_estimate(self):
         fam = InstanceFamily(n=10, m=6, d=1, k=4)
         with pytest.raises(InfeasibleInstanceError, match=str(estimated_size(fam))):
@@ -234,6 +249,39 @@ class TestComputeStats:
             got = (stats.delta0, stats.delta1, stats.ell0, stats.ell1)
             assert got == expected
             assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d", [1, 2, 3, "N"])
+    @pytest.mark.parametrize("n,size,dense,spread",
+                             [(3, 40, 200, 30), (19, 5000, 3000, 3000)],
+                             ids=["int32", "int64"])
+    def test_side_stats_match_counter_reference(self, n, size, dense, spread,
+                                                d, seed):
+        # irregular edge lists: the dense edges crowd onto the last vertices
+        # and low addresses, so some (vertex, address) counts reach 6 and
+        # more; the spread ones fall anywhere on the side, which leaves some
+        # vertices with no edge.  A key is vertex << n | address, so at
+        # N = 2**19 a side of more than 2**12 vertices needs int64 keys,
+        # and the repeated keys sit at its largest vertices
+        N = 1 << n
+        d = N if d == "N" else d
+        rng = np.random.default_rng(seed)
+        vertex = np.concatenate((size - rng.geometric(0.3, dense),
+                                 rng.integers(0, size, spread)))
+        addr = np.concatenate((rng.geometric(0.5, dense) - 1,
+                               rng.integers(0, N, spread)))
+        vertex = np.maximum(vertex, 0).astype(np.int32)
+        addr = np.minimum(addr, N - 1).astype(np.int32)
+        degree = Counter(vertex.tolist())
+        assert len(degree) < size
+        assert max(Counter(zip(vertex.tolist(), addr.tolist())).values()) >= 6
+        largest = int(vertex.max()) << n | (N - 1)
+        assert (largest > np.iinfo(np.int32).max) == (n == 19)
+        expected = (min(degree[v] for v in range(size)),
+                    self.top_d_reference(vertex.tolist(), addr.tolist(), d))
+        got = _side_stats(vertex, addr, size, N, d)
+        assert got == expected
+        assert all(type(v) is int for v in got)
 
     def test_edge_storage_order_does_not_matter(self):
         # the built edges are stored column by column; the same edge list
