@@ -47,15 +47,17 @@ class InstanceFamily:
     k: int
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1 or self.d < 1 or self.k < 1:
-            raise ValueError("need n >= 0, m >= 1, d >= 1, k >= 1")
+        for name, least in (("n", 0), ("m", 1), ("d", 1), ("k", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"need {name} >= {least}, got {name}={value}")
         # k > 2**(m-1), without building 2**(m-1) for a huge m
         if (self.k - 1).bit_length() >= self.m:
             raise ValueError(
                 f"need k <= 2**(m-1): k={self.k}, m={self.m}"
             )
         if self.k > self.N:
-            raise ValueError("more targets than addresses")
+            raise ValueError(f"need k <= N={self.N}, got k={self.k}")
 
     @property
     def N(self) -> int:
@@ -155,7 +157,7 @@ def build_adversary_graph(fam: InstanceFamily) -> AdversaryGraph:
     size = estimated_size(fam)
     if size > FEASIBLE_VERTICES:
         raise InfeasibleInstanceError(
-            f"instance would enumerate {size} vertices "
+            f"instance n={fam.n}, k={fam.k} would enumerate {size} vertices "
             f"(cutoff {FEASIBLE_VERTICES})"
         )
     N, k = fam.N, fam.k

@@ -57,16 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--t", type=int, default=None, help="override per-cell cap")
     search.add_argument("--trials", type=int, default=100)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--out", default=None)
-    search.add_argument("--format", choices=("json", "csv"), default="json")
 
     maxload = sub.add_parser("maxload", help="exact max-load law vs the union bound")
     maxload.add_argument("--n", type=int, default=None, help="address bits")
     maxload.add_argument("--d", type=int, required=True)
     maxload.add_argument("--k", type=int, required=True)
     maxload.add_argument("--t", type=int, required=True, help="per-cell cap")
-    maxload.add_argument("--out", default=None)
-    maxload.add_argument("--format", choices=("json", "csv"), default="json")
 
     bounds = sub.add_parser("bounds", help="measured rounds vs bound formulas")
     bounds.add_argument("--n", type=_int_list, default=[], metavar="N1,N2,...",
@@ -75,17 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--k", type=_int_list, default=[], metavar="K1,K2,...")
     bounds.add_argument("--trials", type=int, default=50)
     bounds.add_argument("--seed", type=int, default=0)
-    bounds.add_argument("--out", default=None)
-    bounds.add_argument("--format", choices=("json", "csv"), default="json")
 
     adv = sub.add_parser("adversary", help="brute-force adversary-graph check")
     adv.add_argument("--n", type=int, required=True)
     adv.add_argument("--m", type=int, required=True)
     adv.add_argument("--d", type=int, required=True)
     adv.add_argument("--k", type=int, required=True)
-    adv.add_argument("--out", default=None)
-    adv.add_argument("--format", choices=("json", "csv"), default="json")
 
+    for command in (search, maxload, bounds, adv):
+        command.add_argument("--out", default=None)
+        command.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

@@ -44,13 +44,13 @@ MAX_COUNT = 1 << 24
 #: 0.5 KB per trial; its JSON text is streamed, not held.  Peak RSS here and
 #: under ``MAX_TARGETS`` is ``ru_maxrss`` / 1024, in MiB, of a fresh Python
 #: process that runs ``cli.main`` once with ``--seed 3 --out /dev/null``,
-#: one run each, on a 2-core host (Python 3.11.7, numpy 2.4.6):
+#: three runs each, on a 2-core host (Python 3.11.7, numpy 2.4.6):
 #:
-#: - ``search --n 40 --d 1048576 --k 64``: 186 MiB over 1 trial, 193 MiB
+#: - ``search --n 40 --d 1048576 --k 64``: 194 MiB over 1 trial, 208 MiB
 #:   over 4 and over 8;
-#: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 40 MiB (three runs);
-#: - ``search --n 24 --k 2 --trials 65536``: 70 MiB at d = 1 and at
-#:   d = 64, against 37 MiB over 1 trial.
+#: - ``search --n 24 --d 4096 --k 2 --trials 1024``: 40 MiB;
+#: - ``search --n 24 --k 2 --trials 65536``: 71 MiB at d = 1 and at
+#:   d = 64, against 38 MiB over 1 trial.
 MAX_COPIES = 1 << 20
 MAX_TRIALS = 1 << 16
 
@@ -60,16 +60,17 @@ MAX_TRIALS = 1 << 16
 #: when the trial ends.  Peak RSS, measured as under ``MAX_COPIES``:
 #:
 #: - ``search --n 40 --d 1048576 --k 131072`` (d and k at their limits):
-#:   245 MiB over 1 trial, 303 MiB over 4, 303 MiB over 8;
-#: - ``search --n 40 --d 64 --k 131072``: 104 MiB over 1 trial, 145 MiB
-#:   over 4, 150 MiB over 256;
+#:   217 MiB over 1 trial, 242 MiB over 4, 246-247 MiB over 8;
+#: - ``search --n 40 --d 64 --k 131072``: 73-74 MiB over 1 trial, 92 MiB
+#:   over 4, 97 MiB over 256;
 #: - past the limit, with it lifted in the process, ``--d 1048576
-#:   --k 262144`` over 1 trial: 299 MiB.
+#:   --k 262144`` over 1 trial: 234-235 MiB.
 #:
 #: The corner of all three limits, 2**16 trials at d = 2**20 and k = 2**17,
-#: was not run: at about 15 s per trial it would take eleven days.  Its
-#: trials peak near 0.3 GiB, and its record adds what the 2**16 trials above
-#: add, about 33 MiB, so it would peak near 0.33 GiB.
+#: was not run: at about 2 s per trial (8 trials took 15-19 s) it would
+#: take one and a half to two days.  Its trials peak near 0.24 GiB, and its
+#: record adds what the 2**16 trials above add, about 33 MiB, so it would
+#: peak near 0.27 GiB.
 MAX_TARGETS = 1 << 17
 
 #: largest k the max-load check takes: its exact law costs O(k**2 log d).
@@ -78,33 +79,39 @@ MAX_TARGETS = 1 << 17
 MAX_MAXLOAD_K = 1 << 14
 
 
-def address_count(n: int, limit: int, what: str) -> int:
-    """N = 2**n addresses for *n* address bits.
-
-    Refuses a negative n as a usage error and n above *limit*, the largest
-    n that *what* handles, as infeasible, before computing 2**n.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0 address bits, got n={n}")
-    if n > limit:
+def _check(name: str, value: int, least: int, limit: int | None = None,
+           what: str = "search") -> None:
+    """Refuse *value* below *least* as a usage error, and above *limit*,
+    the largest that *what* takes, as infeasible; both name the value."""
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
+    if limit is not None and value > limit:
         raise adversary.InfeasibleInstanceError(
-            f"n={n} exceeds the {what} limit n <= {limit}"
-        )
-    return 1 << n
+            f"{name}={value} exceeds the {what} limit {name} <= {limit}")
 
 
-def _check_seed(seed) -> None:
-    """Refuse a negative integer seed as a usage error that names it."""
-    if isinstance(seed, int) and seed < 0:
-        raise ValueError(f"need seed >= 0, got seed={seed}")
+def _check_cell(N: int, d: int = 1, k: int = 1) -> None:
+    """Refuse a d or a k above the N addresses as a usage error that
+    names it."""
+    for name, value in (("d", d), ("k", k)):
+        if value > N:
+            raise ValueError(f"need {name} <= N={N}, got {name}={value}")
 
 
-def _check_limit(name: str, value: int, limit: int) -> None:
-    """Refuse *value* above the search limit *limit* as infeasible, naming
-    it."""
-    if value > limit:
-        raise adversary.InfeasibleInstanceError(
-            f"{name}={value} exceeds the search limit {name} <= {limit}")
+def _check_search(seed, ns, ds, ks, trials: int, t=None) -> None:
+    """Check each value of a search or a sweep on its own, in one order:
+    seed, n, d, k, trials, then t, each against its floor and then its
+    limit.  A search's cells are checked after this, as d, k <= N."""
+    _check("seed", seed, 0)
+    for n in ns:
+        _check("n", n, 0, MAX_SEARCH_BITS)
+    for d in ds:
+        _check("d", d, 1, MAX_COPIES)
+    for k in ks:
+        _check("k", k, 1, MAX_TARGETS)
+    _check("trials", trials, 1, MAX_TRIALS)
+    if t is not None:
+        _check("t", t, 1, MAX_COUNT)
 
 
 @dataclass
@@ -119,21 +126,9 @@ class ExperimentConfig:
     t_override: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        _check_seed(self.seed)
-        N = address_count(self.n, MAX_SEARCH_BITS, "search")
-        if not 1 <= self.d <= N:
-            raise ValueError(f"need 1 <= d <= N={N}, got d={self.d}")
-        if not 1 <= self.k <= N:
-            raise ValueError(f"need 1 <= k <= N={N}, got k={self.k}")
-        t = self.t_override
-        if t is not None and t < 1:
-            raise ValueError(f"need t >= 1, got t={t}")
-        for name, value, limit in (
-                ("d", self.d, MAX_COPIES), ("k", self.k, MAX_TARGETS),
-                ("t", t or 0, MAX_COUNT), ("trials", self.trials, MAX_TRIALS)):
-            _check_limit(name, value, limit)
+        _check_search(self.seed, (self.n,), (self.d,), (self.k,), self.trials,
+                      self.t_override)
+        _check_cell(1 << self.n, d=self.d, k=self.k)
 
 
 def build_database(n: int, k: int, seed) -> tuple:
@@ -145,9 +140,9 @@ def build_database(n: int, k: int, seed) -> tuple:
     which stores only the k target addresses.  Refuses n above
     ``MAX_SEARCH_BITS`` before computing 2**n.
     """
-    N = address_count(n, MAX_SEARCH_BITS, "search")
-    if k > N:
-        raise ValueError("more targets than addresses")
+    _check("n", n, 0, MAX_SEARCH_BITS)
+    N = 1 << n
+    _check_cell(N, k=k)
     addresses = np.random.default_rng(seed).choice(N, size=k, replace=False)
     return PlantedDatabase(n, addresses), TargetSet(range(1, k + 1))
 
@@ -208,20 +203,21 @@ def run_maxload_check(k: int, d: int, t: int, n: int | None = None) -> dict:
     into d cells, the largest cell load exceeds t with the probability
     :func:`~parsearch.algorithms.maxload_exceedance`, which the union bound
     over the cells, :func:`~parsearch.algorithms.union_bound`, must not
-    undercut.  Refuses n above
-    ``MAX_SEARCH_BITS`` and k above ``MAX_MAXLOAD_K`` before computing
-    anything.
+    undercut.  With no n, n is max(12, max(d, k).bit_length()), at most
+    ``MAX_SEARCH_BITS``.  Checks n, d, k and t as a search does, n above
+    ``MAX_SEARCH_BITS``, k above ``MAX_MAXLOAD_K`` and, with no n, d above
+    the largest N, and then d, k <= N, before computing anything.
     """
-    if d < 1 or k < 0 or t < 0:
-        raise ValueError("invalid max-load parameters")
+    if n is not None:
+        _check("n", n, 0, MAX_SEARCH_BITS, "max-load")
+    _check("d", d, 1, (1 << MAX_SEARCH_BITS) if n is None else None,
+           "max-load")
+    _check("k", k, 0, MAX_MAXLOAD_K, "max-load")
+    _check("t", t, 0)
     if n is None:
-        n = max(12, max(d, k).bit_length())
-    N = address_count(n, MAX_SEARCH_BITS, "max-load")
-    if d > N or k > N:
-        raise ValueError(f"need d, k <= N = {N}")
-    if k > MAX_MAXLOAD_K:
-        raise adversary.InfeasibleInstanceError(
-            f"k={k} exceeds the max-load limit k <= {MAX_MAXLOAD_K}")
+        n = min(MAX_SEARCH_BITS, max(12, max(d, k).bit_length()))
+    N = 1 << n
+    _check_cell(N, d=d, k=k)
     exceedance = maxload_exceedance(N, d, k, t)
     bound = union_bound(k, t, d)
     return {
@@ -238,15 +234,7 @@ def run_bound_table(ns, ds, ks, trials: int, seed: int) -> dict:
     """Sweep (n, d, k) cells: measured mean rounds vs both bound formulas."""
     # every value, also of a sweep with no cell, and then every cell, as
     # search checks it, before the first cell runs
-    _check_seed(seed)
-    for n in ns:
-        address_count(n, MAX_SEARCH_BITS, "search")
-    for name, values, limit in (("d", ds, MAX_COPIES), ("k", ks, MAX_TARGETS),
-                                ("trials", [trials], MAX_TRIALS)):
-        for value in values:
-            if value < 1:
-                raise ValueError(f"need {name} >= 1, got {name}={value}")
-            _check_limit(name, value, limit)
+    _check_search(seed, ns, ds, ks, trials)
     cells = [ExperimentConfig(n=n, d=d, k=k, trials=trials, seed=seed)
              for n in ns for d in ds for k in ks]
     rows = []
@@ -281,8 +269,9 @@ def run_adversary_check(n: int, m: int, d: int, k: int) -> dict:
     The graph has at least N vertices, so n above the largest n with
     2**n <= ``FEASIBLE_VERTICES`` is refused before computing 2**n.
     """
-    N = address_count(n, adversary.FEASIBLE_VERTICES.bit_length() - 1,
-                      "adversary enumeration")
+    _check("n", n, 0, adversary.FEASIBLE_VERTICES.bit_length() - 1,
+           "adversary enumeration")
+    N = 1 << n
     fam = adversary.InstanceFamily(n=n, m=m, d=d, k=k)
     graph = adversary.build_adversary_graph(fam)
     stats = adversary.compute_stats(graph)

@@ -47,6 +47,14 @@ class TestInstanceFamily:
         with pytest.raises(ValueError):
             InstanceFamily(n=2, m=1, d=1, k=2)
 
+    @pytest.mark.parametrize("name,least", [("n", 0), ("m", 1), ("d", 1),
+                                            ("k", 1)])
+    def test_a_value_below_its_floor_is_named(self, name, least):
+        values = {"n": 2, "m": 3, "d": 2, "k": 2, name: least - 1}
+        with pytest.raises(ValueError, match=f"need {name} >= {least}, "
+                                             f"got {name}={least - 1}"):
+            InstanceFamily(**values)
+
 
 def database(N, items, addrs):
     """The N-entry database of a vertex: each item at its address, zero
@@ -354,6 +362,24 @@ class TestAmbainisBound:
 
 
 class TestProofClaims:
+    def test_stats_equal_their_closed_forms(self):
+        # every enumerable instance with n <= 4 and k <= min(N, 4), each at
+        # its smallest m: delta0 = N - k + 1, delta1 = k,
+        # ell0 = min(d, N - k + 1), ell1 = min(d, k)
+        checked = 0
+        for n in range(5):
+            N = 1 << n
+            for k in range(1, min(N, 4) + 1):
+                m = (k - 1).bit_length() + 1
+                for d in (1, 2, 3, 5, 64):
+                    stats = compute_stats(build_adversary_graph(
+                        InstanceFamily(n=n, m=m, d=d, k=k)))
+                    assert (stats.delta0, stats.delta1, stats.ell0,
+                            stats.ell1) == (N - k + 1, k, min(d, N - k + 1),
+                                            min(d, k)), (n, k, d)
+                    checked += 1
+        assert checked == 75
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -355,6 +355,89 @@ def test_negative_address_bits_is_usage_error(command, capsys):
     assert "n=-1" in err
 
 
+SEARCH = ["search", "--n", "40", "--d", "2", "--k", "2", "--trials", "1"]
+BOUNDS = ["bounds", "--n", "40", "--d", "2", "--k", "2", "--trials", "1"]
+MAXLOAD = ["maxload", "--n", "20", "--d", "4", "--k", "4", "--t", "2"]
+ADVERSARY = ["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"]
+LARGEST_N = 1 << experiments.MAX_SEARCH_BITS
+
+# each input is a valid run with one value changed (a later flag overrides
+# an earlier one), so it is refused for that one reason in any order of
+# checks, and its message names that value
+SINGLE_REASON_REFUSALS = [
+    *[(run + flags, code, named) for run in (SEARCH, BOUNDS)
+      for flags, code, named in [
+          (["--seed", "-1"], 1, "seed=-1"),
+          (["--n", "-1"], 1, "n=-1"),
+          (["--n", "63"], 2, "n=63"),
+          (["--d", "0"], 1, "d=0"),
+          (["--d", str(MAX_COPIES + 1)], 2, f"d={MAX_COPIES + 1}"),
+          (["--k", "0"], 1, "k=0"),
+          (["--k", str(experiments.MAX_TARGETS + 1)], 2,
+           f"k={experiments.MAX_TARGETS + 1}"),
+          (["--trials", "0"], 1, "trials=0"),
+          (["--trials", str(MAX_TRIALS + 1)], 2, f"trials={MAX_TRIALS + 1}"),
+          (["--n", "1", "--d", "3"], 1, "d=3"),
+          (["--n", "1", "--k", "3"], 1, "k=3"),
+      ]],
+    (SEARCH + ["--t", "0"], 1, "t=0"),
+    (SEARCH + ["--t", str(experiments.MAX_COUNT + 1)], 2,
+     f"t={experiments.MAX_COUNT + 1}"),
+    (MAXLOAD + ["--n", "-1"], 1, "n=-1"),
+    (MAXLOAD + ["--n", "63"], 2, "n=63"),
+    (MAXLOAD + ["--d", "0"], 1, "d=0"),
+    (MAXLOAD + ["--k", "-1"], 1, "k=-1"),
+    (MAXLOAD + ["--k", str(experiments.MAX_MAXLOAD_K + 1)], 2,
+     f"k={experiments.MAX_MAXLOAD_K + 1}"),
+    (MAXLOAD + ["--t", "-1"], 1, "t=-1"),
+    (MAXLOAD + ["--n", "2", "--d", "5"], 1, "d=5"),
+    (MAXLOAD + ["--n", "2", "--k", "5"], 1, "k=5"),
+    # with no --n, d and k above the largest N
+    (["maxload", "--d", str(LARGEST_N + 1), "--k", "2", "--t", "1"], 2,
+     f"d={LARGEST_N + 1}"),
+    (["maxload", "--d", "2", "--k", str(LARGEST_N + 1), "--t", "1"], 2,
+     f"k={LARGEST_N + 1}"),
+    (ADVERSARY + ["--n", "-1"], 1, "n=-1"),
+    (ADVERSARY + ["--n", "20"], 2, "n=20"),
+    (ADVERSARY + ["--d", "0"], 1, "d=0"),
+    (ADVERSARY + ["--k", "0"], 1, "k=0"),
+    (ADVERSARY + ["--m", "1"], 1, "k=2"),
+    (ADVERSARY + ["--n", "1", "--k", "3"], 1, "k=3"),
+    (["adversary", "--n", "10", "--m", "6", "--d", "1", "--k", "4"], 2,
+     "n=10, k=4"),
+    (["adversary", "--n", "19", "--m", "20", "--d", "1", "--k", "500000"], 2,
+     "k=500000"),
+]
+
+
+@pytest.mark.parametrize("argv,code,named", SINGLE_REASON_REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in
+                              SINGLE_REASON_REFUSALS])
+def test_a_refusal_names_its_value(argv, code, named, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "build_database", no_trial)
+    monkeypatch.setattr(experiments, "maxload_exceedance", no_trial)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+
+
+@pytest.mark.parametrize("d,n", [
+    (4, 12),
+    (1 << 12, 13),
+    (LARGEST_N - 1, experiments.MAX_SEARCH_BITS),
+    (LARGEST_N, experiments.MAX_SEARCH_BITS),   # one address per cell
+])
+def test_maxload_default_n_is_at_most_the_largest(d, n, capsys):
+    # n = max(12, max(d, k).bit_length()), which is one bit too many at
+    # d = 2**62, so it is held at MAX_SEARCH_BITS
+    code, out = run_cli(["maxload", "--d", str(d), "--k", "2", "--t", "1"],
+                        capsys)
+    record = json.loads(out)
+    assert code == 0 and record["config"]["n"] == n
+    if d == LARGEST_N:
+        assert record["exceedance"] == 0.0
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
