@@ -715,7 +715,8 @@ def parallel_search(
     this function's concern alone.  ``db.locate`` finds the addresses
     holding target items and one ``db.items_at`` call reads their items,
     once per search, however many repetitions run; a target item stored at
-    two addresses is refused with ValueError there, before any draw.  *db*
+    two addresses is refused with ValueError there, before any draw, by one
+    sort of the read items and a comparison of neighbours.  *db*
     is read only through ``size``, ``locate`` and ``items_at``, so a
     :class:`~parsearch.core.PlantedDatabase` of any N costs what its k
     targets cost, and the addresses serve only to build ``located``.  Each
@@ -755,8 +756,10 @@ def parallel_search(
     ledger = QueryLedger(d)
     where = db.locate(targets.items)
     items = db.items_at(where)
-    if np.unique(items).size < items.size:
+    ordered = np.sort(items)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("a target item is stored at two addresses")
+    del ordered     # not held through the repetitions
     found = np.zeros(where.size, dtype=bool)    # the target addresses found
     rng = np.random.default_rng(seed)
 

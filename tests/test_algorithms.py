@@ -910,17 +910,30 @@ class TestParallelSearch:
         assert out.success is False
         assert out.repetitions == MAX_REPETITIONS
 
-    def test_an_item_stored_twice_is_refused(self):
-        # the search takes one address per target item: target 1 at
-        # addresses 1 and 3 of the table is refused, not searched, before
-        # any partition is drawn
-        db = Database(n=3, m=3, entries=np.array([0, 1, 2, 1, 3, 4, 5, 6]))
+    @pytest.mark.parametrize("entries, targets, refused", [
+        ([0, 1, 2, 1, 3, 4, 5, 6], [1, 2], True),   # target 1 at addresses 1 and 3
+        ([1, 0, 1, 2, 3, 1, 4, 5], [1, 2], True),   # target 1 at three addresses
+        ([1, 2, 0, 1, 3, 2, 4, 5], [1, 2], True),   # targets 1 and 2 at two each
+        ([6, 0, 1, 2, 3, 4, 5, 6], [1, 6], True),   # the first and last address
+        ([0, 1, 0, 2, 3, 3, 0, 4], [1, 2], False),  # fillers repeat, targets once
+    ], ids=["twice", "three-times", "two-items-twice", "first-and-last",
+            "repeated-fillers"])
+    def test_an_item_stored_twice_is_refused(self, entries, targets, refused):
+        # the search takes one address per target item: a target item stored
+        # at more than one address is refused, not searched, before any
+        # partition is drawn; fillers may repeat
+        db = Database(n=3, m=3, entries=np.array(entries))
+        if not refused:
+            out = parallel_search(db, 2, TargetSet(targets), seed=0)
+            assert out.success
+            assert out.located == {y: entries.index(y) for y in targets}
+            return
         with pytest.raises(ValueError, match="two addresses"):
-            parallel_search(db, 2, TargetSet([1, 2]), seed=0)
+            parallel_search(db, 2, TargetSet(targets), seed=0)
         with mock.patch.object(algorithms, "random_partition",
                                side_effect=AssertionError("a partition was drawn")), \
                 pytest.raises(ValueError, match="two addresses"):
-            parallel_search(db, 2, TargetSet([1, 2]), seed=0)
+            parallel_search(db, 2, TargetSet(targets), seed=0)
 
     def test_the_targets_are_read_once_per_search(self):
         # the targets' addresses are found, and their items read, once per

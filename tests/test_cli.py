@@ -3,9 +3,13 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -300,6 +304,33 @@ def test_search_at_n_40_runs(capsys):
     record = json.loads(capsys.readouterr().out)
     assert code == 0
     assert record["trials"][0]["success"] is True
+
+
+NO_MASKED_ARRAYS = """
+import json, os, sys
+import numpy
+before = "numpy.ma" in sys.modules
+from parsearch import cli
+for argv in (["search", "--n", "8", "--d", "4", "--k", "4", "--trials", "2"],
+             ["bounds", "--n", "6", "--d", "2", "--k", "2", "--trials", "2"],
+             ["maxload", "--n", "12", "--d", "4", "--k", "4", "--t", "2"],
+             ["adversary", "--n", "2", "--m", "3", "--d", "2", "--k", "2"]):
+    assert cli.main([*argv, "--out", os.devnull]) == 0, argv
+print(json.dumps([before, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_command_imports_masked_arrays():
+    # numpy.ma costs over a megabyte of resident memory and milliseconds
+    # to import, and no command needs it: run in a fresh interpreter, no
+    # command loads it unless importing numpy alone did (numpy 1.x may)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, check=True)
+    with_numpy, after_commands = json.loads(run.stdout.splitlines()[-1])
+    assert with_numpy or not after_commands
 
 
 @pytest.mark.parametrize("flags", [
